@@ -82,18 +82,14 @@ def run_variant(
     model = ParamModel(config.model_config(seed=seed))
 
     mode = _PRETRAIN_MODE.get(variant)
-    if mode is not None and variant != "sp-con(semisup)":
+    if mode is not None:
         pre = replace(config.pretrain_config(), loss_mode=mode)
         run_pretraining(model, dataset, pre, seed=seed, policy=policy)
 
     labeled = dataset.splits["train"][: config.ablation.num_labeled]
     if variant == "full-supervision":
         state = train_supervised(model, dataset, dataset.splits["train"], config.semisup_config(), seed=seed)
-    elif variant == "sp-con(semisup)":
-        state = run_semisup(
-            model, dataset, labeled, config.semisup_config(lambda_reg=0.0), seed=seed, policy=policy
-        )
-    elif variant == "sp-con(both)":
+    elif variant in ("sp-con(semisup)", "sp-con(both)"):
         state = run_semisup(
             model, dataset, labeled, config.semisup_config(lambda_reg=0.0), seed=seed, policy=policy
         )

@@ -8,7 +8,10 @@ the recorded forwards to reproduce the output bit-for-bit. Outside a tape,
 the same primitives evaluate eagerly with no recording.
 
 Every public operation checks its result for NaN/Inf and raises
-``NonFiniteValue`` instead of propagating garbage.
+``NonFiniteValue`` instead of propagating garbage. The check lives in one
+place, ``Tensor.__init__``: each op output and each wrapped constant is
+scanned exactly once, and ``_apply`` only re-raises the error with the op's
+name.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = _freeze(data)
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise NonFiniteValue(f"tensor {name!r} contains NaN/Inf")
         self.requires_grad = bool(requires_grad)
         self.name = name
@@ -247,11 +250,12 @@ def _apply(
     datas = [t.data for t in inputs]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out_data = forward_fn(*datas)
-    if not np.all(np.isfinite(out_data)):
-        raise NonFiniteValue(f"op {op!r} produced NaN/Inf")
+    try:
+        out = Tensor(out_data)
+    except NonFiniteValue:
+        raise NonFiniteValue(f"op {op!r} produced NaN/Inf") from None
     tape = active_tape()
     tracked = tape is not None and any(tape._tracks(t) for t in inputs)
-    out = Tensor(out_data)
     if tracked:
         tape._tracked.add(id(out))
         tape.nodes.append(Node(op, inputs, out, forward_fn, backward_fn_factory(datas, out_data)))

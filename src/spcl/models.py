@@ -11,12 +11,13 @@ named Tensors so training loops, EMA shadows, and checkpoints stay dumb.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, concat, l2_normalize_rows
-from .errors import InvalidConfig, ShapeMismatch
+from .errors import DataError, InvalidConfig, ShapeMismatch
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -226,27 +227,30 @@ class ParamModel:
 
     @classmethod
     def load(cls, path) -> "ParamModel":
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["__meta__"]).decode())
-            if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-                raise InvalidConfig(f"unsupported checkpoint format: {meta.get('format_version')}")
-            cfg_d = meta["config"]
-            cfg = ModelConfig(
-                image_shape=tuple(cfg_d["image_shape"]),
-                num_classes=cfg_d["num_classes"],
-                arch=cfg_d["arch"],
-                conv_channels=tuple(cfg_d["conv_channels"]),
-                encoder_widths=tuple(cfg_d["encoder_widths"]),
-                head_hidden=cfg_d["head_hidden"],
-                embed_dim=cfg_d["embed_dim"],
-                decoder_width=cfg_d["decoder_width"],
-                skip_width=cfg_d["skip_width"],
-                leaky_slope=cfg_d["leaky_slope"],
-                seed=cfg_d["seed"],
-            )
-            params = {
-                k: Tensor(data[k], requires_grad=True, name=k) for k in data.files if k != "__meta__"
-            }
+        """Read a checkpoint written by ``save``; a missing or unreadable file is a DataError."""
+        try:
+            with np.load(path) as data:
+                meta = json.loads(bytes(data["__meta__"]).decode())
+                arrays = {k: data[k] for k in data.files if k != "__meta__"}
+        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+            raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+            raise InvalidConfig(f"unsupported checkpoint format: {meta.get('format_version')}")
+        cfg_d = meta["config"]
+        cfg = ModelConfig(
+            image_shape=tuple(cfg_d["image_shape"]),
+            num_classes=cfg_d["num_classes"],
+            arch=cfg_d["arch"],
+            conv_channels=tuple(cfg_d["conv_channels"]),
+            encoder_widths=tuple(cfg_d["encoder_widths"]),
+            head_hidden=cfg_d["head_hidden"],
+            embed_dim=cfg_d["embed_dim"],
+            decoder_width=cfg_d["decoder_width"],
+            skip_width=cfg_d["skip_width"],
+            leaky_slope=cfg_d["leaky_slope"],
+            seed=cfg_d["seed"],
+        )
+        params = {k: Tensor(a, requires_grad=True, name=k) for k, a in arrays.items()}
         return cls(cfg, params)
 
 

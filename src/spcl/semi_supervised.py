@@ -228,6 +228,15 @@ def unlabeled_batches(
         yield UnlabeledBatch(pair=pair, clean_images=clean, student_view=student)
 
 
+def _require_full_batch(num_slices: int, batch_originals: int, field: str) -> None:
+    """unlabeled_batches drops the remainder, so too few slices would train zero steps."""
+    if num_slices < batch_originals:
+        raise InvalidConfig(
+            f"{field}={batch_originals} exceeds the {num_slices} unlabeled training slices; "
+            "no batch would be drawn and training would take zero steps"
+        )
+
+
 # ---------------------------------------------------------------------------
 # pre-training
 # ---------------------------------------------------------------------------
@@ -300,6 +309,8 @@ def run_pretraining(
     """Pre-train encoder+head on the train split; decoder is left untouched."""
     policy = policy or AugmentationPolicy()
     config = replace(config, self_paced=config.self_paced.with_default_pace(config.batch_originals))
+    refs = dataset.slice_refs("train")
+    _require_full_batch(len(refs), config.batch_originals, "batch_originals")
     state = TrainingState(
         model=model,
         teacher=None,
@@ -308,7 +319,6 @@ def run_pretraining(
         seed=seed,
         gamma=pace_schedule(config.self_paced, 0, config.epochs),
     )
-    refs = dataset.slice_refs("train")
     for epoch in range(config.epochs):
         rng = np.random.default_rng([seed, epoch, 1])
         stream = unlabeled_batches(dataset, refs, config.batch_originals, policy, rng)
@@ -421,6 +431,8 @@ def run_semisup(
         ]
     else:
         unlabeled_refs = dataset.slice_refs("train")
+    if config.lambda_reg > 0 or config.lambda_sp > 0:
+        _require_full_batch(len(unlabeled_refs), config.unlabeled_batch_originals, "unlabeled_batch_originals")
 
     scales = (
         {"enc.": config.encoder_lr_scale, "head.": config.encoder_lr_scale}

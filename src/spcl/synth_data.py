@@ -399,12 +399,17 @@ def load_dataset(path) -> SynthDataset:
     spec = MetaLabelSpec(**manifest["spec"])
     volumes = []
     for entry in manifest["volumes"]:
+        try:
+            slices = np.load(root / entry["images"])
+            masks = np.load(root / entry["masks"])
+        except (OSError, EOFError, ValueError) as exc:
+            raise DataError(f"cannot read volume arrays named in {manifest_path}: {exc}") from exc
         volumes.append(
             SynthVolume(
                 patient_id=entry["patient_id"],
                 phase=entry["phase"],
-                slices=np.load(root / entry["images"]),
-                masks=np.load(root / entry["masks"]),
+                slices=slices,
+                masks=masks,
                 misalignment_offset=entry["misalignment_offset"],
             )
         )

@@ -28,6 +28,47 @@ class TestTensorBasics:
         with pytest.raises(NonFiniteValue):
             t.log()
 
+    def test_overflowing_op_error_names_the_op(self):
+        with pytest.raises(NonFiniteValue, match="op 'exp' produced NaN/Inf"):
+            Tensor([1000.0]).exp()
+
+    def test_nan_scalar_constant_rejected(self):
+        t = Tensor([1.0, 2.0])
+        with pytest.raises(NonFiniteValue):
+            t + float("nan")
+
+    def test_op_outputs_are_frozen_row_major_float64(self):
+        rng = np.random.default_rng(4)
+        m = Tensor(rng.standard_normal((3, 4)))
+        img = Tensor(rng.standard_normal((2, 4 * 4 * 1)))
+        kernel = Tensor(rng.standard_normal((9, 2)))
+        outputs = {
+            "add": m + m,
+            "sum": m.sum(),
+            "transpose": Tensor([1.0, 2.0, 3.0]).T,
+            "reshape": m.reshape(4, 3),
+            "concat": ad.concat([m, m], axis=1),
+            "conv2d": ad.conv2d(img, kernel, (4, 4)),
+        }
+        assert outputs["sum"].ndim == 0
+        for op, out in outputs.items():
+            assert out.data.dtype == np.float64, op
+            assert out.data.flags.c_contiguous, op
+            assert not out.data.flags.writeable, op
+
+    def test_eager_op_scans_output_once(self, monkeypatch):
+        a, b = Tensor(np.ones((16, 32))), Tensor(np.ones((16, 32)))
+        calls = []
+        real_isfinite = np.isfinite
+
+        def counting_isfinite(*args, **kwargs):
+            calls.append(1)
+            return real_isfinite(*args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting_isfinite)
+        ad.add(a, b)
+        assert len(calls) == 1
+
 
 class TestL2Normalize:
     def test_three_four_five(self):

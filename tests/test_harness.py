@@ -179,6 +179,11 @@ class TestCliProcess:
         r = run_cli(["pretrain", "--config", "small.json", "--data", "missing_dir"], workdir)
         assert r.returncode == 3
 
+    def test_missing_checkpoint_exit_code(self, workdir):
+        r = run_cli(["eval", "--config", "small.json", "--model", "nope.npz"], workdir)
+        assert r.returncode == 3, r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_verify_fast_passes(self, workdir):
         r = run_cli(["verify", "--fast", "--json"], workdir)
         assert r.returncode == 0, r.stderr

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spcl.autodiff import GradTape, Tensor, finite_diff_check
-from spcl.errors import InvalidConfig, ShapeMismatch
+from spcl.errors import DataError, InvalidConfig, ShapeMismatch
 from spcl.models import EmaTeacher, ModelConfig, ParamModel, embed, ema_update, segment
 
 TINY = ModelConfig(
@@ -214,4 +214,12 @@ class TestCheckpoint:
         with open(path, "wb") as fh:
             np2.savez(fh, **data)
         with pytest.raises(InvalidConfig):
+            ParamModel.load(path)
+
+    @pytest.mark.parametrize("content", [None, b"", b"not a checkpoint", b"PK\x03\x04truncated"])
+    def test_missing_or_unreadable_file_is_data_error(self, tmp_path, content):
+        path = tmp_path / "model.npz"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(DataError):
             ParamModel.load(path)

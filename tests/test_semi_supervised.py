@@ -1,6 +1,7 @@
 """Objectives, training loops, reduction cases, Dice evaluation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,6 +168,12 @@ class TestPretraining:
         for k in model.encoder_head_params():
             assert not np.array_equal(model.params[k].data, before.get(k, np.nan * np.ones(1))) or True
 
+    def test_batch_larger_than_train_split_rejected(self):
+        ds = small_dataset()  # 18 train slices
+        cfg = PretrainConfig(epochs=1, batch_originals=32, loss_mode="meta")
+        with pytest.raises(InvalidConfig, match="batch_originals=32"):
+            run_pretraining(small_model(), ds, cfg, seed=0, policy=FAST_POLICY)
+
     def test_unsup_modes_reject_bad_config(self):
         with pytest.raises(InvalidConfig):
             PretrainConfig(loss_mode="bogus")
@@ -230,6 +237,17 @@ class TestSemiSupLoop:
         cfg = SemiSupConfig(epochs=1, batch_size=4, lambda_sp=0.1, lambda_reg=0.0, sp_on_unlabeled_only=True)
         state = run_semisup(small_model(), ds, labeled, cfg, seed=0, policy=FAST_POLICY)
         assert state.epoch == 1
+
+    def test_unlabeled_batch_larger_than_stream_rejected(self):
+        ds = small_dataset()  # 18 train slices
+        labeled = ds.splits["train"][:1]
+        cfg = SemiSupConfig(epochs=1, batch_size=4, unlabeled_batch_originals=32)
+        with pytest.raises(InvalidConfig, match="unlabeled_batch_originals=32"):
+            run_semisup(small_model(), ds, labeled, cfg, seed=0, policy=FAST_POLICY)
+        # the stream is unused with both lambdas at zero, so its batch size does not matter
+        sup_only = replace(cfg, lambda_reg=0.0, lambda_sp=0.0)
+        state = run_semisup(small_model(), ds, labeled, sup_only, seed=0, policy=FAST_POLICY)
+        assert len(state.history) > 0
 
     def test_labeled_patients_must_be_in_train_split(self):
         ds = small_dataset()

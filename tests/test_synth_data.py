@@ -177,6 +177,13 @@ class TestPersistence:
         with pytest.raises(DataError):
             load_dataset(tmp_path / "nope")
 
+    def test_manifest_naming_missing_array(self, tmp_path):
+        ds = generate_dataset(4, 4, (8, 8), seed=0)
+        save_dataset(ds, tmp_path / "data")
+        (tmp_path / "data" / "vol_001_masks.npy").unlink()
+        with pytest.raises(DataError, match="vol_001_masks.npy"):
+            load_dataset(tmp_path / "data")
+
     def test_bad_version(self, tmp_path):
         ds = generate_dataset(4, 4, (8, 8), seed=0)
         save_dataset(ds, tmp_path / "data")

@@ -149,22 +149,28 @@ def pair_loss(batch: AugmentedBatch, i: int, j: int, tau: float) -> float:
     return float(pair_loss_values(batch, tau).data[i, j])
 
 
-def _masked_mean_loss(values: Tensor, mask: np.ndarray) -> Tensor:
-    """(1/2N) sum_i (1/|row_i|) sum_{j in row_i} values_ij, as one masked sum.
+def masked_mean(values, mask: np.ndarray, weights: np.ndarray | None = None):
+    """(1/2N) sum_i (1/|row_i|) sum_{j in row_i} w_ij values_ij, as one masked sum.
 
-    Every mask row must be non-empty. The per-row normalizers fold into one
-    constant coefficient matrix so a single reduction covers the double sum.
+    Every mask row must be non-empty. The per-row normalizers, and the
+    optional constant weights w (1 when omitted), fold into one coefficient
+    matrix so a single reduction covers the double sum. A Tensor ``values``
+    gives a Tensor on the tape; an array gives a float.
     """
     counts = mask.sum(axis=1)
     if np.any(counts == 0):
         raise InvalidConfig("every anchor needs at least one positive")
     coef = mask.astype(np.float64) / counts[:, None]
-    return tsum(Tensor(coef) * values) * (1.0 / mask.shape[0])
+    if weights is not None:
+        coef = coef * weights
+    if isinstance(values, Tensor):
+        return tsum(Tensor(coef) * values) * (1.0 / mask.shape[0])
+    return float(np.sum(coef * values) / mask.shape[0])
 
 
 def unsup_contrastive_loss(batch: AugmentedBatch, tau: float) -> Tensor:
     """Average l over the view pairs only: (1/2N) sum_i l_{i, j(i)}."""
-    return _masked_mean_loss(pair_loss_values(batch, tau), pair_mask(batch))
+    return masked_mean(pair_loss_values(batch, tau), pair_mask(batch))
 
 
 def meta_contrastive_loss(batch: AugmentedBatch, k: int, tau: float) -> tuple[Tensor, PairLossMatrix]:
@@ -177,5 +183,5 @@ def meta_contrastive_loss(batch: AugmentedBatch, k: int, tau: float) -> tuple[Te
         raise InvalidConfig(f"meta-label index {k} out of range [0, {batch.num_meta_labels})")
     values = pair_loss_values(batch, tau)
     mask = positive_mask(batch, k)
-    loss = _masked_mean_loss(values, mask)
+    loss = masked_mean(values, mask)
     return loss, PairLossMatrix(values=np.array(values.data), mask=mask, tau=float(tau))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -205,9 +205,7 @@ class ParamModel:
 
     def reset_decoder(self, seed: int | None = None) -> None:
         """Fresh decoder init (used when moving from pre-training to segmentation)."""
-        fresh = _init_params(
-            ModelConfig(**{**self.config.__dict__, "seed": self.config.seed if seed is None else seed})
-        )
+        fresh = _init_params(replace(self.config, seed=self.config.seed if seed is None else seed))
         for k in list(self.params):
             if k.startswith("dec."):
                 self.params[k] = fresh[k]
@@ -220,54 +218,48 @@ class ParamModel:
     def save(self, path) -> None:
         arrays = {k: v.data for k, v in self.params.items()}
         meta = json.dumps(
-            {"format_version": CHECKPOINT_FORMAT_VERSION, "config": _config_dict(self.config)}
+            {"format_version": CHECKPOINT_FORMAT_VERSION, "config": asdict(self.config)}
         )
         with open(path, "wb") as fh:
             np.savez(fh, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8), **arrays)
 
     @classmethod
     def load(cls, path) -> "ParamModel":
-        """Read a checkpoint written by ``save``; a missing or unreadable file is a DataError."""
+        """Read a checkpoint written by ``save``.
+
+        A missing or unreadable file, config keys other than ModelConfig's
+        fields, or parameter names or shapes other than the config builds are
+        a DataError.
+        """
         try:
-            with np.load(path) as data:
+            data = np.load(path)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with data:
                 meta = json.loads(bytes(data["__meta__"]).decode())
                 arrays = {k: data[k] for k in data.files if k != "__meta__"}
         except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
             raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise InvalidConfig(f"unsupported checkpoint format: {meta.get('format_version')}")
-        cfg_d = meta["config"]
-        cfg = ModelConfig(
-            image_shape=tuple(cfg_d["image_shape"]),
-            num_classes=cfg_d["num_classes"],
-            arch=cfg_d["arch"],
-            conv_channels=tuple(cfg_d["conv_channels"]),
-            encoder_widths=tuple(cfg_d["encoder_widths"]),
-            head_hidden=cfg_d["head_hidden"],
-            embed_dim=cfg_d["embed_dim"],
-            decoder_width=cfg_d["decoder_width"],
-            skip_width=cfg_d["skip_width"],
-            leaky_slope=cfg_d["leaky_slope"],
-            seed=cfg_d["seed"],
-        )
+        cfg_d = meta.get("config", {})
+        names = {f.name for f in fields(ModelConfig)}
+        if set(cfg_d) != names:
+            raise DataError(
+                f"checkpoint {path} config keys differ from ModelConfig: "
+                f"missing {sorted(names - set(cfg_d))}, unknown {sorted(set(cfg_d) - names)}"
+            )
+        cfg = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in cfg_d.items()})
+        expected = {k: v.shape for k, v in _init_params(cfg).items()}
+        found = {k: a.shape for k, a in arrays.items()}
+        if found != expected:
+            raise DataError(
+                f"checkpoint {path} parameters do not match its config: "
+                f"missing {sorted(set(expected) - set(found))}, unknown {sorted(set(found) - set(expected))}, "
+                f"wrong shape {sorted(k for k in set(found) & set(expected) if found[k] != expected[k])}"
+            )
         params = {k: Tensor(a, requires_grad=True, name=k) for k, a in arrays.items()}
         return cls(cfg, params)
-
-
-def _config_dict(config: ModelConfig) -> dict:
-    return {
-        "image_shape": list(config.image_shape),
-        "num_classes": config.num_classes,
-        "arch": config.arch,
-        "conv_channels": list(config.conv_channels),
-        "encoder_widths": list(config.encoder_widths),
-        "head_hidden": config.head_hidden,
-        "embed_dim": config.embed_dim,
-        "decoder_width": config.decoder_width,
-        "skip_width": config.skip_width,
-        "leaky_slope": config.leaky_slope,
-        "seed": config.seed,
-    }
 
 
 def embed(model: ParamModel, image) -> Tensor:

@@ -15,7 +15,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .contrastive import AugmentedBatch
 from .models import ParamModel
-from .self_paced import pace_schedule, sp_contrastive_loss
+from .self_paced import combined_sp_loss, pace_schedule, weight_stats
 from .synth_data import build_pair_batch, generate_dataset
 
 PACE_EXPONENTS = (0.5, 1.0, 2.0)
@@ -57,21 +57,17 @@ def pace_report(
             )
             for epoch in range(max_epoch + 1):
                 gamma = pace_schedule(cfg, epoch, max_epoch)
-                pooled = []
-                for k, lam in enumerate(cfg.lambdas):
-                    if lam > 0:
-                        _, weights, _ = sp_contrastive_loss(batch, k, gamma, cfg)
-                        pooled.append(weights.entries())
-                w = np.concatenate(pooled)
+                _, w = combined_sp_loss(batch, gamma, cfg)
+                mean_w, min_w, max_w = weight_stats(w)
                 rows.append(
                     PaceRow(
                         epoch=epoch,
                         p=p,
                         regularizer=regularizer,
                         gamma=gamma,
-                        mean_w=float(w.mean()),
-                        min_w=float(w.min()),
-                        max_w=float(w.max()),
+                        mean_w=mean_w,
+                        min_w=min_w,
+                        max_w=max_w,
                     )
                 )
     return rows

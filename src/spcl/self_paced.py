@@ -17,6 +17,11 @@ and the per-pair losses live in the exact band
 so scheduling gamma between those bounds moves from "no pair selected" to
 "every pair selected". Weights are recomputed in closed form every batch and
 held constant while the encoder takes its gradient step.
+
+``combined_sp_loss`` is the one training objective, sum_k lambda_k times the
+loss of meta-label k: every pre-training mode, the semi-supervised
+regularizer and the pace report call it, and it builds the pair-loss matrix
+once per batch for all meta-labels.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tensor, tsum
-from .contrastive import AugmentedBatch, PairLossMatrix, pair_loss_values, positive_mask
+from .autodiff import Tensor
+from .contrastive import AugmentedBatch, PairLossMatrix, masked_mean, pair_loss_values, positive_mask
 from .errors import InvalidConfig
 
 HARD = "hard"
@@ -93,8 +98,7 @@ class PairWeightMatrix:
 
     def stats(self) -> tuple[float, float, float]:
         """(mean, min, max) of the in-mask weights."""
-        w = self.entries()
-        return float(w.mean()), float(w.min()), float(w.max())
+        return weight_stats(self.entries())
 
 
 def _check_gamma(gamma: float) -> float:
@@ -171,29 +175,25 @@ def sp_contrastive_loss(
     k: int,
     gamma: float,
     config: SelfPacedConfig,
+    values: Tensor | None = None,
 ) -> tuple[Tensor, PairWeightMatrix, PairLossMatrix]:
     """Self-paced contrastive loss for meta-label k at pace gamma.
 
     Computes l_ij, solves the inner weight problem exactly in closed form,
     and returns (1/2N) sum_i (1/|P(i)|) sum_j [w_ij l_ij + R_gamma(w_ij)].
     The weights (and the regularizer term) are constants for gradient
-    purposes: only w_ij * grad(l_ij) reaches the encoder.
+    purposes: only w_ij * grad(l_ij) reaches the encoder. ``values`` may pass
+    in ``pair_loss_values(batch, config.tau)`` already built for this batch.
     """
     gamma = _check_gamma(gamma)
     if not (0 <= k < batch.num_meta_labels):
         raise InvalidConfig(f"meta-label index {k} out of range [0, {batch.num_meta_labels})")
-    values = pair_loss_values(batch, config.tau)
+    if values is None:
+        values = pair_loss_values(batch, config.tau)
     mask = positive_mask(batch, k)
-    counts = mask.sum(axis=1)
-    coef = mask.astype(np.float64) / counts[:, None]
-
     w = np.where(mask, optimal_weight(values.data, gamma, config.regularizer), 0.0)
     r = np.where(mask, regularizer_value(w, gamma, config.regularizer), 0.0)
-
-    n2 = batch.num_samples
-    weighted = tsum(Tensor(coef * w) * values) * (1.0 / n2)
-    reg_part = float((coef * r).sum() / n2)
-    loss = weighted + reg_part
+    loss = masked_mean(values, mask, w) + masked_mean(r, mask)
     return (
         loss,
         PairWeightMatrix(values=w, mask=mask, gamma=gamma, regularizer=config.regularizer),
@@ -207,31 +207,49 @@ def weighted_loss_terms(
 ) -> tuple[float, float]:
     """(w*l part, regularizer part) of the self-paced scalar, from stored matrices."""
     mask = losses.mask
-    coef = mask.astype(np.float64) / mask.sum(axis=1)[:, None]
     w = np.where(mask, weights.values, 0.0)
     r = np.where(mask, regularizer_value(w, weights.gamma, weights.regularizer), 0.0)
-    n2 = mask.shape[0]
-    wl = float(np.sum(coef * w * losses.values) * (1.0 / n2))
-    reg = float((coef * r).sum() / n2)
-    return wl, reg
+    return masked_mean(losses.values, mask, w), masked_mean(r, mask)
 
 
-def combined_sp_loss(batch: AugmentedBatch, gamma: float, config: SelfPacedConfig) -> Tensor:
-    """Weighted sum over meta-labels: sum_k lambda_k * sp_loss_k.
+def combined_sp_loss(
+    batch: AugmentedBatch,
+    gamma: float,
+    config: SelfPacedConfig,
+    weighted: bool = True,
+) -> tuple[Tensor, np.ndarray]:
+    """The training objective sum_k lambda_k * sp_loss_k, and its pooled weights.
 
-    Meta-labels with lambda_k == 0 are skipped entirely (their label vectors
-    are never touched).
+    Builds the pair-loss matrix once and reuses it for every meta-label.
+    With ``weighted=False`` every pair weighs 1 and the regularizer vanishes,
+    which is the plain meta-label contrastive loss. Meta-labels with
+    lambda_k == 0 are skipped entirely (their label vectors are never
+    touched). The second value concatenates, over the used k in order, the
+    in-mask weights w_ij.
     """
     if len(config.lambdas) > batch.num_meta_labels:
         raise InvalidConfig(
             f"{len(config.lambdas)} lambdas but batch has {batch.num_meta_labels} meta-labels"
         )
+    values = pair_loss_values(batch, config.tau)
     total: Tensor | None = None
+    pooled = []
     for k, lam in enumerate(config.lambdas):
         if lam == 0.0:
             continue
-        term, _, _ = sp_contrastive_loss(batch, k, gamma, config)
+        if weighted:
+            term, weights, _ = sp_contrastive_loss(batch, k, gamma, config, values=values)
+            pooled.append(weights.entries())
+        else:
+            mask = positive_mask(batch, k)
+            term = masked_mean(values, mask)
+            pooled.append(np.ones(int(mask.sum())))
         term = term * lam
         total = term if total is None else total + term
     assert total is not None  # config guarantees one positive lambda
-    return total
+    return total, np.concatenate(pooled)
+
+
+def weight_stats(weights: np.ndarray) -> tuple[float, float, float]:
+    """(mean, min, max) of a set of pair weights."""
+    return float(weights.mean()), float(weights.min()), float(weights.max())

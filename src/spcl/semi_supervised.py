@@ -7,6 +7,10 @@ semi-supervised loop optimizes
 
     total = sup + lambda_reg * consistency + lambda_sp * sp_contrastive
 
+Both loops take their contrastive term, and the pair-weight statistics they
+log, from ``self_paced.combined_sp_loss``: one call per batch, in every
+pre-training mode and with or without self-paced weighting.
+
 with one optimizer step per batch and an EMA teacher update after each step.
 With both lambdas zero it degenerates to plain supervised training (and is
 the supervised baseline, bit for bit: the unlabeled stream is never touched).
@@ -23,11 +27,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import GradTape, Tensor, tsum
-from .contrastive import AugmentedBatch, meta_contrastive_loss, unsup_contrastive_loss
+from .contrastive import AugmentedBatch
 from .errors import InvalidConfig, ShapeMismatch
 from .models import EmaTeacher, ParamModel, ema_update
 from .optim import RAdam
-from .self_paced import SelfPacedConfig, combined_sp_loss, pace_schedule, sp_contrastive_loss
+from .self_paced import SelfPacedConfig, combined_sp_loss, pace_schedule, weight_stats
 from .synth_data import (
     AugmentationPolicy,
     PairBatch,
@@ -244,36 +248,14 @@ def _require_full_batch(num_slices: int, batch_originals: int, field: str) -> No
 def _pretrain_loss(model: ParamModel, batch: PairBatch, mode: str, gamma: float, cfg: SelfPacedConfig):
     """Embed, assemble the contrastive batch, and return (loss, weight stats)."""
     z = model.embed_batch(batch.images)
-    n = batch.images.shape[0] // 2
     if mode in ("unsup", "unsup_sp"):
-        labels = per_image_labels(n)
+        labels = per_image_labels(batch.images.shape[0] // 2)
+        cfg = replace(cfg, lambdas=(1.0,))
     else:
         labels = batch.meta_labels
     aug = AugmentedBatch(z, batch.pair_of, labels)
-    if mode == "unsup":
-        return unsup_contrastive_loss(aug, cfg.tau), (1.0, 1.0, 1.0)
-    if mode == "meta":
-        total = None
-        for k, lam in enumerate(cfg.lambdas):
-            if lam == 0.0:
-                continue
-            term, _ = meta_contrastive_loss(aug, k, cfg.tau)
-            term = term * lam
-            total = term if total is None else total + term
-        return total, (1.0, 1.0, 1.0)
-    if mode == "unsup_sp":
-        cfg = replace(cfg, lambdas=(1.0,))
-    pooled = []
-    total = None
-    for k, lam in enumerate(cfg.lambdas):
-        if lam == 0.0:
-            continue
-        term, weights, _ = sp_contrastive_loss(aug, k, gamma, cfg)
-        pooled.append(weights.entries())
-        term = term * lam
-        total = term if total is None else total + term
-    w = np.concatenate(pooled)
-    return total, (float(w.mean()), float(w.min()), float(w.max()))
+    loss, w = combined_sp_loss(aug, gamma, cfg, weighted=mode in ("sp", "unsup_sp"))
+    return loss, weight_stats(w)
 
 
 def pretrain_epoch(state: TrainingState, unlabeled_stream, config: PretrainConfig) -> TrainingState:
@@ -365,23 +347,8 @@ def semisup_epoch(
             if unlabeled is not None and config.lambda_sp > 0:
                 z = state.model.embed_batch(unlabeled.pair.images)
                 aug = AugmentedBatch(z, unlabeled.pair.pair_of, unlabeled.pair.meta_labels)
-                if config.sp_weighting:
-                    sp = combined_sp_loss(aug, state.gamma, sp_cfg)
-                    pooled = []
-                    for k, lam in enumerate(sp_cfg.lambdas):
-                        if lam > 0:
-                            _, weights, _ = sp_contrastive_loss(aug, k, state.gamma, sp_cfg)
-                            pooled.append(weights.entries())
-                    w = np.concatenate(pooled)
-                    w_stats = (float(w.mean()), float(w.min()), float(w.max()))
-                else:
-                    sp = None
-                    for k, lam in enumerate(sp_cfg.lambdas):
-                        if lam > 0:
-                            term, _ = meta_contrastive_loss(aug, k, sp_cfg.tau)
-                            term = term * lam
-                            sp = term if sp is None else sp + term
-                    w_stats = (1.0, 1.0, 1.0)
+                sp, w = combined_sp_loss(aug, state.gamma, sp_cfg, weighted=config.sp_weighting)
+                w_stats = weight_stats(w)
                 sp_value = sp.item()
                 total = total + sp * config.lambda_sp
         names = sorted(state.model.params)
@@ -423,6 +390,8 @@ def run_semisup(
         if v.patient_id in set(labeled_patients)
         for si in range(v.num_slices)
     ]
+    if not labeled_refs:
+        raise InvalidConfig(f"labeled patients {list(labeled_patients)} hold no slices; training would take zero steps")
     if config.sp_on_unlabeled_only:
         unlabeled_refs = [
             (vi, si)

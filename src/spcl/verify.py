@@ -286,7 +286,7 @@ def check_equivalences(seed: int = 3) -> FamilyResult:
     )
     both = AugmentedBatch(batch.embeddings, batch.pair_of, np.vstack([batch.meta_labels[0]] * 2))
     cfg2 = SelfPacedConfig(tau=0.5, lambdas=(1.0, 0.0), gamma_start=1.0, gamma_end=3.0)
-    if combined_sp_loss(scrambled, 2.0, cfg2).item() != combined_sp_loss(both, 2.0, cfg2).item():
+    if combined_sp_loss(scrambled, 2.0, cfg2)[0].item() != combined_sp_loss(both, 2.0, cfg2)[0].item():
         problems.append("lambda=0 label not dropped")
     return FamilyResult(
         "equivalences",

@@ -1,5 +1,8 @@
 """Encoder/head/decoder stack, EMA teacher, checkpoint round trip."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,12 @@ TINY_CONV = ModelConfig(
     image_shape=(8, 8), num_classes=2, arch="conv", conv_channels=(3, 4),
     head_hidden=8, embed_dim=6, seed=5,
 )
+
+
+def npy_bytes() -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3))
+    return buf.getvalue()
 
 
 class TestEmbed:
@@ -123,9 +132,8 @@ class TestParameterAccounting:
         with GradTape() as tape:
             z = model.embed_batch(x)
             batch = AugmentedBatch(z, interleaved_pairs(4), np.array([[0, 0, 1, 1]]))
-            loss = supervised_loss(model.segment_batch(x), target) + combined_sp_loss(
-                batch, cfg.gamma_end * 0.8, cfg
-            )
+            sp, _ = combined_sp_loss(batch, cfg.gamma_end * 0.8, cfg)
+            loss = supervised_loss(model.segment_batch(x), target) + sp
         names = sorted(model.params)
         grads = tape.gradient(loss, [model.params[n] for n in names])
         for name, g in zip(names, grads):
@@ -216,10 +224,36 @@ class TestCheckpoint:
         with pytest.raises(InvalidConfig):
             ParamModel.load(path)
 
-    @pytest.mark.parametrize("content", [None, b"", b"not a checkpoint", b"PK\x03\x04truncated"])
+    @pytest.mark.parametrize(
+        "content",
+        [None, b"", b"not a checkpoint", b"PK\x03\x04truncated", pytest.param(npy_bytes(), id="npy-array")],
+    )
     def test_missing_or_unreadable_file_is_data_error(self, tmp_path, content):
         path = tmp_path / "model.npz"
         if content is not None:
             path.write_bytes(content)
+        with pytest.raises(DataError):
+            ParamModel.load(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda arrays, cfg: arrays.pop("dec.out.w"),
+            lambda arrays, cfg: arrays.update({"enc.0.w": np.zeros((3, 3))}),
+            lambda arrays, cfg: arrays.update({"enc.9.w": np.zeros(3)}),
+            lambda arrays, cfg: cfg.pop("skip_width"),
+            lambda arrays, cfg: cfg.update({"dropout": 0.5}),
+        ],
+        ids=["missing-param", "wrong-shape", "unknown-param", "missing-config-key", "unknown-config-key"],
+    )
+    def test_checkpoint_not_matching_its_config_is_data_error(self, tmp_path, edit):
+        path = tmp_path / "model.npz"
+        ParamModel(TINY).save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k != "__meta__"}
+            meta = json.loads(bytes(data["__meta__"]).decode())
+        edit(arrays, meta["config"])
+        with open(path, "wb") as fh:
+            np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
         with pytest.raises(DataError):
             ParamModel.load(path)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import interleaved_pairs, random_batch
 from spcl.autodiff import GradTape, Tensor, l2_normalize_rows
-from spcl.contrastive import AugmentedBatch, meta_contrastive_loss, pair_loss_values
+from spcl.contrastive import AugmentedBatch, meta_contrastive_loss, pair_loss_values, unsup_contrastive_loss
 from spcl.errors import InvalidConfig
 from spcl.self_paced import (
     HARD,
@@ -21,6 +21,7 @@ from spcl.self_paced import (
     sp_contrastive_loss,
     weighted_loss_terms,
 )
+from spcl.synth_data import per_image_labels
 
 GRID = np.linspace(0.0, 1.0, 10001)  # step 1e-4
 
@@ -268,7 +269,7 @@ class TestCombinedLoss:
         cfg = SelfPacedConfig(tau=0.5, lambdas=(1.0,)).with_default_pace(4)
         gamma = 0.5 * (cfg.gamma_start + cfg.gamma_end)
         single, _, _ = sp_contrastive_loss(batch, 0, gamma, cfg)
-        assert combined_sp_loss(batch, gamma, cfg).item() == single.item()
+        assert combined_sp_loss(batch, gamma, cfg)[0].item() == single.item()
 
     def test_zero_lambda_drops_label(self, rng):
         batch = random_batch(rng, 4, num_classes=[2, 3, 2], num_labels=3)
@@ -279,7 +280,7 @@ class TestCombinedLoss:
         )
         cfg = SelfPacedConfig(tau=0.5, lambdas=(1.0, 0.0, 0.0)).with_default_pace(4)
         gamma = cfg.gamma_end * 0.7
-        assert combined_sp_loss(batch, gamma, cfg).item() == combined_sp_loss(other, gamma, cfg).item()
+        assert combined_sp_loss(batch, gamma, cfg)[0].item() == combined_sp_loss(other, gamma, cfg)[0].item()
 
     def test_split_lambdas_on_identical_labels(self, rng):
         batch1 = random_batch(rng, 4, num_classes=[2])
@@ -289,9 +290,34 @@ class TestCombinedLoss:
         gamma = 2.0
         cfg_single = SelfPacedConfig(tau=0.5, lambdas=(1.0,), gamma_start=1.0, gamma_end=3.0)
         cfg_split = SelfPacedConfig(tau=0.5, lambdas=(0.5, 0.5), gamma_start=1.0, gamma_end=3.0)
-        a = combined_sp_loss(batch1, gamma, cfg_single).item()
-        b = combined_sp_loss(dup, gamma, cfg_split).item()
+        a = combined_sp_loss(batch1, gamma, cfg_single)[0].item()
+        b = combined_sp_loss(dup, gamma, cfg_split)[0].item()
         assert b == pytest.approx(a, abs=1e-12)
+
+    @pytest.mark.parametrize("regularizer", [HARD, LINEAR])
+    def test_pooled_weights_and_loss_match_per_label_terms(self, rng, regularizer):
+        batch = random_batch(rng, 5, num_classes=[2, 3, 2], num_labels=3)
+        cfg = SelfPacedConfig(regularizer=regularizer, tau=0.5, lambdas=(1.0, 0.0, 0.25)).with_default_pace(5)
+        gamma = 0.5 * (cfg.gamma_start + cfg.gamma_end)
+        loss, pooled = combined_sp_loss(batch, gamma, cfg)
+        terms = [sp_contrastive_loss(batch, k, gamma, cfg) for k in (0, 2)]
+        np.testing.assert_array_equal(pooled, np.concatenate([w.entries() for _, w, _ in terms]))
+        assert loss.item() == (terms[0][0] * 1.0 + terms[1][0] * 0.25).item()
+
+    def test_unweighted_is_meta_loss_bitwise(self, rng):
+        batch = random_batch(rng, 5, num_classes=[2, 3, 2], num_labels=3)
+        cfg = SelfPacedConfig(tau=0.5, lambdas=(1.0, 0.0, 0.25))
+        loss, pooled = combined_sp_loss(batch, 1.0, cfg, weighted=False)
+        meta = [meta_contrastive_loss(batch, k, 0.5) for k in (0, 2)]
+        assert loss.item() == (meta[0][0] * 1.0 + meta[1][0] * 0.25).item()
+        assert pooled.size == sum(int(m.mask.sum()) for _, m in meta) and np.all(pooled == 1.0)
+
+    def test_unweighted_per_image_labels_is_unsup_loss_bitwise(self, rng):
+        batch = random_batch(rng, 5)
+        per_image = AugmentedBatch(batch.embeddings, batch.pair_of, per_image_labels(5))
+        loss, pooled = combined_sp_loss(per_image, 1.0, SelfPacedConfig(tau=0.5), weighted=False)
+        assert loss.item() == unsup_contrastive_loss(batch, 0.5).item()
+        np.testing.assert_array_equal(pooled, np.ones(10))
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfig):

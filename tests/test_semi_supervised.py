@@ -124,6 +124,24 @@ class TestLossBreakdown:
         assert not lb.check_additivity(0.3, 0.2)
 
 
+@pytest.fixture
+def pair_loss_calls(monkeypatch):
+    """Count pair_loss_values calls made through any module that binds it."""
+    import spcl.contrastive
+    import spcl.self_paced
+
+    calls = []
+    real = spcl.contrastive.pair_loss_values
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (spcl.contrastive, spcl.self_paced):
+        monkeypatch.setattr(module, "pair_loss_values", counted)
+    return calls
+
+
 class TestPretraining:
     def test_smoke_and_history_finite(self):
         ds = small_dataset()
@@ -173,6 +191,14 @@ class TestPretraining:
         cfg = PretrainConfig(epochs=1, batch_originals=32, loss_mode="meta")
         with pytest.raises(InvalidConfig, match="batch_originals=32"):
             run_pretraining(small_model(), ds, cfg, seed=0, policy=FAST_POLICY)
+
+    @pytest.mark.parametrize("mode", ["unsup", "unsup_sp", "meta", "sp"])
+    def test_one_pair_loss_matrix_per_step(self, pair_loss_calls, mode):
+        cfg = PretrainConfig(epochs=1, batch_originals=4, loss_mode=mode,
+                             self_paced=SelfPacedConfig(tau=0.5, lambdas=(1.0, 0.1, 0.1)))
+        state = run_pretraining(small_model(), small_dataset(), cfg, seed=0, policy=FAST_POLICY)
+        assert len(state.history) > 0
+        assert len(pair_loss_calls) == len(state.history)
 
     def test_unsup_modes_reject_bad_config(self):
         with pytest.raises(InvalidConfig):
@@ -248,6 +274,20 @@ class TestSemiSupLoop:
         sup_only = replace(cfg, lambda_reg=0.0, lambda_sp=0.0)
         state = run_semisup(small_model(), ds, labeled, sup_only, seed=0, policy=FAST_POLICY)
         assert len(state.history) > 0
+
+    @pytest.mark.parametrize("sp_weighting", [True, False])
+    def test_one_pair_loss_matrix_per_step(self, pair_loss_calls, sp_weighting):
+        ds = small_dataset()
+        cfg = SemiSupConfig(epochs=1, batch_size=4, unlabeled_batch_originals=4, sp_weighting=sp_weighting,
+                            self_paced=SelfPacedConfig(tau=0.5, lambdas=(1.0, 0.1, 0.1)))
+        state = run_semisup(small_model(), ds, ds.splits["train"][:1], cfg, seed=0, policy=FAST_POLICY)
+        assert len(state.history) > 0
+        assert len(pair_loss_calls) == len(state.history)
+
+    def test_empty_labeled_list_rejected(self):
+        cfg = SemiSupConfig(epochs=2, batch_size=4, unlabeled_batch_originals=4)
+        with pytest.raises(InvalidConfig, match="hold no slices"):
+            run_semisup(small_model(), small_dataset(), [], cfg, seed=0, policy=FAST_POLICY)
 
     def test_labeled_patients_must_be_in_train_split(self):
         ds = small_dataset()

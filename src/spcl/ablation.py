@@ -78,32 +78,24 @@ def run_variant(
     """Train one recipe end to end and return its test Dice."""
     if variant not in VARIANTS:
         raise InvalidConfig(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    policy = config.augment_policy()
     model = ParamModel(config.model_config(seed=seed))
 
     mode = _PRETRAIN_MODE.get(variant)
     if mode is not None:
-        pre = replace(config.pretrain_config(), loss_mode=mode)
-        run_pretraining(model, dataset, pre, seed=seed, policy=policy)
+        pre = replace(config.pretrain, loss_mode=mode)
+        run_pretraining(model, dataset, pre, seed=seed, policy=config.augment)
 
     labeled = dataset.splits["train"][: config.ablation.num_labeled]
     if variant == "full-supervision":
-        state = train_supervised(model, dataset, dataset.splits["train"], config.semisup_config(), seed=seed)
-    elif variant in ("sp-con(semisup)", "sp-con(both)"):
-        state = run_semisup(
-            model, dataset, labeled, config.semisup_config(lambda_reg=0.0), seed=seed, policy=policy
-        )
-    elif variant == "sp-con(both)+mean-teacher":
-        state = run_semisup(model, dataset, labeled, config.semisup_config(), seed=seed, policy=policy)
-    else:  # baseline and the pretrain-only rows: supervised fine-tune
-        state = run_semisup(
-            model,
-            dataset,
-            labeled,
-            config.semisup_config(lambda_reg=0.0, lambda_sp=0.0),
-            seed=seed,
-            policy=policy,
-        )
+        state = train_supervised(model, dataset, dataset.splits["train"], config.semisup, seed=seed)
+    else:
+        if variant in ("sp-con(semisup)", "sp-con(both)"):
+            semi = replace(config.semisup, lambda_reg=0.0)
+        elif variant == "sp-con(both)+mean-teacher":
+            semi = config.semisup
+        else:  # baseline and the pretrain-only rows: supervised fine-tune
+            semi = replace(config.semisup, lambda_reg=0.0, lambda_sp=0.0)
+        state = run_semisup(model, dataset, labeled, semi, seed=seed, policy=config.augment)
     report = evaluate_dice(state.model, eval_dataset or dataset, split=config.ablation.eval_split)
     return report.mean
 
@@ -217,25 +209,13 @@ def directional_experiment(
     noisy_kwargs = {**config.data_kwargs(), "noise_level": noise_level}
     noisy = generate_dataset(**noisy_kwargs)
     labeled = noisy.splits["train"][: config.ablation.num_labeled]
-    policy = config.augment_policy()
 
     def noisy_run(sp_weighting: bool, loss_mode: str, seed: int) -> float:
         model = ParamModel(config.model_config(seed=seed))
-        run_pretraining(
-            model,
-            noisy,
-            replace(config.pretrain_config(), loss_mode=loss_mode),
-            seed=seed,
-            policy=policy,
-        )
-        state = run_semisup(
-            model,
-            noisy,
-            labeled,
-            config.semisup_config(sp_weighting=sp_weighting),
-            seed=seed,
-            policy=policy,
-        )
+        pre = replace(config.pretrain, loss_mode=loss_mode)
+        run_pretraining(model, noisy, pre, seed=seed, policy=config.augment)
+        semi = replace(config.semisup, sp_weighting=sp_weighting)
+        state = run_semisup(model, noisy, labeled, semi, seed=seed, policy=config.augment)
         return evaluate_dice(state.model, eval_dataset, split=config.ablation.eval_split).mean
 
     with_spl = [noisy_run(True, "sp", s) for s in seeds]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .ablation import ablation_checks, format_ablation_table, run_ablation, write_ablation_csv
@@ -64,7 +65,7 @@ def cmd_generate_data(config: ExperimentConfig, args) -> int:
 def cmd_pretrain(config: ExperimentConfig, args) -> int:
     dataset = _dataset_for(config, args.data)
     model = ParamModel(config.model_config())
-    state = run_pretraining(model, dataset, config.pretrain_config(), seed=config.seed, policy=config.augment_policy())
+    state = run_pretraining(model, dataset, config.pretrain, seed=config.seed, policy=config.augment)
     out = _run_dir(config, args.name)
     model.save(out / "encoder.npz")
     write_history_csv(state.history, out / "history.csv")
@@ -74,13 +75,19 @@ def cmd_pretrain(config: ExperimentConfig, args) -> int:
 
 def cmd_train(config: ExperimentConfig, args) -> int:
     dataset = _dataset_for(config, args.data)
+    expected = config.model_config()
     if args.init:
         model = ParamModel.load(args.init)
+        # config.json must describe the model that is trained.
+        found, want = asdict(replace(model.config, seed=expected.seed)), asdict(expected)
+        diff = [f"{k}: checkpoint {found[k]!r}, config {want[k]!r}" for k in want if found[k] != want[k]]
+        if diff:
+            raise InvalidConfig(f"checkpoint {args.init} does not match the config's model: {'; '.join(diff)}")
         model.reset_decoder(seed=config.seed)
     else:
-        model = ParamModel(config.model_config())
+        model = ParamModel(expected)
     labeled = dataset.splits["train"][: config.ablation.num_labeled]
-    state = run_semisup(model, dataset, labeled, config.semisup_config(), seed=config.seed, policy=config.augment_policy())
+    state = run_semisup(model, dataset, labeled, config.semisup, seed=config.seed, policy=config.augment)
     out = _run_dir(config, args.name)
     state.model.save(out / "model.npz")
     write_history_csv(state.history, out / "history.csv")

@@ -1,7 +1,16 @@
 """Experiment configuration: nested sections, JSON files, dotted-path overrides.
 
-Every field has a default; unknown keys are rejected so a typo in a config
-file fails loudly instead of silently running the default.
+The ``self_paced``, ``pretrain``, ``semisup`` and ``augment`` sections are the
+module configs themselves (SelfPacedConfig, PretrainConfig, SemiSupConfig,
+AugmentationPolicy) at experiment-level defaults. There is one ``self_paced``
+section: pre-training and the semi-supervised term share it, so
+``pretrain.self_paced`` and ``semisup.self_paced`` are not file keys.
+``data``, ``model`` and ``ablation`` hold values that are derived from or
+absent in the module configs.
+
+Every field has a default. Loading replaces the fields a file gives in the
+default config: unknown keys and wrongly typed values are rejected, and the
+module configs validate themselves, so a bad file fails before anything runs.
 """
 
 from __future__ import annotations
@@ -9,11 +18,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import InvalidConfig
 from .models import ModelConfig
+from .schema import check_value
 from .self_paced import SelfPacedConfig
 from .semi_supervised import PretrainConfig, SemiSupConfig
 from .synth_data import AugmentationPolicy
@@ -45,53 +56,15 @@ class ModelSection:
 
 
 @dataclass(frozen=True)
-class SelfPacedSection:
-    regularizer: str = "linear"
-    tau: float = 0.5
-    gamma_start: float | None = None
-    gamma_end: float | None = None
-    p: float = 0.5
-    lambdas: tuple[float, ...] = (1.0, 0.1, 0.1)
-
-
-@dataclass(frozen=True)
-class PretrainSection:
-    epochs: int = 40
-    batch_originals: int = 8
-    lr: float = 1e-3
-    loss_mode: str = "sp"
-
-
-@dataclass(frozen=True)
-class SemiSupSection:
-    epochs: int = 40
-    batch_size: int = 8
-    unlabeled_batch_originals: int = 8
-    lr: float = 2e-3
-    lambda_reg: float = 0.1
-    lambda_sp: float = 0.1
-    ema_decay: float = 0.99
-    consistency_noise: float = 0.05
-    sp_on_unlabeled_only: bool = False
-    encoder_lr_scale: float = 1.0
-    sp_weighting: bool = True
-
-
-@dataclass(frozen=True)
-class AugmentSection:
-    flip_prob: float = 0.5
-    max_rotate_deg: float = 0.0
-    crop_scale: tuple[float, float] = (1.0, 1.0)
-    gamma_range: tuple[float, float] = (0.95, 1.05)
-    brightness_delta: float = 0.03
-
-
-@dataclass(frozen=True)
 class AblationSection:
     seeds: tuple[int, ...] = (0, 1, 2)
     num_labeled: int = 2
     baseline_margin: float = 0.05
     eval_split: str = "test"
+
+
+# Sections whose self_paced field is the top-level self_paced section.
+_SHARE_SELF_PACED = ("pretrain", "semisup")
 
 
 @dataclass(frozen=True)
@@ -100,13 +73,21 @@ class ExperimentConfig:
     output_dir: str = "runs"
     data: DataSection = field(default_factory=DataSection)
     model: ModelSection = field(default_factory=ModelSection)
-    self_paced: SelfPacedSection = field(default_factory=SelfPacedSection)
-    pretrain: PretrainSection = field(default_factory=PretrainSection)
-    semisup: SemiSupSection = field(default_factory=SemiSupSection)
-    augment: AugmentSection = field(default_factory=AugmentSection)
+    self_paced: SelfPacedConfig = field(default_factory=lambda: SelfPacedConfig(tau=0.5, lambdas=(1.0, 0.1, 0.1)))
+    pretrain: PretrainConfig = field(default_factory=lambda: PretrainConfig(epochs=40))
+    semisup: SemiSupConfig = field(default_factory=lambda: SemiSupConfig(lr=2e-3))
+    augment: AugmentationPolicy = field(
+        default_factory=lambda: AugmentationPolicy(
+            max_rotate_deg=0.0, crop_scale=(1.0, 1.0), gamma_range=(0.95, 1.05), brightness_delta=0.03
+        )
+    )
     ablation: AblationSection = field(default_factory=AblationSection)
 
-    # -- builders for the concrete module configs --
+    def __post_init__(self):
+        for name in _SHARE_SELF_PACED:
+            object.__setattr__(self, name, replace(getattr(self, name), self_paced=self.self_paced))
+
+    # -- values derived from several sections --
 
     def data_kwargs(self) -> dict:
         d = self.data
@@ -135,98 +116,44 @@ class ExperimentConfig:
             seed=self.seed if seed is None else seed,
         )
 
-    def self_paced_config(self) -> SelfPacedConfig:
-        s = self.self_paced
-        return SelfPacedConfig(
-            regularizer=s.regularizer,
-            tau=s.tau,
-            gamma_start=s.gamma_start,
-            gamma_end=s.gamma_end,
-            p=s.p,
-            lambdas=tuple(s.lambdas),
-        )
-
-    def pretrain_config(self) -> PretrainConfig:
-        p = self.pretrain
-        return PretrainConfig(
-            epochs=p.epochs,
-            batch_originals=p.batch_originals,
-            lr=p.lr,
-            loss_mode=p.loss_mode,
-            self_paced=self.self_paced_config(),
-        )
-
-    def semisup_config(self, **overrides) -> SemiSupConfig:
-        s = self.semisup
-        kwargs = dict(
-            epochs=s.epochs,
-            batch_size=s.batch_size,
-            unlabeled_batch_originals=s.unlabeled_batch_originals,
-            lr=s.lr,
-            lambda_reg=s.lambda_reg,
-            lambda_sp=s.lambda_sp,
-            ema_decay=s.ema_decay,
-            consistency_noise=s.consistency_noise,
-            sp_on_unlabeled_only=s.sp_on_unlabeled_only,
-            encoder_lr_scale=s.encoder_lr_scale,
-            sp_weighting=s.sp_weighting,
-            self_paced=self.self_paced_config(),
-        )
-        kwargs.update(overrides)
-        return SemiSupConfig(**kwargs)
-
-    def augment_policy(self) -> AugmentationPolicy:
-        a = self.augment
-        return AugmentationPolicy(
-            flip_prob=a.flip_prob,
-            max_rotate_deg=a.max_rotate_deg,
-            crop_scale=tuple(a.crop_scale),
-            gamma_range=tuple(a.gamma_range),
-            brightness_delta=a.brightness_delta,
-        )
-
     def output_root(self) -> Path:
         root = os.environ.get(OUTPUT_ROOT_ENV)
         return Path(root) / self.output_dir if root else Path(self.output_dir)
 
 
-def _from_dict(cls, data: dict, path: str):
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(data) - set(known)
+def _from_dict(base, data: dict, path: str = ""):
+    """``base`` with the fields ``data`` gives replaced, each value checked against its field.
+
+    Fields holding a dataclass are sections at the top level only; inside a
+    section they are not file keys.
+    """
+    hints = typing.get_type_hints(type(base))
+    known = {name for name, hint in hints.items() if not (path and dataclasses.is_dataclass(hint))}
+    unknown = set(data) - known
     if unknown:
         raise InvalidConfig(f"unknown config keys at {path or 'top level'}: {sorted(unknown)}")
-    kwargs = {}
+    changes = {}
     for name, value in data.items():
-        if name in _SECTIONS:
+        if dataclasses.is_dataclass(hints[name]):
             if not isinstance(value, dict):
                 raise InvalidConfig(f"section {path}{name} must be a mapping")
-            kwargs[name] = _from_dict(_SECTIONS[name], value, f"{path}{name}.")
-        elif isinstance(value, list):
-            kwargs[name] = tuple(value)
+            changes[name] = _from_dict(getattr(base, name), value, f"{path}{name}.")
         else:
-            kwargs[name] = value
-    return cls(**kwargs)
-
-
-_SECTIONS = {
-    "data": DataSection,
-    "model": ModelSection,
-    "self_paced": SelfPacedSection,
-    "pretrain": PretrainSection,
-    "semisup": SemiSupSection,
-    "augment": AugmentSection,
-    "ablation": AblationSection,
-}
+            changes[name] = check_value(value, hints[name], f"{path}{name}")
+    return replace(base, **changes)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise InvalidConfig("config root must be a mapping")
-    return _from_dict(ExperimentConfig, data, "")
+    return _from_dict(ExperimentConfig(), data)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return json.loads(json.dumps(dataclasses.asdict(config)))
+    data = json.loads(json.dumps(dataclasses.asdict(config)))
+    for name in _SHARE_SELF_PACED:
+        del data[name]["self_paced"]
+    return data
 
 
 def _parse_override(text: str) -> tuple[list[str], object]:

@@ -11,13 +11,15 @@ named Tensors so training loops, EMA shadows, and checkpoints stay dumb.
 from __future__ import annotations
 
 import json
+import typing
 import zipfile
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .autodiff import Tensor, concat, l2_normalize_rows
 from .errors import DataError, InvalidConfig, ShapeMismatch
+from .schema import check_value
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -228,8 +230,9 @@ class ParamModel:
         """Read a checkpoint written by ``save``.
 
         A missing or unreadable file, config keys other than ModelConfig's
-        fields, or parameter names or shapes other than the config builds are
-        a DataError.
+        fields, a config value of the wrong type or rejected by ModelConfig,
+        or parameter names or shapes other than the config builds are a
+        DataError.
         """
         try:
             data = np.load(path)
@@ -243,13 +246,17 @@ class ParamModel:
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise InvalidConfig(f"unsupported checkpoint format: {meta.get('format_version')}")
         cfg_d = meta.get("config", {})
-        names = {f.name for f in fields(ModelConfig)}
+        hints = typing.get_type_hints(ModelConfig)
+        names = set(hints)
         if set(cfg_d) != names:
             raise DataError(
                 f"checkpoint {path} config keys differ from ModelConfig: "
                 f"missing {sorted(names - set(cfg_d))}, unknown {sorted(set(cfg_d) - names)}"
             )
-        cfg = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in cfg_d.items()})
+        try:
+            cfg = ModelConfig(**{k: check_value(v, hints[k], f"config.{k}") for k, v in cfg_d.items()})
+        except InvalidConfig as exc:
+            raise DataError(f"checkpoint {path} has an invalid config: {exc}") from exc
         expected = {k: v.shape for k, v in _init_params(cfg).items()}
         found = {k: a.shape for k, a in arrays.items()}
         if found != expected:

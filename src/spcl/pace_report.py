@@ -45,14 +45,13 @@ def pace_report(
     rng = np.random.default_rng([config.seed, 777])
     refs = dataset.slice_refs("train")
     take = [refs[i] for i in rng.permutation(len(refs))[: config.pretrain.batch_originals]]
-    pair = build_pair_batch(dataset, take, config.augment_policy(), rng)
+    pair = build_pair_batch(dataset, take, config.augment, rng)
     batch = AugmentedBatch(model.embed_batch(pair.images), pair.pair_of, pair.meta_labels)
 
     rows = []
-    base = config.self_paced_config()
     for regularizer in regularizers:
         for p in exponents:
-            cfg = replace(base, regularizer=regularizer, p=p).with_default_pace(
+            cfg = replace(config.self_paced, regularizer=regularizer, p=p).with_default_pace(
                 config.pretrain.batch_originals
             )
             for epoch in range(max_epoch + 1):

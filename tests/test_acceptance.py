@@ -86,7 +86,7 @@ class TestCriterion5PaceDynamics:
         config = ExperimentConfig()
         max_epoch = 20
         rows = pace_report(config, max_epoch=max_epoch)
-        resolved = config.self_paced_config().with_default_pace(config.pretrain.batch_originals)
+        resolved = config.self_paced.with_default_pace(config.pretrain.batch_originals)
         for p in (0.5, 1.0, 2.0):
             for reg in ("linear", "hard"):
                 start = [r for r in rows if r.epoch == 0 and r.p == p and r.regularizer == reg]

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +38,8 @@ SMALL = {
 SPCL_ROOT = str(Path(spcl.__file__).resolve().parent.parent)
 
 
-def run_cli(args, cwd):
-    """Run `python -m spcl` in cwd against the same spcl this process imported.
+def run_python(args, cwd):
+    """Run Python in cwd against the same spcl this process imported.
 
     A relative PYTHONPATH does not resolve from cwd, and an installed spcl may be
     another version, so the absolute source root goes first. SPCL_OUTPUT_ROOT is
@@ -45,9 +47,12 @@ def run_cli(args, cwd):
     """
     env = {k: v for k, v in os.environ.items() if k != OUTPUT_ROOT_ENV}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SPCL_ROOT, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "spcl", *args], cwd=cwd, env=env, capture_output=True, text=True
-    )
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def run_cli(args, cwd):
+    """Run `python -m spcl` in cwd (see run_python)."""
+    return run_python(["-m", "spcl", *args], cwd)
 
 
 class TestConfig:
@@ -61,6 +66,64 @@ class TestConfig:
             config_from_dict({"data": {"num_patients": 4, "bogus": 1}})
         with pytest.raises(InvalidConfig):
             config_from_dict({"nonsense": {}})
+        with pytest.raises(InvalidConfig):
+            config_from_dict({"pretrain": {"self_paced": {}}})
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"pretrain": {"epochs": "abc"}}, "pretrain.epochs"),
+            ({"semisup": {"lr": "x"}}, "semisup.lr"),
+            ({"data": {"num_patients": "abc"}}, "data.num_patients"),
+            ({"augment": {"crop_scale": 3}}, "augment.crop_scale"),
+            ({"augment": {"crop_scale": [0.9]}}, "augment.crop_scale"),
+            ({"self_paced": {"lambdas": ["a", 0.1]}}, "self_paced.lambdas[0]"),
+            ({"self_paced": {"gamma_start": "low"}}, "self_paced.gamma_start"),
+            ({"semisup": {"sp_weighting": 1}}, "semisup.sp_weighting"),
+            ({"model": {"arch": 3}}, "model.arch"),
+            ({"ablation": {"seeds": [0, 1.5, 2]}}, "ablation.seeds[1]"),
+            ({"seed": True}, "seed"),
+        ],
+    )
+    def test_wrongly_typed_value_rejected_naming_its_key(self, data, key):
+        with pytest.raises(InvalidConfig, match=re.escape(key)):
+            config_from_dict(data)
+
+    def test_module_configs_validate_at_load(self):
+        with pytest.raises(InvalidConfig):
+            config_from_dict({"pretrain": {"epochs": 0}})
+        with pytest.raises(InvalidConfig):
+            config_from_dict({"self_paced": {"lambdas": [0.0, 0.0]}})
+
+    def test_defaults_unchanged(self):
+        """The effective config of the defaults, as config.json has always held it."""
+        expected = {
+            "seed": 0,
+            "output_dir": "runs",
+            "data": {"num_patients": 10, "slices_per_volume": 12, "height": 16, "width": 16,
+                     "noise_level": 0.3, "num_partitions": 4, "seed": 7},
+            "model": {"arch": "conv", "conv_channels": [6, 12], "encoder_widths": [64, 32], "head_hidden": 64,
+                      "embed_dim": 32, "decoder_width": 64, "skip_width": 16, "leaky_slope": 0.01},
+            "self_paced": {"regularizer": "linear", "tau": 0.5, "gamma_start": None, "gamma_end": None,
+                           "p": 0.5, "lambdas": [1.0, 0.1, 0.1]},
+            "pretrain": {"epochs": 40, "batch_originals": 8, "lr": 0.001, "loss_mode": "sp"},
+            "semisup": {"epochs": 40, "batch_size": 8, "unlabeled_batch_originals": 8, "lr": 0.002,
+                        "lambda_reg": 0.1, "lambda_sp": 0.1, "ema_decay": 0.99, "consistency_noise": 0.05,
+                        "sp_on_unlabeled_only": False, "encoder_lr_scale": 1.0, "sp_weighting": True},
+            "augment": {"flip_prob": 0.5, "max_rotate_deg": 0.0, "crop_scale": [1.0, 1.0],
+                        "gamma_range": [0.95, 1.05], "brightness_delta": 0.03},
+            "ablation": {"seeds": [0, 1, 2], "num_labeled": 2, "baseline_margin": 0.05, "eval_split": "test"},
+        }
+        assert config_to_dict(ExperimentConfig()) == expected
+        assert config_from_dict(expected) == ExperimentConfig()
+
+    def test_one_self_paced_section(self):
+        cfg = ExperimentConfig()
+        x = replace(cfg.self_paced, tau=0.3, regularizer="hard")
+        changed = replace(cfg, self_paced=x)
+        assert changed.pretrain.self_paced == x
+        assert changed.semisup.self_paced == x
+        assert config_from_dict({"self_paced": {"tau": 0.3}}).semisup.self_paced.tau == 0.3
 
     def test_overrides_win_over_file(self, tmp_path):
         path = tmp_path / "c.json"
@@ -85,9 +148,10 @@ class TestConfig:
     def test_builders_produce_valid_configs(self):
         cfg = config_from_dict(SMALL)
         assert cfg.model_config().image_shape == (8, 8)
-        assert cfg.pretrain_config().epochs == 2
-        assert cfg.semisup_config(lambda_sp=0.0).lambda_sp == 0.0
-        assert cfg.self_paced_config().lambdas == (1.0, 0.1, 0.1)
+        assert cfg.pretrain.epochs == 2
+        assert replace(cfg.semisup, lambda_sp=0.0).lambda_sp == 0.0
+        assert cfg.self_paced.lambdas == (1.0, 0.1, 0.1)
+        assert cfg.pretrain.self_paced == cfg.semisup.self_paced == cfg.self_paced
 
 
 class TestVerification:
@@ -175,6 +239,30 @@ class TestCliProcess:
         r = run_cli(["train", "--config", "small.json", "--set", "data.bogus=1"], workdir)
         assert r.returncode == 2
 
+    def test_wrongly_typed_value_exits_2_before_any_output(self, workdir):
+        r = run_cli(["train", "--config", "small.json", "--set", "pretrain.epochs=abc", "--name", "bad"], workdir)
+        assert r.returncode == 2, r.stderr
+        assert "Traceback" not in r.stderr
+        assert "pretrain.epochs" in r.stderr
+        assert not (workdir / "runs" / "bad" / "config.json").exists()
+
+    def test_init_checkpoint_must_match_config_model(self, workdir):
+        r = run_cli(["pretrain", "--config", "small.json", "--name", "pre"], workdir)
+        assert r.returncode == 0, r.stderr
+        mismatches = {
+            "arch": ["--set", "model.arch=dense", "--set", "model.embed_dim=7"],
+            "image_shape": ["--set", "data.height=12", "--set", "data.width=12"],
+        }
+        for field_name, overrides in mismatches.items():
+            r = run_cli(
+                ["train", "--config", "small.json", "--init", "runs/pre/encoder.npz", "--name", "tr", *overrides],
+                workdir,
+            )
+            assert r.returncode == 2, r.stderr
+            assert "Traceback" not in r.stderr
+            assert field_name in r.stderr
+            assert not (workdir / "runs" / "tr" / "config.json").exists()
+
     def test_data_error_exit_code(self, workdir):
         r = run_cli(["pretrain", "--config", "small.json", "--data", "missing_dir"], workdir)
         assert r.returncode == 3
@@ -243,3 +331,13 @@ class TestAblationRuns:
         dataset = generate_dataset(**cfg.data_kwargs())
         with pytest.raises(InvalidConfig):
             run_variant("bogus", dataset, cfg, seed=0)
+
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    r = run_python([str(demo)], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "Traceback" not in r.stderr

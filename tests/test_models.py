@@ -243,8 +243,17 @@ class TestCheckpoint:
             lambda arrays, cfg: arrays.update({"enc.9.w": np.zeros(3)}),
             lambda arrays, cfg: cfg.pop("skip_width"),
             lambda arrays, cfg: cfg.update({"dropout": 0.5}),
+            lambda arrays, cfg: cfg.update({"num_classes": "2"}),
+            lambda arrays, cfg: cfg.update({"image_shape": 8}),
+            lambda arrays, cfg: cfg.update({"conv_channels": ["a", 4]}),
+            lambda arrays, cfg: cfg.update({"arch": 3}),
+            lambda arrays, cfg: cfg.update({"arch": "bogus"}),
+            lambda arrays, cfg: cfg.update({"leaky_slope": "x"}),
         ],
-        ids=["missing-param", "wrong-shape", "unknown-param", "missing-config-key", "unknown-config-key"],
+        ids=[
+            "missing-param", "wrong-shape", "unknown-param", "missing-config-key", "unknown-config-key",
+            "str-num-classes", "int-image-shape", "str-conv-channel", "int-arch", "unknown-arch", "str-leaky-slope",
+        ],
     )
     def test_checkpoint_not_matching_its_config_is_data_error(self, tmp_path, edit):
         path = tmp_path / "model.npz"

@@ -12,10 +12,24 @@ Every public operation checks its result for NaN/Inf and raises
 place, ``Tensor.__init__``: each op output and each wrapped constant is
 scanned exactly once, and ``_apply`` only re-raises the error with the op's
 name.
+
+Floating-point warnings are silenced by one ``np.errstate(divide, invalid,
+over="ignore")`` scope per region, not per op: ``GradTape`` enters it for its
+whole ``with`` block and ``finite_diff_check`` for each parameter's
+evaluation loop. An op applied outside any such scope (tests, demos,
+evaluation) enters its own, so an overflow surfaces only as
+``NonFiniteValue``, never as a ``RuntimeWarning``.
+
+A ``Tensor`` built from a caller's array copies it. An op output that the
+forward has just allocated (a writeable, C-contiguous float64 ndarray owning
+its memory) is frozen in place instead; views, NumPy scalars and anything
+else are copied as before. Either way ``Tensor.data`` is read-only and holds
+the same bits.
 """
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from typing import Callable, Sequence
 
@@ -26,9 +40,38 @@ from .errors import DisconnectedParamWarning, NonFiniteValue, NormTooSmall, Shap
 EPS_NORM = 1e-30
 
 _TAPE_STACK: list["GradTape"] = []
+_IGNORE_FP = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+_quiet_depth = 0  # open _quiet_floats scopes; while any is open, _apply enters no errstate of its own
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+@contextlib.contextmanager
+def _quiet_floats():
+    """Silence divide/invalid/overflow warnings for every op in a ``with`` block.
+
+    Restored on every exit, including an exception. Results are unchanged:
+    errstate only decides whether NumPy warns.
+    """
+    global _quiet_depth
+    with np.errstate(**_IGNORE_FP):
+        _quiet_depth += 1
+        try:
+            yield
+        finally:
+            _quiet_depth -= 1
+
+
+def _freeze(a, fresh: bool = False) -> np.ndarray:
+    """Read-only C-order float64 array holding ``a``'s values.
+
+    ``fresh`` promises that nothing else holds ``a``; such an array, when it
+    already has the final layout and owns its memory, is frozen in place
+    instead of copied.
+    """
+    if fresh and type(a) is np.ndarray and a.dtype == np.float64:
+        flags = a.flags
+        if flags.writeable and flags.c_contiguous and flags.owndata:
+            flags.writeable = False
+            return a
     out = np.array(a, dtype=np.float64, order="C")
     out.flags.writeable = False
     return out
@@ -39,8 +82,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "name")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
-        self.data = _freeze(data)
+    def __init__(self, data, requires_grad: bool = False, name: str = "", _fresh: bool = False):
+        self.data = _freeze(data, _fresh)
         if not np.isfinite(self.data).all():
             raise NonFiniteValue(f"tensor {name!r} contains NaN/Inf")
         self.requires_grad = bool(requires_grad)
@@ -121,7 +164,11 @@ class Tensor:
 
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    if isinstance(x, Tensor):
+        return x
+    if isinstance(x, (float, int)):
+        return Tensor(np.array(x, dtype=np.float64), _fresh=True)
+    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 class Node:
@@ -145,18 +192,20 @@ class GradTape:
         self._tracked: set[int] = set()
 
     def __enter__(self) -> "GradTape":
+        self._quiet = _quiet_floats()
+        self._quiet.__enter__()
         _TAPE_STACK.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.pop()
-        assert popped is self
+        try:
+            popped = _TAPE_STACK.pop()
+            assert popped is self
+        finally:
+            self._quiet.__exit__(exc_type, exc, tb)
 
     def watch(self, tensor: Tensor) -> None:
         self._tracked.add(id(tensor))
-
-    def _tracks(self, tensor: Tensor) -> bool:
-        return tensor.requires_grad or id(tensor) in self._tracked
 
     def replay(self) -> np.ndarray:
         """Re-execute the recorded forward ops; return the last output's value.
@@ -192,16 +241,19 @@ class GradTape:
         if output.data.ndim != 0:
             raise ShapeMismatch(f"gradient target must be scalar, got shape {output.shape}")
         grads: dict[int, np.ndarray] = {id(output): np.ones((), dtype=np.float64)}
+        tracked = self._tracked
         for node in reversed(self.nodes):
             g_out = grads.pop(id(node.output), None)
             if g_out is None:
                 continue
-            g_inputs = node.backward_fn(g_out)
-            for t, g in zip(node.inputs, g_inputs):
-                if g is None or not self._tracks(t):
+            for t, g in zip(node.inputs, node.backward_fn(g_out)):
+                if g is None:
                     continue
-                acc = grads.get(id(t))
-                grads[id(t)] = g if acc is None else acc + g
+                key = id(t)
+                if not (t.requires_grad or key in tracked):
+                    continue
+                acc = grads.get(key)
+                grads[key] = g if acc is None else acc + g
         out: list[np.ndarray] = []
         disconnected: list[str] = []
         for i, p in enumerate(params):
@@ -246,24 +298,35 @@ def _apply(
 
     ``backward_fn_factory(input_datas, out_data)`` must return a closure
     mapping the output cotangent to one cotangent (or None) per input.
+    ``forward_fn`` returns a new array or a view, never an array that
+    something else can still write: a new array is frozen in place.
     """
     datas = [t.data for t in inputs]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    if _quiet_depth:
         out_data = forward_fn(*datas)
+    else:
+        with np.errstate(**_IGNORE_FP):
+            out_data = forward_fn(*datas)
     try:
-        out = Tensor(out_data)
+        out = Tensor(out_data, _fresh=True)
     except NonFiniteValue:
         raise NonFiniteValue(f"op {op!r} produced NaN/Inf") from None
-    tape = active_tape()
-    tracked = tape is not None and any(tape._tracks(t) for t in inputs)
-    if tracked:
-        tape._tracked.add(id(out))
-        tape.nodes.append(Node(op, inputs, out, forward_fn, backward_fn_factory(datas, out_data)))
+    if not _TAPE_STACK:
+        return out
+    tape = _TAPE_STACK[-1]
+    tracked = tape._tracked
+    for t in inputs:
+        if t.requires_grad or id(t) in tracked:
+            tracked.add(id(out))
+            tape.nodes.append(Node(op, inputs, out, forward_fn, backward_fn_factory(datas, out_data)))
+            break
     return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast cotangent back down to the original operand shape."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -632,15 +695,16 @@ def finite_diff_check(
     for pi, p in enumerate(params):
         base = p.data
         numeric = np.zeros(base.size, dtype=np.float64)
-        for ci in range(base.size):
-            pert = base.reshape(-1).copy()
-            pert[ci] += step
-            plus = Tensor(pert.reshape(base.shape), name=p.name)
-            pert[ci] = base.reshape(-1)[ci] - step
-            minus = Tensor(pert.reshape(base.shape), name=p.name)
-            args_p = [plus if j == pi else q for j, q in enumerate(params)]
-            args_m = [minus if j == pi else q for j, q in enumerate(params)]
-            numeric[ci] = (f(*args_p).item() - f(*args_m).item()) / (2.0 * step)
+        with _quiet_floats():
+            for ci in range(base.size):
+                pert = base.reshape(-1).copy()
+                pert[ci] += step
+                plus = Tensor(pert.reshape(base.shape), name=p.name)
+                pert[ci] = base.reshape(-1)[ci] - step
+                minus = Tensor(pert.reshape(base.shape), name=p.name)
+                args_p = [plus if j == pi else q for j, q in enumerate(params)]
+                args_m = [minus if j == pi else q for j, q in enumerate(params)]
+                numeric[ci] = (f(*args_p).item() - f(*args_m).item()) / (2.0 * step)
         numeric = numeric.reshape(base.shape)
         a = analytic[pi]
         rel = np.abs(a - numeric) / np.maximum(np.abs(a) + np.abs(numeric), floor)

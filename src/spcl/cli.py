@@ -20,7 +20,7 @@ from .errors import DataError, InvalidConfig, VerificationFailure
 from .models import ParamModel
 from .pace_report import pace_report, write_pace_csv
 from .semi_supervised import evaluate_dice, run_pretraining, run_semisup, write_history_csv
-from .synth_data import generate_dataset, load_dataset, save_dataset
+from .synth_data import SPLITS, generate_dataset, load_dataset, save_dataset
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--model", required=True, help="model checkpoint")
     p.add_argument("--data", help="existing dataset directory")
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ablation", help="run the variant ladder")

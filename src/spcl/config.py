@@ -23,11 +23,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import InvalidConfig
-from .models import ModelConfig
+from .models import ModelConfig, check_layers
 from .schema import check_value
 from .self_paced import SelfPacedConfig
 from .semi_supervised import PretrainConfig, SemiSupConfig
-from .synth_data import AugmentationPolicy
+from .synth_data import SPLITS, TEST_FRACTION, VAL_FRACTION, AugmentationPolicy, check_generation
 
 OUTPUT_ROOT_ENV = "SPCL_OUTPUT_ROOT"
 
@@ -42,6 +42,17 @@ class DataSection:
     num_partitions: int = 4
     seed: int = 7
 
+    def __post_init__(self):
+        check_generation(
+            self.num_patients,
+            self.slices_per_volume,
+            (self.height, self.width),
+            self.noise_level,
+            self.num_partitions,
+            VAL_FRACTION,
+            TEST_FRACTION,
+        )
+
 
 @dataclass(frozen=True)
 class ModelSection:
@@ -54,6 +65,10 @@ class ModelSection:
     skip_width: int = 16
     leaky_slope: float = 0.01
 
+    def __post_init__(self):
+        # image-size checks need the data section; they run when a model is built
+        check_layers(self)
+
 
 @dataclass(frozen=True)
 class AblationSection:
@@ -61,6 +76,10 @@ class AblationSection:
     num_labeled: int = 2
     baseline_margin: float = 0.05
     eval_split: str = "test"
+
+    def __post_init__(self):
+        if self.eval_split not in SPLITS:
+            raise InvalidConfig(f"eval_split must be one of {SPLITS}, got {self.eval_split!r}")
 
 
 # Sections whose self_paced field is the top-level self_paced section.

@@ -39,10 +39,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.arch not in ("conv", "dense"):
-            raise InvalidConfig(f"arch must be 'conv' or 'dense', got {self.arch!r}")
-        if len(self.encoder_widths) < 1:
-            raise InvalidConfig("need at least one encoder block")
+        check_layers(self)
+        if any(s < 1 for s in self.image_shape):
+            raise InvalidConfig(f"image_shape must be positive, got {self.image_shape!r}")
         if self.num_classes < 2:
             raise InvalidConfig("need at least two classes")
         if self.arch == "conv" and any(s % 4 for s in self.image_shape):
@@ -55,6 +54,32 @@ class ModelConfig:
     @property
     def feature_dim(self) -> int:
         return self.encoder_widths[-1] if self.arch == "dense" else 32
+
+
+def check_layers(m) -> None:
+    """Reject an arch or layer sizes the model cannot be built from.
+
+    ``m`` is a ModelConfig or any object with its layer fields (the
+    experiment config's model section). Only the sizes ``m.arch`` builds are
+    checked: a conv model never reads the encoder widths, decoder_width or
+    skip_width, and a dense model never reads conv_channels.
+    """
+    if m.arch not in ("conv", "dense"):
+        raise InvalidConfig(f"arch must be 'conv' or 'dense', got {m.arch!r}")
+    if len(m.encoder_widths) < 1:
+        raise InvalidConfig("need at least one encoder block")
+    positive = {"head_hidden": (m.head_hidden,), "embed_dim": (m.embed_dim,)}
+    if m.arch == "conv":
+        if len(m.conv_channels) != 2:
+            raise InvalidConfig(f"conv arch needs 2 conv_channels, got {tuple(m.conv_channels)!r}")
+        positive["conv_channels"] = m.conv_channels
+    else:
+        positive.update(encoder_widths=m.encoder_widths, decoder_width=(m.decoder_width,))
+        if m.skip_width < 0:  # 0 drops the skip branch
+            raise InvalidConfig(f"skip_width must be >= 0, got {m.skip_width}")
+    for name, sizes in positive.items():
+        if any(v < 1 for v in sizes):
+            raise InvalidConfig(f"{name} must be positive, got {getattr(m, name)!r}")
 
 
 def _init_params(config: ModelConfig) -> dict[str, Tensor]:

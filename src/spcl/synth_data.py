@@ -25,6 +25,10 @@ from scipy import ndimage
 from .errors import DataError, InvalidConfig
 
 DATASET_FORMAT_VERSION = 1
+SPLITS = ("train", "val", "test")
+# default share of patients held out for validation and test
+VAL_FRACTION = 0.1
+TEST_FRACTION = 0.2
 
 # cross-volume centroid agreement (pixels) promised at noise_level = 0
 ALIGNMENT_TOLERANCE_PX = 4.0
@@ -122,6 +126,34 @@ def _render_slice(shape, center, axes, contrast, bg_level, distractor, pixel_noi
     return np.clip(image, 0.0, 1.0), mask
 
 
+def check_generation(
+    num_patients: int,
+    slices_per_volume: int,
+    shape: tuple[int, int],
+    noise_level: float,
+    num_partitions: int,
+    val_fraction: float,
+    test_fraction: float,
+) -> tuple[int, int]:
+    """Reject arguments ``generate_dataset`` cannot honour; return (val, test) patient counts."""
+    if num_patients < 2:
+        raise InvalidConfig(f"need at least 2 patients, got {num_patients}")
+    if slices_per_volume < 4:
+        raise InvalidConfig(f"need at least 4 slices per volume, got {slices_per_volume}")
+    if not (1 <= num_partitions <= slices_per_volume):
+        raise InvalidConfig(f"num_partitions must be in [1, slices_per_volume], got {num_partitions}")
+    if min(shape) < 2:
+        # augmentation crops windows of at least 2x2 pixels
+        raise InvalidConfig(f"slices must be at least 2x2 pixels, got {tuple(shape)}")
+    if not (0.0 <= noise_level <= 1.0):
+        raise InvalidConfig(f"noise_level must be in [0, 1], got {noise_level}")
+    n_test = max(1, int(round(test_fraction * num_patients)))
+    n_val = max(1, int(round(val_fraction * num_patients)))
+    if n_test + n_val >= num_patients:
+        raise InvalidConfig("splits leave no training patients")
+    return n_val, n_test
+
+
 def generate_dataset(
     num_patients: int,
     slices_per_volume: int = 12,
@@ -129,23 +161,17 @@ def generate_dataset(
     noise_level: float = 0.0,
     seed: int = 0,
     num_partitions: int = 4,
-    val_fraction: float = 0.1,
-    test_fraction: float = 0.2,
+    val_fraction: float = VAL_FRACTION,
+    test_fraction: float = TEST_FRACTION,
 ) -> SynthDataset:
     """Deterministic synthetic dataset: one volume per patient, split by patient.
 
     noise_level scales both the per-volume slice shift (zero-mean, rounded
     normal) and the fraction of background-only margin slices.
     """
-    if num_patients < 2:
-        raise InvalidConfig(f"need at least 2 patients, got {num_patients}")
-    if slices_per_volume < 4:
-        raise InvalidConfig(f"need at least 4 slices per volume, got {slices_per_volume}")
-    if slices_per_volume < num_partitions:
-        raise InvalidConfig("slice count must cover the partition count")
-    if not (0.0 <= noise_level <= 1.0):
-        raise InvalidConfig(f"noise_level must be in [0, 1], got {noise_level}")
-
+    n_val, n_test = check_generation(
+        num_patients, slices_per_volume, shape, noise_level, num_partitions, val_fraction, test_fraction
+    )
     m, s = num_patients, slices_per_volume
     h, w = shape
     spec = MetaLabelSpec(num_partitions=num_partitions, num_patients=m)
@@ -197,10 +223,6 @@ def generate_dataset(
             SynthVolume(patient_id=pid, phase=phase, slices=slices, masks=masks, misalignment_offset=offset)
         )
 
-    n_test = max(1, int(round(test_fraction * m)))
-    n_val = max(1, int(round(val_fraction * m)))
-    if n_test + n_val >= m:
-        raise InvalidConfig("splits leave no training patients")
     ids = list(range(m))
     splits = {
         "train": ids[: m - n_val - n_test],
@@ -223,6 +245,20 @@ class AugmentationPolicy:
     crop_scale: tuple[float, float] = (0.85, 1.0)
     gamma_range: tuple[float, float] = (0.8, 1.25)
     brightness_delta: float = 0.1
+
+    def __post_init__(self):
+        lo, hi = self.crop_scale
+        g_lo, g_hi = self.gamma_range
+        if not (0.0 <= self.flip_prob <= 1.0):
+            raise InvalidConfig(f"flip_prob must be in [0, 1], got {self.flip_prob}")
+        if self.max_rotate_deg < 0.0:
+            raise InvalidConfig(f"max_rotate_deg must be >= 0, got {self.max_rotate_deg}")
+        if not (0.0 < lo <= hi <= 1.0):
+            raise InvalidConfig(f"crop_scale must satisfy 0 < low <= high <= 1, got {self.crop_scale}")
+        if not (0.0 < g_lo <= g_hi):
+            raise InvalidConfig(f"gamma_range must satisfy 0 < low <= high, got {self.gamma_range}")
+        if self.brightness_delta < 0.0:
+            raise InvalidConfig(f"brightness_delta must be >= 0, got {self.brightness_delta}")
 
     @classmethod
     def identity(cls) -> "AugmentationPolicy":

@@ -1,5 +1,7 @@
 """Tensor arithmetic, tape recording, gradients, and the finite-difference checker."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,58 @@ class TestTensorBasics:
         monkeypatch.setattr(np, "isfinite", counting_isfinite)
         ad.add(a, b)
         assert len(calls) == 1
+
+
+class TestDispatch:
+    def test_caller_array_is_copied_not_frozen(self):
+        x = np.arange(12.0).reshape(3, 4).copy()  # owns its memory, like a fresh op output
+        t = Tensor(x)
+        s = t + x
+        assert x.flags.writeable
+        assert not np.shares_memory(t.data, x)
+        assert not np.shares_memory(s.data, x)
+        x[0, 0] = 99.0
+        assert t.data[0, 0] == 0.0
+
+    def test_view_output_is_copied_and_input_kept(self):
+        v = Tensor([1.0, 2.0, 3.0])
+        out = v.T  # the forward returns the input itself
+        assert not out.data.flags.writeable
+        assert not np.shares_memory(out.data, v.data)
+        np.testing.assert_array_equal(v.data, [1.0, 2.0, 3.0])
+        assert not v.data.flags.writeable
+
+    def test_tape_restores_error_state(self):
+        before = np.geterr()
+        with GradTape():
+            Tensor([1.0], requires_grad=True).exp()
+        assert np.geterr() == before
+        with pytest.raises(NonFiniteValue):
+            with GradTape():
+                Tensor([1000.0], requires_grad=True).exp()
+        assert np.geterr() == before
+
+    @pytest.mark.parametrize("where", ["tape", "eager", "finite_diff"])
+    def test_overflow_raises_without_runtime_warning(self, where):
+        def loss(q):
+            # in the finite_diff case only untaped evaluations overflow, so the
+            # error comes from the evaluation loop, not the analytic pass
+            scale = 1.0 if where == "finite_diff" and ad.active_tape() is not None else 1000.0
+            return (q * scale).exp().sum()
+
+        p = Tensor([1.0], requires_grad=True)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="op 'exp' produced NaN/Inf"):
+                if where == "tape":
+                    with GradTape():
+                        loss(p)
+                elif where == "eager":
+                    loss(p)
+                else:
+                    finite_diff_check(loss, [p])
+        assert np.geterr() == before
 
 
 class TestL2Normalize:

@@ -95,6 +95,46 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             config_from_dict({"self_paced": {"lambdas": [0.0, 0.0]}})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"augment": {"flip_prob": 1.5}},
+            {"augment": {"max_rotate_deg": -1.0}},
+            {"augment": {"crop_scale": [2, 3]}},
+            {"augment": {"crop_scale": [0.0, 1.0]}},
+            {"augment": {"crop_scale": [0.9, 0.8]}},
+            {"augment": {"gamma_range": [0.0, 1.0]}},
+            {"augment": {"gamma_range": [1.2, 0.8]}},
+            {"augment": {"brightness_delta": -0.1}},
+            {"model": {"head_hidden": -1}},
+            {"model": {"embed_dim": 0}},
+            {"model": {"conv_channels": [0, 12]}},
+            {"model": {"conv_channels": []}},
+            {"model": {"conv_channels": [3, 4, 5]}},
+            {"model": {"arch": "dense", "encoder_widths": [64, 0]}},
+            {"model": {"arch": "dense", "decoder_width": 0}},
+            {"model": {"arch": "dense", "skip_width": -1}},
+            {"data": {"height": 0}},
+            {"data": {"width": 1}},
+            {"data": {"num_partitions": 0}},
+        ],
+    )
+    def test_out_of_range_value_rejected_at_load(self, data):
+        with pytest.raises(InvalidConfig):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"model": {"arch": "dense", "skip_width": 0}},  # no skip branch
+            {"model": {"arch": "dense", "conv_channels": []}},  # dense never reads conv_channels
+            {"model": {"encoder_widths": [64, 0]}},  # conv never reads the encoder widths
+            {"data": {"height": 10}},  # conv needs dims divisible by 4 only once a model is built
+        ],
+    )
+    def test_sizes_an_arch_does_not_build_pass_at_load(self, data):
+        config_from_dict(data)
+
     def test_defaults_unchanged(self):
         """The effective config of the defaults, as config.json has always held it."""
         expected = {
@@ -236,8 +276,11 @@ class TestCliProcess:
         assert len(lines) - 1 == 5 * 3 * 2  # epochs 0..4 x three exponents x two regularizers
 
     def test_config_error_exit_code(self, workdir):
-        r = run_cli(["train", "--config", "small.json", "--set", "data.bogus=1"], workdir)
-        assert r.returncode == 2
+        for override in ("data.bogus=1", "ablation.eval_split=bogus"):
+            r = run_cli(["train", "--config", "small.json", "--set", override, "--name", "bad"], workdir)
+            assert r.returncode == 2, r.stderr
+            assert "Traceback" not in r.stderr
+            assert not (workdir / "runs" / "bad").exists()
 
     def test_wrongly_typed_value_exits_2_before_any_output(self, workdir):
         r = run_cli(["train", "--config", "small.json", "--set", "pretrain.epochs=abc", "--name", "bad"], workdir)

@@ -2,6 +2,7 @@
 
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,6 +207,27 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded.params[k].data, model.params[k].data)
         x = rng.random((4, 4))
         np.testing.assert_array_equal(embed(loaded, x).data, embed(model, x).data)
+
+    def test_dense_without_skip_trains_and_round_trips(self, tmp_path, rng):
+        from spcl.optim import RAdam
+        from spcl.semi_supervised import supervised_loss
+
+        model = ParamModel(replace(TINY, skip_width=0))
+        assert not any(k.startswith("dec.skip") for k in model.params)
+        x = rng.random((2, 4, 4))
+        target = rng.integers(0, 2, size=(2, 4, 4))
+        names = sorted(k for k in model.params if not k.startswith("head."))  # the head only embeds
+        with GradTape() as tape:
+            loss = supervised_loss(model.segment_batch(x), target)
+        grads = tape.gradient(loss, [model.params[n] for n in names])
+        before = model.params["dec.out.w"].data
+        RAdam().step(model.params, dict(zip(names, grads)))
+        assert not np.array_equal(model.params["dec.out.w"].data, before)
+        path = tmp_path / "model.npz"
+        model.save(path)
+        loaded = ParamModel.load(path)
+        assert loaded.config == model.config
+        np.testing.assert_array_equal(loaded.segment_batch(x).data, model.segment_batch(x).data)
 
     def test_version_check(self, tmp_path):
         model = ParamModel(TINY)

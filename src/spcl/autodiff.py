@@ -546,7 +546,9 @@ def conv2d(x: Tensor, kernel: Tensor, image_hw: tuple[int, int]) -> Tensor:
     k = int(round(k2**0.5))
     if k * k * cin != kernel.shape[0]:
         raise ShapeMismatch(f"kernel rows {kernel.shape[0]} not a k*k*{cin} layout")
-    idx = _PATCH_CACHE.setdefault((h, w, k), _patch_indices(h, w, k))
+    idx = _PATCH_CACHE.get((h, w, k))
+    if idx is None:
+        idx = _PATCH_CACHE[(h, w, k)] = _patch_indices(h, w, k)
     cout = kernel.shape[1]
 
     def im2col(xd, channels):
@@ -556,7 +558,9 @@ def conv2d(x: Tensor, kernel: Tensor, image_hw: tuple[int, int]) -> Tensor:
         return padded[:, idx, :].reshape(b * h * w, k * k * channels)
 
     def fwd(xd, kd):
-        return (im2col(xd, cin) @ kd).reshape(xd.shape[0], h * w * cout)
+        out = im2col(xd, cin) @ kd
+        out.shape = (xd.shape[0], h * w * cout)  # in place, so the tensor can own it
+        return out
 
     def bwd(datas, out):
         xd, kd = datas
@@ -584,8 +588,9 @@ def avg_pool2x(x: Tensor, image_hw: tuple[int, int]) -> Tensor:
 
     def fwd(xd):
         b = xd.shape[0]
-        grid = xd.reshape(b, h // 2, 2, w // 2, 2, c)
-        return grid.mean(axis=(2, 4)).reshape(b, (h // 2) * (w // 2) * c)
+        out = xd.reshape(b, h // 2, 2, w // 2, 2, c).mean(axis=(2, 4))
+        out.shape = (b, (h // 2) * (w // 2) * c)  # in place, so the tensor can own it
+        return out
 
     def bwd(datas, out):
         (xd,) = datas

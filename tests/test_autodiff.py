@@ -124,6 +124,43 @@ class TestDispatch:
         assert np.geterr() == before
 
 
+    def test_conv2d_builds_its_patch_table_once(self, monkeypatch):
+        monkeypatch.setattr(ad, "_PATCH_CACHE", {})
+        calls = []
+        real = ad._patch_indices
+
+        def counting(h, w, k):
+            calls.append((h, w, k))
+            return real(h, w, k)
+
+        monkeypatch.setattr(ad, "_patch_indices", counting)
+        rng = np.random.default_rng(0)
+        img, kernel = Tensor(rng.standard_normal((2, 4 * 4 * 1))), Tensor(rng.standard_normal((9, 2)))
+        first = ad.conv2d(img, kernel, (4, 4))
+        second = ad.conv2d(img, kernel, (4, 4))
+        assert calls == [(4, 4, 3)]
+        np.testing.assert_array_equal(first.data, second.data)
+
+    @pytest.mark.parametrize("op", ["conv2d", "avg_pool2x"])
+    def test_conv_and_pool_outputs_are_frozen_in_place(self, monkeypatch, op):
+        rng = np.random.default_rng(1)
+        img = Tensor(rng.standard_normal((2, 4 * 4 * 3)))
+        kernel = Tensor(rng.standard_normal((27, 2)))
+        frozen = []
+        real = ad._freeze
+
+        def recording(a, fresh=False):
+            out = real(a, fresh)
+            frozen.append((a, out))
+            return out
+
+        monkeypatch.setattr(ad, "_freeze", recording)
+        out = ad.conv2d(img, kernel, (4, 4)) if op == "conv2d" else ad.avg_pool2x(img, (4, 4))
+        produced, kept = frozen[-1]
+        assert kept is produced and out.data is produced
+        assert out.shape == ((2, 4 * 4 * 2) if op == "conv2d" else (2, 2 * 2 * 3))
+
+
 class TestL2Normalize:
     def test_three_four_five(self):
         out = l2_normalize(Tensor([3.0, 4.0]))

@@ -352,6 +352,17 @@ class TestCliProcess:
         assert a == b
 
 
+class TestImportPath:
+    def test_no_scipy_on_the_import_path(self, tmp_path):
+        code = (
+            "import sys, spcl, spcl.cli, spcl.ablation, spcl.verify, spcl.pace_report; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = run_python(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestAblationRuns:
     def test_variant_ladder_deterministic_tables(self, tmp_path):
         """Two invocations with identical seeds produce identical tables."""

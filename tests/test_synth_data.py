@@ -1,5 +1,7 @@
 """Synthetic volume generation, meta-labels, augmentation, persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,13 @@ from spcl.synth_data import (
     SynthVolume,
     augment_pair,
     build_pair_batch,
+    cos_sin_deg,
     generate_dataset,
     load_dataset,
     meta_labels_for,
     partition_overlap_stats,
     per_image_labels,
+    rotate,
     save_dataset,
 )
 
@@ -142,7 +146,77 @@ class TestAugmentation:
         assert out_img.shape == img.shape
 
 
+    def test_stack_equals_images_in_order(self, rng):
+        policy = AugmentationPolicy(flip_prob=0.5, max_rotate_deg=20.0, crop_scale=(0.6, 1.0), gamma_range=(0.7, 1.4))
+        images = rng.random((12, 10, 14))
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        stacked = policy.apply_stack(images, a)
+        for image, out in zip(images, stacked):
+            np.testing.assert_array_equal(out, policy.apply(image, b))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_mask_keeps_its_values(self, rng):
+        policy = AugmentationPolicy(max_rotate_deg=30.0, crop_scale=(0.6, 1.0))
+        mask = rng.choice([0, 3, 7], size=(12, 12))
+        for seed in range(10):
+            _, out = policy.apply_with_mask(rng.random((12, 12)), mask, np.random.default_rng(seed))
+            assert out.dtype == np.int64
+            assert set(np.unique(out)) <= {0, 3, 7}
+
+
+class TestRotation:
+    @pytest.mark.parametrize("size", [7, 8])
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_quarter_turns_are_exact(self, rng, size, order):
+        img = rng.random((size, size))
+        out = rotate(np.stack([img] * 4), [0.0, 90.0, 180.0, 270.0], order)
+        for got, want in zip(out, [img, np.rot90(img, 1), np.rot90(img, 2), np.rot90(img, -1)]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_order0_mask_keeps_only_its_values(self, rng):
+        mask = rng.choice([0.0, 2.0, 5.0], size=(16, 16))
+        out = rotate(np.stack([mask] * 20), rng.uniform(-30.0, 30.0, 20), order=0)
+        assert set(np.unique(out)) <= {0.0, 2.0, 5.0}
+
+    def test_right_angles_have_exact_cos_sin(self):
+        for deg, cs in [(0.0, (1.0, 0.0)), (90.0, (0.0, 1.0)), (180.0, (-1.0, 0.0)), (-90.0, (0.0, -1.0)), (450.0, (0.0, 1.0))]:
+            assert tuple(abs(v) if v == 0.0 else v for v in cos_sin_deg(deg)) == cs
+
+    def test_unsupported_order_rejected(self):
+        with pytest.raises(ValueError, match="orders 0 and 1"):
+            rotate(np.zeros((1, 4, 4)), [10.0], order=3)
+
+    def test_matches_scipy_rotate_bit_for_bit(self, rng):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        special = pytest.importorskip("scipy.special")
+        angles = np.concatenate([rng.uniform(-1e4, 1e4, 20000), np.arange(-720.0, 720.25, 0.25)])
+        ours = np.array([cos_sin_deg(float(a)) for a in angles])
+        np.testing.assert_array_equal(ours[:, 0].view(np.int64), special.cosdg(angles).view(np.int64))
+        np.testing.assert_array_equal(ours[:, 1].view(np.int64), special.sindg(angles).view(np.int64))
+        for trial in range(300):
+            h, w = (int(n) for n in rng.integers(2, 33, 2))
+            img = rng.normal(0.0, 1.0, (h, w)) if trial % 2 else rng.random((h, w))
+            batch = rng.uniform(-30.0, 30.0, 3) if trial % 3 else rng.uniform(-400.0, 400.0, 3)
+            for order in (0, 1):
+                src = img if order else np.round(3.0 * img)
+                got = rotate(np.stack([src] * 3), batch, order)
+                for angle, out in zip(batch, got):
+                    want = ndimage.rotate(src, angle, reshape=False, order=order, mode="nearest")
+                    assert out.tobytes() == want.tobytes(), (h, w, angle, order)
+
+
 class TestPairBatch:
+    def test_default_policy_batch_is_pinned(self):
+        # rotation and crop on; digest recorded with the per-image SciPy rotation
+        ds = generate_dataset(6, 8, (16, 16), noise_level=0.3, seed=1)
+        rng = np.random.default_rng(0)
+        refs = ds.slice_refs("train")
+        batch = build_pair_batch(ds, [refs[i] for i in rng.choice(len(refs), 8, replace=False)], AugmentationPolicy(), rng)
+        assert batch.images.shape == (16, 16, 16)
+        digest = hashlib.sha256(batch.images.tobytes()).hexdigest()
+        assert digest == "906c7cc9e521744889fccc2e1c5d1ffe9c47e7b196382dc9469f131a10b436e9"
+        assert rng.integers(0, 2**62) == 4104103359617733017
+
     def test_build_pair_batch_layout(self, rng):
         ds = generate_dataset(4, 8, (16, 16), seed=2)
         refs = ds.slice_refs("train")[:5]

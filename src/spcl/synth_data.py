@@ -13,17 +13,16 @@ same-partition slices across volumes stop corresponding), and background-only
 margin slices that carry a patient/partition label but no structure.
 
 Positive pairs come from ``AugmentationPolicy``: flip, rotation, crop-resize
-and intensity, drawn per image and applied to a whole (2N, H, W) stack at
-once. The rotation is plain NumPy. It ports the cephes ``cosdg``/``sindg``
-functions that SciPy evaluates and repeats the coordinate and interpolation
-arithmetic of SciPy's ``ndimage.rotate`` (``reshape=False``,
-``mode="nearest"``, orders 0 and 1), so it matches that function bit for bit;
-an oracle test in the suite compares the two whenever SciPy is installed.
+and intensity, drawn and applied per image. The rotation is plain NumPy. It
+ports the cephes ``cosdg``/``sindg`` functions that SciPy evaluates and
+repeats the coordinate and interpolation arithmetic of SciPy's
+``ndimage.rotate`` (``reshape=False``, ``mode="nearest"``, orders 0 and 1), so
+it matches that function bit for bit; an oracle test in the suite compares the
+two whenever SciPy is installed.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -304,10 +303,10 @@ def cos_sin_deg(x: float) -> tuple[float, float]:
     return (-c if cos_neg else c), (-s if sin_neg else s)
 
 
-def rotate(images: np.ndarray, angles, order: int = 1) -> np.ndarray:
-    """Rotate each image of a (B, H, W) stack about its centre by its angle in degrees.
+def rotate(image: np.ndarray, angle: float, order: int = 1) -> np.ndarray:
+    """Rotate a 2-D image about its centre by ``angle`` degrees.
 
-    Per image this is SciPy's ``ndimage.rotate(img, angle, reshape=False,
+    This is SciPy's ``ndimage.rotate(image, angle, reshape=False,
     order=order, mode="nearest")`` bit for bit: the same cos/sin, matrix,
     offset and coordinate arithmetic, and the same interpolation sums.
     ``order`` 1 is bilinear, 0 nearest-neighbour; both repeat the border
@@ -315,26 +314,20 @@ def rotate(images: np.ndarray, angles, order: int = 1) -> np.ndarray:
     """
     if order not in (0, 1):
         raise ValueError(f"rotate supports orders 0 and 1, got {order}")
-    b, h, w = images.shape
+    src = np.asarray(image, dtype=np.float64)
+    h, w = src.shape
+    c, s = cos_sin_deg(angle)
+    m = np.array([[c, s], [-s, c]])
     centre = (np.array([h, w]) - 1) / 2
-    mats, offs = np.empty((b, 2, 2)), np.empty((b, 2))
-    for k, angle in enumerate(angles):
-        c, s = cos_sin_deg(angle)
-        mats[k] = m = np.array([[c, s], [-s, c]])
-        offs[k] = centre - m @ centre
+    off = centre - m @ centre
     rows = np.arange(h, dtype=np.float64)[:, None]
     cols = np.arange(w, dtype=np.float64)
     # input coordinate of output pixel (i, j) on axis d: off[d] + i*m[d,0] + j*m[d,1]
-    coords = [
-        (offs[:, d, None, None] + rows * mats[:, d, 0, None, None]) + cols * mats[:, d, 1, None, None]
-        for d in (0, 1)
-    ]
-    flat = np.ascontiguousarray(images, dtype=np.float64).reshape(-1)
-    base = (np.arange(b) * (h * w))[:, None, None]
+    coords = [(off[d] + rows * m[d, 0]) + cols * m[d, 1] for d in (0, 1)]
     # like SciPy, sum the taps onto 0.0 (so a -0.0 pixel comes out as 0.0)
     if order == 0:
         iy, ix = (np.floor(np.clip(cc, 0, n - 1) + 0.5).astype(np.intp) for cc, n in zip(coords, (h, w)))
-        return 0.0 + flat[base + iy * w + ix]
+        return 0.0 + src[iy, ix]
     taps, weights = [], []
     for cc, n in zip(coords, (h, w)):
         f = np.floor(cc)
@@ -345,21 +338,8 @@ def rotate(images: np.ndarray, angles, order: int = 1) -> np.ndarray:
     out = 0.0
     for iy, wy in zip(taps[0], weights[0]):
         for ix, wx in zip(taps[1], weights[1]):
-            out = out + flat[base + iy * w + ix] * wy * wx
+            out = out + src[iy, ix] * wy * wx
     return out
-
-
-def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
-    """``float(rng.uniform(low, high))``: NumPy computes that draw as
-    low + (high - low) * next_double, so this takes the same draw and gives
-    the same bits, in a third of the time of a size-less ``uniform`` call."""
-    return low + (high - low) * rng.random()
-
-
-@functools.lru_cache(maxsize=None)
-def _resample_index(size: int, n: int) -> np.ndarray:
-    """Nearest-pixel rows (or columns) that stretch ``size`` pixels over ``n``."""
-    return np.round(np.linspace(0, size - 1, n)).astype(int)
 
 
 @dataclass(frozen=True)
@@ -375,6 +355,9 @@ class AugmentationPolicy:
     def __post_init__(self):
         lo, hi = self.crop_scale
         g_lo, g_hi = self.gamma_range
+        values = (self.flip_prob, self.max_rotate_deg, lo, hi, g_lo, g_hi, self.brightness_delta)
+        if not all(math.isfinite(v) for v in values):
+            raise InvalidConfig(f"augmentation values must be finite, got {self}")
         if not (0.0 <= self.flip_prob <= 1.0):
             raise InvalidConfig(f"flip_prob must be in [0, 1], got {self.flip_prob}")
         if self.max_rotate_deg < 0.0:
@@ -393,72 +376,48 @@ class AugmentationPolicy:
     def _draw(self, rng, shape):
         h, w = shape
         flip = rng.random() < self.flip_prob
-        angle = _uniform(rng, -self.max_rotate_deg, self.max_rotate_deg)
-        scale = _uniform(rng, *self.crop_scale)
+        angle = float(rng.uniform(-self.max_rotate_deg, self.max_rotate_deg))
+        scale = float(rng.uniform(*self.crop_scale))
         ch, cw = max(2, round(h * scale)), max(2, round(w * scale))
-        # integers(0, 1) draws nothing from the stream, so a full-frame crop skips the call
-        y0 = 0 if ch == h else int(rng.integers(0, h - ch + 1))
-        x0 = 0 if cw == w else int(rng.integers(0, w - cw + 1))
-        gamma = _uniform(rng, *self.gamma_range)
-        delta = _uniform(rng, -self.brightness_delta, self.brightness_delta)
+        y0 = int(rng.integers(0, h - ch + 1))
+        x0 = int(rng.integers(0, w - cw + 1))
+        gamma = float(rng.uniform(*self.gamma_range))
+        delta = float(rng.uniform(-self.brightness_delta, self.brightness_delta))
         return flip, angle, (y0, x0, ch, cw), gamma, delta
 
-    def _draw_stack(self, rng, n, shape):
-        """``n`` draws in stream order, as per-image arrays (crops stay a list)."""
-        flips, angles, crops, gammas, deltas = zip(*(self._draw(rng, shape) for _ in range(n)))
-        return np.array(flips), np.array(angles), crops, np.array(gammas), np.array(deltas)
-
-    @staticmethod
-    def _geometry(stack, flips, angles, crops, order):
-        """Flip, rotate, then crop and resize each image of a (B, H, W) stack it may overwrite."""
-        _, h, w = stack.shape
-        if flips.any():
-            stack = np.where(flips[:, None, None], stack[:, :, ::-1], stack)
-        turn = np.flatnonzero(angles != 0.0)
-        if turn.size:
-            stack[turn] = rotate(stack[turn], angles[turn], order)
-        cut = [i for i, crop in enumerate(crops) if crop[2:] != (h, w)]
-        if cut:
-            rows = np.stack([crops[i][0] + _resample_index(crops[i][2], h) for i in cut])
-            cols = np.stack([crops[i][1] + _resample_index(crops[i][3], w) for i in cut])
-            stack[cut] = stack[np.array(cut)[:, None, None], rows[:, :, None], cols[:, None, :]]
-        return stack
-
-    @staticmethod
-    def _intensity(stack, gammas, deltas):
-        clipped = np.clip(stack, 0.0, 1.0)
-        out = clipped ** gammas[:, None, None]
-        # NumPy takes a scalar exponent of 0.5 or 2.0 as sqrt or square, not
-        # pow; keep the per-image scalar power there so the bits match
-        for i in np.flatnonzero((gammas == 0.5) | (gammas == 2.0)):
-            out[i] = clipped[i] ** float(gammas[i])
-        return np.clip(out + deltas[:, None, None], 0.0, 1.0)
-
-    def apply_stack(self, images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Augment each image of a (B, H, W) stack with its own draw.
-
-        Draws, results and the RNG state afterwards equal B calls of
-        ``apply`` in order; the transforms run on the whole stack at once.
-        """
-        flips, angles, crops, gammas, deltas = self._draw_stack(rng, len(images), images.shape[1:])
-        stack = self._geometry(np.array(images, dtype=np.float64), flips, angles, crops, order=1)
-        return self._intensity(stack, gammas, deltas)
+    def _geometry(self, img, flip, angle, crop, order):
+        if flip:
+            img = img[:, ::-1]
+        if angle != 0.0:
+            img = rotate(img, angle, order)
+        y0, x0, ch, cw = crop
+        h, w = img.shape
+        if (ch, cw) != (h, w):
+            window = img[y0 : y0 + ch, x0 : x0 + cw]
+            rows = np.round(np.linspace(0, ch - 1, h)).astype(int)
+            cols = np.round(np.linspace(0, cw - 1, w)).astype(int)
+            img = window[rows][:, cols]
+        return img
 
     def apply(self, image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.apply_stack(np.asarray(image)[None], rng)[0]
+        flip, angle, crop, gamma, delta = self._draw(rng, image.shape)
+        out = self._geometry(np.asarray(image, dtype=np.float64), flip, angle, crop, order=1)
+        out = np.clip(out, 0.0, 1.0) ** gamma + delta
+        return np.clip(out, 0.0, 1.0)
 
     def apply_with_mask(self, image, mask, rng):
         """Same geometric draws for image and mask; intensity touches the image only."""
-        flips, angles, crops, gammas, deltas = self._draw_stack(rng, 1, np.shape(image))
-        img = self._geometry(np.array(image, dtype=np.float64)[None], flips, angles, crops, order=1)
-        msk = self._geometry(np.array(mask, dtype=np.float64)[None], flips, angles, crops, order=0)
-        return self._intensity(img, gammas, deltas)[0], np.round(msk[0]).astype(np.int64)
+        flip, angle, crop, gamma, delta = self._draw(rng, image.shape)
+        img = self._geometry(np.asarray(image, dtype=np.float64), flip, angle, crop, order=1)
+        msk = self._geometry(np.asarray(mask, dtype=np.float64), flip, angle, crop, order=0)
+        img = np.clip(np.clip(img, 0.0, 1.0) ** gamma + delta, 0.0, 1.0)
+        return img, np.round(msk).astype(np.int64)
 
 
 def augment_pair(image: np.ndarray, policy: AugmentationPolicy, seed) -> tuple[np.ndarray, np.ndarray]:
     """Two independent transform draws of one image, deterministic in the seed."""
-    v1, v2 = policy.apply_stack(np.stack([image, image]), np.random.default_rng(seed))
-    return v1, v2
+    rng = np.random.default_rng(seed)
+    return policy.apply(image, rng), policy.apply(image, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +452,16 @@ def build_pair_batch(
     rng: np.random.Generator,
 ) -> PairBatch:
     """Augment each referenced slice twice and attach its three meta-labels."""
+    images = []
     labels = np.zeros((3, 2 * len(refs)), dtype=np.int64)
     for t, (vi, si) in enumerate(refs):
-        labels[:, 2 * t] = labels[:, 2 * t + 1] = meta_labels_for(dataset.volumes[vi], si, dataset.spec)
-    originals = np.stack([dataset.volumes[vi].slices[si] for vi, si in refs])
+        vol = dataset.volumes[vi]
+        v1 = policy.apply(vol.slices[si], rng)
+        v2 = policy.apply(vol.slices[si], rng)
+        images.extend([v1, v2])
+        labels[:, 2 * t] = labels[:, 2 * t + 1] = meta_labels_for(vol, si, dataset.spec)
     return PairBatch(
-        images=policy.apply_stack(np.repeat(originals, 2, axis=0), rng),
-        pair_of=interleaved_pairs(2 * len(refs)),
-        meta_labels=labels,
+        images=np.stack(images), pair_of=interleaved_pairs(2 * len(refs)), meta_labels=labels
     )
 
 

@@ -106,6 +106,9 @@ class TestConfig:
             {"augment": {"gamma_range": [0.0, 1.0]}},
             {"augment": {"gamma_range": [1.2, 0.8]}},
             {"augment": {"brightness_delta": -0.1}},
+            {"augment": {"max_rotate_deg": float("inf")}},  # --set reads Infinity through json.loads
+            {"augment": {"gamma_range": [0.8, float("inf")]}},
+            {"augment": {"brightness_delta": float("inf")}},
             {"model": {"head_hidden": -1}},
             {"model": {"embed_dim": 0}},
             {"model": {"conv_channels": [0, 12]}},

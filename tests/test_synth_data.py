@@ -146,15 +146,6 @@ class TestAugmentation:
         assert out_img.shape == img.shape
 
 
-    def test_stack_equals_images_in_order(self, rng):
-        policy = AugmentationPolicy(flip_prob=0.5, max_rotate_deg=20.0, crop_scale=(0.6, 1.0), gamma_range=(0.7, 1.4))
-        images = rng.random((12, 10, 14))
-        a, b = np.random.default_rng(3), np.random.default_rng(3)
-        stacked = policy.apply_stack(images, a)
-        for image, out in zip(images, stacked):
-            np.testing.assert_array_equal(out, policy.apply(image, b))
-        assert a.bit_generator.state == b.bit_generator.state
-
     def test_mask_keeps_its_values(self, rng):
         policy = AugmentationPolicy(max_rotate_deg=30.0, crop_scale=(0.6, 1.0))
         mask = rng.choice([0, 3, 7], size=(12, 12))
@@ -169,14 +160,13 @@ class TestRotation:
     @pytest.mark.parametrize("order", [0, 1])
     def test_quarter_turns_are_exact(self, rng, size, order):
         img = rng.random((size, size))
-        out = rotate(np.stack([img] * 4), [0.0, 90.0, 180.0, 270.0], order)
-        for got, want in zip(out, [img, np.rot90(img, 1), np.rot90(img, 2), np.rot90(img, -1)]):
-            np.testing.assert_array_equal(got, want)
+        for angle, want in [(0.0, img), (90.0, np.rot90(img, 1)), (180.0, np.rot90(img, 2)), (270.0, np.rot90(img, -1))]:
+            np.testing.assert_array_equal(rotate(img, angle, order), want)
 
     def test_order0_mask_keeps_only_its_values(self, rng):
         mask = rng.choice([0.0, 2.0, 5.0], size=(16, 16))
-        out = rotate(np.stack([mask] * 20), rng.uniform(-30.0, 30.0, 20), order=0)
-        assert set(np.unique(out)) <= {0.0, 2.0, 5.0}
+        for angle in rng.uniform(-30.0, 30.0, 20):
+            assert set(np.unique(rotate(mask, angle, order=0))) <= {0.0, 2.0, 5.0}
 
     def test_right_angles_have_exact_cos_sin(self):
         for deg, cs in [(0.0, (1.0, 0.0)), (90.0, (0.0, 1.0)), (180.0, (-1.0, 0.0)), (-90.0, (0.0, -1.0)), (450.0, (0.0, 1.0))]:
@@ -184,7 +174,7 @@ class TestRotation:
 
     def test_unsupported_order_rejected(self):
         with pytest.raises(ValueError, match="orders 0 and 1"):
-            rotate(np.zeros((1, 4, 4)), [10.0], order=3)
+            rotate(np.zeros((4, 4)), 10.0, order=3)
 
     def test_matches_scipy_rotate_bit_for_bit(self, rng):
         ndimage = pytest.importorskip("scipy.ndimage")
@@ -199,22 +189,28 @@ class TestRotation:
             batch = rng.uniform(-30.0, 30.0, 3) if trial % 3 else rng.uniform(-400.0, 400.0, 3)
             for order in (0, 1):
                 src = img if order else np.round(3.0 * img)
-                got = rotate(np.stack([src] * 3), batch, order)
-                for angle, out in zip(batch, got):
+                for angle in batch:
                     want = ndimage.rotate(src, angle, reshape=False, order=order, mode="nearest")
-                    assert out.tobytes() == want.tobytes(), (h, w, angle, order)
+                    assert rotate(src, angle, order).tobytes() == want.tobytes(), (h, w, angle, order)
 
 
 class TestPairBatch:
     def test_default_policy_batch_is_pinned(self):
-        # rotation and crop on; digest recorded with the per-image SciPy rotation
+        # default flip, rotation and crop on uniform random pixels; gamma 1, no
+        # brightness shift and no generated slices keep sin and pow, which may
+        # differ in their last bit across CPUs, out of the digest. Recorded
+        # with SciPy's ndimage.rotate.
+        policy = AugmentationPolicy(gamma_range=(1.0, 1.0), brightness_delta=0.0)
         ds = generate_dataset(6, 8, (16, 16), noise_level=0.3, seed=1)
+        pixels = np.random.default_rng(1)
+        for vol in ds.volumes:
+            vol.slices = pixels.random(vol.slices.shape)
         rng = np.random.default_rng(0)
         refs = ds.slice_refs("train")
-        batch = build_pair_batch(ds, [refs[i] for i in rng.choice(len(refs), 8, replace=False)], AugmentationPolicy(), rng)
+        batch = build_pair_batch(ds, [refs[i] for i in rng.choice(len(refs), 8, replace=False)], policy, rng)
         assert batch.images.shape == (16, 16, 16)
         digest = hashlib.sha256(batch.images.tobytes()).hexdigest()
-        assert digest == "906c7cc9e521744889fccc2e1c5d1ffe9c47e7b196382dc9469f131a10b436e9"
+        assert digest == "c951fcffa1aca1c79d2948e11a53fafc7653aef9dc6c36c4206a9b850fdc6be6"
         assert rng.integers(0, 2**62) == 4104103359617733017
 
     def test_build_pair_batch_layout(self, rng):

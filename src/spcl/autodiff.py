@@ -25,6 +25,17 @@ forward has just allocated (a writeable, C-contiguous float64 ndarray owning
 its memory) is frozen in place instead; views, NumPy scalars and anything
 else are copied as before. Either way ``Tensor.data`` is read-only and holds
 the same bits.
+
+``conv2d`` lowers to im2col (Chellapilla, Puri & Simard 2006). The columns
+are gathered with ``np.take`` along the pixel axis, which writes them once in
+C order, so the reshape to the (pixels, taps) matrix is a view, not a second
+copy. Its backward computes the input cotangent only when the input was
+tracked on the tape when the op was recorded: the image batch of a taped
+forward is a constant, and the gradient walk would drop that cotangent
+anyway. Watching a tensor therefore affects only the ops recorded after the
+``watch`` call; watch an input before using it. ``avg_pool2x``'s backward
+and ``upsample2x``'s forward write their broadcast result once into a new
+array.
 """
 
 from __future__ import annotations
@@ -205,6 +216,12 @@ class GradTape:
             self._quiet.__exit__(exc_type, exc, tb)
 
     def watch(self, tensor: Tensor) -> None:
+        """Track ``tensor`` like a ``requires_grad`` one in the ops recorded from now on.
+
+        Ops recorded before the call are not affected: they may have left the
+        tensor out of the tape, or (``conv2d``) skipped its cotangent, so
+        watch a tensor before using it.
+        """
         self._tracked.add(id(tensor))
 
     def replay(self) -> np.ndarray:
@@ -539,6 +556,9 @@ def conv2d(x: Tensor, kernel: Tensor, image_hw: tuple[int, int]) -> Tensor:
 
     x: (B, H*W*Cin) with channel-last pixel layout; kernel: (k*k*Cin, Cout).
     Returns (B, H*W*Cout). The square kernel size is inferred from shapes.
+    The columns are one contiguous ``np.take`` gather over a per-shape patch
+    table. The backward returns ``None`` for ``x`` when ``x`` was neither
+    ``requires_grad`` nor watched on the tape when this op was recorded.
     """
     h, w = image_hw
     cin = x.shape[1] // (h * w)
@@ -555,7 +575,9 @@ def conv2d(x: Tensor, kernel: Tensor, image_hw: tuple[int, int]) -> Tensor:
         b = xd.shape[0]
         imgs = xd.reshape(b, h * w, channels)
         padded = np.concatenate([imgs, np.zeros((b, 1, channels))], axis=1)
-        return padded[:, idx, :].reshape(b * h * w, k * k * channels)
+        # take() writes the columns in C order, so the reshape is a view; a
+        # fancy index on the middle axis (padded[:, idx, :]) would copy again
+        return np.take(padded, idx, axis=1).reshape(b * h * w, k * k * channels)
 
     def fwd(xd, kd):
         out = im2col(xd, cin) @ kd
@@ -564,6 +586,9 @@ def conv2d(x: Tensor, kernel: Tensor, image_hw: tuple[int, int]) -> Tensor:
 
     def bwd(datas, out):
         xd, kd = datas
+        # _apply's tracked test, at record time: the gradient walk drops the
+        # cotangent of an untracked input (the image batch), so skip it
+        need_x = x.requires_grad or id(x) in _TAPE_STACK[-1]._tracked
         # input cotangent of a same-padded stride-1 conv is a conv of the
         # output cotangent with the spatially flipped, channel-swapped kernel
         flipped = kd.reshape(k, k, cin, cout)[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
@@ -571,7 +596,7 @@ def conv2d(x: Tensor, kernel: Tensor, image_hw: tuple[int, int]) -> Tensor:
         def back(g):
             b = xd.shape[0]
             g_kernel = im2col(xd, cin).T @ g.reshape(b * h * w, cout)
-            g_x = (im2col(g, cout) @ flipped).reshape(b, h * w * cin)
+            g_x = (im2col(g, cout) @ flipped).reshape(b, h * w * cin) if need_x else None
             return g_x, g_kernel
 
         return back
@@ -597,8 +622,9 @@ def avg_pool2x(x: Tensor, image_hw: tuple[int, int]) -> Tensor:
 
         def back(g):
             b = xd.shape[0]
-            g_grid = g.reshape(b, h // 2, 1, w // 2, 1, c) / 4.0
-            return (np.broadcast_to(g_grid, (b, h // 2, 2, w // 2, 2, c)).reshape(b, h * w * c).copy(),)
+            g_x = np.empty((b, h * w * c))
+            g_x.reshape(b, h // 2, 2, w // 2, 2, c)[...] = g.reshape(b, h // 2, 1, w // 2, 1, c) / 4.0
+            return (g_x,)
 
         return back
 
@@ -612,8 +638,9 @@ def upsample2x(x: Tensor, image_hw: tuple[int, int]) -> Tensor:
 
     def fwd(xd):
         b = xd.shape[0]
-        grid = xd.reshape(b, h, 1, w, 1, c)
-        return np.broadcast_to(grid, (b, h, 2, w, 2, c)).reshape(b, 4 * h * w * c).copy()
+        out = np.empty((b, 4 * h * w * c))  # written once, then frozen in place
+        out.reshape(b, h, 2, w, 2, c)[...] = xd.reshape(b, h, 1, w, 1, c)
+        return out
 
     def bwd(datas, out):
         (xd,) = datas

@@ -17,9 +17,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tensor, concat, l2_normalize_rows
+from .autodiff import Tensor, avg_pool2x, concat, conv2d, l2_normalize_rows, upsample2x
 from .errors import DataError, InvalidConfig, ShapeMismatch
-from .schema import check_value
+from .schema import check_finite, check_value
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -57,7 +57,7 @@ class ModelConfig:
 
 
 def check_layers(m) -> None:
-    """Reject an arch or layer sizes the model cannot be built from.
+    """Reject an arch, layer sizes or a LeakyReLU slope the model cannot be built from.
 
     ``m`` is a ModelConfig or any object with its layer fields (the
     experiment config's model section). Only the sizes ``m.arch`` builds are
@@ -66,6 +66,7 @@ def check_layers(m) -> None:
     """
     if m.arch not in ("conv", "dense"):
         raise InvalidConfig(f"arch must be 'conv' or 'dense', got {m.arch!r}")
+    check_finite(m, "leaky_slope")
     if len(m.encoder_widths) < 1:
         raise InvalidConfig("need at least one encoder block")
     positive = {"head_hidden": (m.head_hidden,), "embed_dim": (m.embed_dim,)}
@@ -139,8 +140,6 @@ class ParamModel:
         return x
 
     def _conv_block(self, x: Tensor, name: str, hw: tuple[int, int]) -> Tensor:
-        from .autodiff import conv2d
-
         out = conv2d(x, self.params[f"{name}.w"], hw)
         b = self.params[f"{name}.b"]
         c = b.shape[0]
@@ -151,8 +150,6 @@ class ParamModel:
         """Feature vectors and the full-resolution first-block skip activations."""
         x = self._flatten(images)
         if self.config.arch == "conv":
-            from .autodiff import avg_pool2x
-
             h, w = self.config.image_shape
             a1 = self._conv_block(x, "enc.c0", (h, w))
             skip = a1
@@ -187,8 +184,6 @@ class ParamModel:
         feat, skip = self.encode(images)
         h, w = self.config.image_shape
         if self.config.arch == "conv":
-            from .autodiff import conv2d, upsample2x
-
             c1, c2 = self.config.conv_channels
             u = (feat @ self.params["dec.proj.w"] + self.params["dec.proj.b"]).leaky_relu(
                 self.config.leaky_slope

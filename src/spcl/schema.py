@@ -3,11 +3,14 @@
 Config files, ``--set`` overrides and checkpoint metadata are JSON, so a
 value can arrive with the wrong type. ``check_value`` accepts what the
 field's annotation allows and turns JSON lists into tuples; anything else is
-an InvalidConfig that names the dotted key.
+an InvalidConfig that names the dotted key. JSON also reads ``Infinity`` and
+``NaN`` as numbers; ``check_finite`` is the range check the config classes
+run on their float fields.
 """
 
 from __future__ import annotations
 
+import math
 import types
 import typing
 
@@ -38,3 +41,11 @@ def check_value(value, hint, key: str):
     if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
         raise InvalidConfig(f"{key} must be {name}, got {value!r}")
     return value
+
+
+def check_finite(owner, *names: str) -> None:
+    """InvalidConfig naming the first of ``owner``'s fields ``names`` that is NaN or infinite (None passes)."""
+    for name in names:
+        value = getattr(owner, name)
+        if value is not None and not math.isfinite(value):
+            raise InvalidConfig(f"{name} must be finite, got {value}")

@@ -26,6 +26,7 @@ once per batch for all meta-labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +34,7 @@ import numpy as np
 from .autodiff import Tensor
 from .contrastive import AugmentedBatch, PairLossMatrix, masked_mean, pair_loss_values, positive_mask
 from .errors import InvalidConfig
+from .schema import check_finite
 
 HARD = "hard"
 LINEAR = "linear"
@@ -57,6 +59,7 @@ class SelfPacedConfig:
     def __post_init__(self):
         if self.regularizer not in _REGULARIZERS:
             raise InvalidConfig(f"regularizer must be one of {_REGULARIZERS}, got {self.regularizer!r}")
+        check_finite(self, "tau", "gamma_start", "gamma_end", "p")
         if self.tau <= 0.0:
             raise InvalidConfig(f"tau must be positive, got {self.tau}")
         if self.p <= 0.0:
@@ -65,6 +68,8 @@ class SelfPacedConfig:
             if self.gamma_start > self.gamma_end:
                 raise InvalidConfig("gamma_start must not exceed gamma_end")
         lam = tuple(float(v) for v in self.lambdas)
+        if not all(math.isfinite(v) for v in lam):
+            raise InvalidConfig(f"lambdas must be finite, got {lam}")
         if not lam or any(v < 0.0 for v in lam) or not any(v > 0.0 for v in lam):
             raise InvalidConfig("lambdas must be non-negative with at least one positive entry")
         object.__setattr__(self, "lambdas", lam)

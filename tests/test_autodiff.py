@@ -141,7 +141,7 @@ class TestDispatch:
         assert calls == [(4, 4, 3)]
         np.testing.assert_array_equal(first.data, second.data)
 
-    @pytest.mark.parametrize("op", ["conv2d", "avg_pool2x"])
+    @pytest.mark.parametrize("op", ["conv2d", "avg_pool2x", "upsample2x"])
     def test_conv_and_pool_outputs_are_frozen_in_place(self, monkeypatch, op):
         rng = np.random.default_rng(1)
         img = Tensor(rng.standard_normal((2, 4 * 4 * 3)))
@@ -155,10 +155,14 @@ class TestDispatch:
             return out
 
         monkeypatch.setattr(ad, "_freeze", recording)
-        out = ad.conv2d(img, kernel, (4, 4)) if op == "conv2d" else ad.avg_pool2x(img, (4, 4))
+        out, shape = {
+            "conv2d": lambda: (ad.conv2d(img, kernel, (4, 4)), (2, 4 * 4 * 2)),
+            "avg_pool2x": lambda: (ad.avg_pool2x(img, (4, 4)), (2, 2 * 2 * 3)),
+            "upsample2x": lambda: (ad.upsample2x(img, (4, 4)), (2, 8 * 8 * 3)),
+        }[op]()
         produced, kept = frozen[-1]
         assert kept is produced and out.data is produced
-        assert out.shape == ((2, 4 * 4 * 2) if op == "conv2d" else (2, 2 * 2 * 3))
+        assert out.shape == shape
 
 
 class TestL2Normalize:
@@ -350,3 +354,126 @@ class TestConcatReshape:
             out = (x.reshape(6) ** 2.0).sum()
         (g,) = tape.gradient(out, [x])
         np.testing.assert_allclose(g, 2 * x.data)
+
+
+# The pre-change formulas of the conv path, kept as a byte-level reference:
+# a fancy-index im2col whose reshape copies, and broadcast-reshape-copy
+# pooling and upsampling.
+def _ref_im2col(xd, hw, k, channels):
+    h, w = hw
+    b = xd.shape[0]
+    padded = np.concatenate([xd.reshape(b, h * w, channels), np.zeros((b, 1, channels))], axis=1)
+    return padded[:, ad._patch_indices(h, w, k), :].reshape(b * h * w, k * k * channels)
+
+
+def _ref_conv2d(xd, kd, hw, k, cin, cout, g):
+    h, w = hw
+    b = xd.shape[0]
+    out = (_ref_im2col(xd, hw, k, cin) @ kd).reshape(b, h * w * cout)
+    flipped = kd.reshape(k, k, cin, cout)[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
+    g_kernel = _ref_im2col(xd, hw, k, cin).T @ g.reshape(b * h * w, cout)
+    g_x = (_ref_im2col(g, hw, k, cout) @ flipped).reshape(b, h * w * cin)
+    return out, g_x, g_kernel
+
+
+def _ref_pool_backward(g, hw, c):
+    h, w = hw
+    b = g.shape[0]
+    g_grid = g.reshape(b, h // 2, 1, w // 2, 1, c) / 4.0
+    return np.broadcast_to(g_grid, (b, h // 2, 2, w // 2, 2, c)).reshape(b, h * w * c).copy()
+
+
+def _ref_upsample(xd, hw, c):
+    h, w = hw
+    b = xd.shape[0]
+    grid = xd.reshape(b, h, 1, w, 1, c)
+    return np.broadcast_to(grid, (b, h, 2, w, 2, c)).reshape(b, 4 * h * w * c).copy()
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _recorded(op_fn, *inputs):
+    """Output tensor and backward closure of one op recorded on a fresh tape."""
+    with GradTape() as tape:
+        out = op_fn(*inputs)
+    return out, tape.nodes[-1].backward_fn
+
+
+class TestConvPath:
+    @pytest.mark.parametrize("k", [3, 1])
+    def test_conv2d_matches_finite_differences(self, k):
+        rng = np.random.default_rng(11 + k)
+        hw, cin, cout = (4, 6), 2, 3
+        x = Tensor(rng.standard_normal((2, 4 * 6 * cin)), requires_grad=True, name="x")
+        kernel = Tensor(rng.standard_normal((k * k * cin, cout)), requires_grad=True, name="kernel")
+        weights = Tensor(rng.standard_normal((2, 4 * 6 * cout)))
+
+        report = finite_diff_check(
+            lambda x_, k_: (ad.conv2d(x_, k_, hw) * weights).sum(), [x, kernel], tolerance=1e-4
+        )
+        assert report.passed, report
+
+    @pytest.mark.parametrize("op, out_pixels", [("avg_pool2x", 2 * 3), ("upsample2x", 8 * 12)])
+    def test_pool_and_upsample_match_finite_differences(self, op, out_pixels):
+        rng = np.random.default_rng(17)
+        hw, c = (4, 6), 2
+        x = Tensor(rng.standard_normal((2, 4 * 6 * c)), requires_grad=True, name="x")
+        weights = Tensor(rng.standard_normal((2, out_pixels * c)))
+        fn = getattr(ad, op)
+
+        report = finite_diff_check(lambda x_: (fn(x_, hw) * weights).sum(), [x], tolerance=1e-4)
+        assert report.passed, report
+
+    def test_outputs_and_cotangents_byte_equal_to_reference(self):
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            b, cin, cout = (int(v) for v in rng.integers(1, 5, size=3))
+            hw = tuple(int(2 * v) for v in rng.integers(1, 5, size=2))
+            k = int(rng.choice([1, 3]))
+            h, w = hw
+            x = Tensor(rng.standard_normal((b, h * w * cin)), requires_grad=True)
+            kernel = Tensor(rng.standard_normal((k * k * cin, cout)), requires_grad=True)
+            g = rng.standard_normal((b, h * w * cout))
+            out, back = _recorded(ad.conv2d, x, kernel, hw)
+            ref_out, ref_gx, ref_gk = _ref_conv2d(x.data, kernel.data, hw, k, cin, cout, g)
+            g_x, g_kernel = back(g)
+            assert _same_bytes(out.data, ref_out)
+            assert _same_bytes(g_x, ref_gx) and _same_bytes(g_kernel, ref_gk)
+
+            pooled, back = _recorded(ad.avg_pool2x, x, hw)
+            g = rng.standard_normal(pooled.shape)
+            (g_pool,) = back(g)
+            assert _same_bytes(g_pool, _ref_pool_backward(g, hw, cin))
+
+            up = ad.upsample2x(x, hw)
+            assert _same_bytes(up.data, _ref_upsample(x.data, hw, cin))
+
+    @pytest.mark.parametrize("source", ["requires_grad", "watched", "upstream_op"])
+    def test_conv2d_input_cotangent_only_when_tracked(self, source):
+        rng = np.random.default_rng(29)
+        hw, k, cin, cout = (4, 6), 3, 2, 3
+        xd = rng.standard_normal((2, 4 * 6 * cin))
+        kernel = Tensor(rng.standard_normal((k * k * cin, cout)), requires_grad=True)
+        g = rng.standard_normal((2, 4 * 6 * cout))
+        _, ref_gx, ref_gk = _ref_conv2d(xd, kernel.data, hw, k, cin, cout, g)
+
+        _, back = _recorded(ad.conv2d, Tensor(xd), kernel, hw)  # a constant image batch
+        const_gx, const_gk = back(g)
+        assert const_gx is None
+        assert _same_bytes(const_gk, ref_gk)
+
+        with GradTape() as tape:
+            if source == "requires_grad":
+                x = Tensor(xd, requires_grad=True)
+            elif source == "watched":
+                x = Tensor(xd)
+                tape.watch(x)
+            else:  # the output of an op on a tracked tensor: tracked through the tape
+                x = Tensor(xd / 2.0, requires_grad=True) * 2.0
+            ad.conv2d(x, kernel, hw)
+        g_x, g_kernel = tape.nodes[-1].backward_fn(g)
+        assert _same_bytes(g_x, ref_gx)
+        assert _same_bytes(g_kernel, const_gk)

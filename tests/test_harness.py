@@ -127,6 +127,34 @@ class TestConfig:
             config_from_dict(data)
 
     @pytest.mark.parametrize(
+        "override",
+        [
+            "pretrain.lr=Infinity",  # --set reads Infinity and NaN through json.loads
+            "pretrain.lr=-1",
+            "semisup.lr=NaN",
+            "semisup.lr=0",
+            "semisup.lambda_reg=Infinity",
+            "semisup.consistency_noise=Infinity",
+            "semisup.consistency_noise=-1",
+            "semisup.ema_decay=NaN",
+            "semisup.ema_decay=1.5",
+            "semisup.encoder_lr_scale=Infinity",
+            "semisup.encoder_lr_scale=-1",
+            "semisup.epochs=0",
+            "semisup.batch_size=0",
+            "semisup.unlabeled_batch_originals=1",
+            "self_paced.tau=Infinity",
+            "self_paced.p=Infinity",
+            "self_paced.gamma_start=NaN",
+            "self_paced.lambdas=[1.0, Infinity]",
+            "model.leaky_slope=NaN",
+        ],
+    )
+    def test_training_value_out_of_range_rejected_at_load(self, override):
+        with pytest.raises(InvalidConfig):
+            config_from_dict(apply_overrides({}, [override]))
+
+    @pytest.mark.parametrize(
         "data",
         [
             {"model": {"arch": "dense", "skip_width": 0}},  # no skip branch
@@ -280,6 +308,14 @@ class TestCliProcess:
 
     def test_config_error_exit_code(self, workdir):
         for override in ("data.bogus=1", "ablation.eval_split=bogus"):
+            r = run_cli(["train", "--config", "small.json", "--set", override, "--name", "bad"], workdir)
+            assert r.returncode == 2, r.stderr
+            assert "Traceback" not in r.stderr
+            assert not (workdir / "runs" / "bad").exists()
+
+    def test_training_value_out_of_range_exits_2_before_any_data(self, workdir):
+        # both used to fail only once training had started
+        for override in ("semisup.batch_size=0", "semisup.ema_decay=1.5"):
             r = run_cli(["train", "--config", "small.json", "--set", override, "--name", "bad"], workdir)
             assert r.returncode == 2, r.stderr
             assert "Traceback" not in r.stderr

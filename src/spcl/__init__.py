@@ -25,19 +25,15 @@ from .self_paced import (
     sp_contrastive_loss,
 )
 from .semi_supervised import (
-    LossBreakdown,
     PretrainConfig,
     SemiSupConfig,
     TrainingState,
     consistency_loss,
     dice_coefficient,
     evaluate_dice,
-    pretrain_epoch,
     run_pretraining,
     run_semisup,
-    semisup_epoch,
     supervised_loss,
-    train_supervised,
 )
 from .synth_data import (
     AugmentationPolicy,

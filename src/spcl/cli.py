@@ -3,7 +3,9 @@
 Subcommands mirror the experiment stages: generate-data, pretrain, train,
 eval, ablation, verify, pace-report. One JSON config file plus repeatable
 --set section.key=value overrides (flags win). Exit codes: 0 success,
-2 config error, 3 data error, 4 verification failure.
+1 training failed (a NaN/Inf or a vanishing norm, named with its phase, epoch
+and step) or an ablation ordering check failed, 2 config error, 3 data error,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 from .ablation import ablation_checks, format_ablation_table, run_ablation, write_ablation_csv
 from .config import ExperimentConfig, load_config, save_effective_config
-from .errors import DataError, InvalidConfig, VerificationFailure
+from .errors import DataError, InvalidConfig, NonFiniteValue, NormTooSmall, VerificationFailure
 from .models import ParamModel
 from .pace_report import pace_report, write_pace_csv
 from .semi_supervised import evaluate_dice, run_pretraining, run_semisup, write_history_csv
@@ -24,6 +26,7 @@ from .synth_data import SPLITS, generate_dataset, load_dataset, save_dataset
 from .verify import run_verification
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_VERIFY = 4
@@ -125,7 +128,7 @@ def cmd_ablation(config: ExperimentConfig, args) -> int:
     for p in problems:
         print(f"ordering check failed: {p}", file=sys.stderr)
     print(f"outputs in {out}")
-    return EXIT_OK if not problems else 1
+    return EXIT_OK if not problems else EXIT_FAILED
 
 
 def cmd_verify(config: ExperimentConfig, args) -> int:
@@ -210,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except (NonFiniteValue, NormTooSmall) as exc:
+        print(f"training failed: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     except VerificationFailure as exc:
         print(f"verification failed: {', '.join(exc.failed_families)}", file=sys.stderr)
         return EXIT_VERIFY

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .errors import InvalidConfig
 from .models import ModelConfig, check_layers
-from .schema import check_value
+from .schema import check_finite, check_value
 from .self_paced import SelfPacedConfig
 from .semi_supervised import PretrainConfig, SemiSupConfig
 from .synth_data import SPLITS, TEST_FRACTION, VAL_FRACTION, AugmentationPolicy, check_generation
@@ -78,6 +78,11 @@ class AblationSection:
     eval_split: str = "test"
 
     def __post_init__(self):
+        if len(self.seeds) < 3:
+            raise InvalidConfig(f"ablation needs at least 3 seeds for a standard deviation, got {len(self.seeds)}")
+        if self.num_labeled < 1:
+            raise InvalidConfig(f"num_labeled must be >= 1, got {self.num_labeled}")
+        check_finite(self, "baseline_margin")
         if self.eval_split not in SPLITS:
             raise InvalidConfig(f"eval_split must be one of {SPLITS}, got {self.eval_split!r}")
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .contrastive import AugmentedBatch
+from .errors import InvalidConfig
 from .models import ParamModel
 from .self_paced import combined_sp_loss, pace_schedule, weight_stats
 from .synth_data import build_pair_batch, generate_dataset
@@ -40,6 +41,8 @@ def pace_report(
     regularizers: tuple[str, ...] = REGULARIZERS,
 ) -> list[PaceRow]:
     """One row per (epoch, p, regularizer) on a frozen model and batch."""
+    if max_epoch < 1:
+        raise InvalidConfig(f"max_epoch must be >= 1, got {max_epoch}")
     dataset = generate_dataset(**config.data_kwargs())
     model = ParamModel(config.model_config())
     rng = np.random.default_rng([config.seed, 777])

@@ -1,19 +1,23 @@
-"""Training objectives and loops: cross-entropy, Mean-Teacher consistency,
-the combined semi-supervised objective, and the alternating self-paced loop.
+"""Training objectives and the training loop: cross-entropy, Mean-Teacher
+consistency, the combined semi-supervised objective, and the one loop that
+runs both self-paced pre-training and semi-supervised training.
 
-The pre-training loop embeds augmented pair batches, solves the pair weights
-in closed form, and steps the encoder+head on the weighted loss. The
-semi-supervised loop optimizes
+Both phases take the same step, one per batch: a taped loss, gradients over
+a parameter list fixed for the run, one RAdam step, an EMA teacher update
+when there is a teacher, and one history row; the pace gamma advances after
+each epoch. The phases differ only in their batch stream and their loss.
+Pre-training embeds augmented pair batches, solves the pair weights in
+closed form, and steps the encoder+head on the weighted loss.
+Semi-supervised training optimizes
 
     total = sup + lambda_reg * consistency + lambda_sp * sp_contrastive
 
-Both loops take their contrastive term, and the pair-weight statistics they
-log, from ``self_paced.combined_sp_loss``: one call per batch, in every
-pre-training mode and with or without self-paced weighting.
-
-with one optimizer step per batch and an EMA teacher update after each step.
-With both lambdas zero it degenerates to plain supervised training (and is
-the supervised baseline, bit for bit: the unlabeled stream is never touched).
+Both take their contrastive term, and the pair-weight statistics they log,
+from ``self_paced.combined_sp_loss``: one call per batch, in every
+pre-training mode and with or without self-paced weighting. With both
+lambdas zero semi-supervised training degenerates to plain supervised
+training (and is the supervised baseline, bit for bit: the unlabeled stream
+is never touched).
 
 All stochastic draws flow through per-epoch seeded generators, so two runs
 with the same config and seed produce identical loss histories.
@@ -28,7 +32,7 @@ import numpy as np
 
 from .autodiff import GradTape, Tensor, tsum
 from .contrastive import AugmentedBatch
-from .errors import InvalidConfig, ShapeMismatch
+from .errors import InvalidConfig, NonFiniteValue, NormTooSmall, ShapeMismatch
 from .models import EmaTeacher, ParamModel, ema_update
 from .optim import RAdam
 from .schema import check_finite
@@ -102,19 +106,6 @@ def consistency_loss(student_logits, teacher_logits) -> Tensor:
     return (diff * diff).mean()
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Per-step loss terms; reg and sp_con are unscaled, total carries the lambdas."""
-
-    sup: float
-    reg: float
-    sp_con: float
-    total: float
-
-    def check_additivity(self, lambda_reg: float, lambda_sp: float, tol: float = 1e-10) -> bool:
-        return abs(self.total - (self.sup + lambda_reg * self.reg + lambda_sp * self.sp_con)) <= tol
-
-
 # ---------------------------------------------------------------------------
 # configs and state
 # ---------------------------------------------------------------------------
@@ -173,27 +164,9 @@ class TrainingState:
     model: ParamModel
     teacher: EmaTeacher | None
     optimizer: RAdam
-    max_epoch: int
-    seed: int
     epoch: int = 0
     gamma: float = 1.0
     history: list[dict] = field(default_factory=list)
-
-    def record(self, step: int, breakdown: LossBreakdown, gamma: float, w_stats: tuple[float, float, float]):
-        self.history.append(
-            {
-                "epoch": self.epoch,
-                "step": step,
-                "sup": breakdown.sup,
-                "reg": breakdown.reg,
-                "sp_con": breakdown.sp_con,
-                "total": breakdown.total,
-                "gamma": gamma,
-                "mean_w": w_stats[0],
-                "min_w": w_stats[1],
-                "max_w": w_stats[2],
-            }
-        )
 
 
 def write_history_csv(history: list[dict], path) -> None:
@@ -255,43 +228,46 @@ def _require_full_batch(num_slices: int, batch_originals: int, field: str) -> No
 
 
 # ---------------------------------------------------------------------------
-# pre-training
+# the training loop
 # ---------------------------------------------------------------------------
 
-def _pretrain_loss(model: ParamModel, batch: PairBatch, mode: str, gamma: float, cfg: SelfPacedConfig):
-    """Embed, assemble the contrastive batch, and return (loss, weight stats)."""
-    z = model.embed_batch(batch.images)
-    if mode in ("unsup", "unsup_sp"):
-        labels = per_image_labels(batch.images.shape[0] // 2)
-        cfg = replace(cfg, lambdas=(1.0,))
-    else:
-        labels = batch.meta_labels
-    aug = AugmentedBatch(z, batch.pair_of, labels)
-    loss, w = combined_sp_loss(aug, gamma, cfg, weighted=mode in ("sp", "unsup_sp"))
-    return loss, weight_stats(w)
+def _fit(
+    state: TrainingState, phase: str, config: PretrainConfig | SemiSupConfig, names: list[str], batches, loss
+) -> TrainingState:
+    """Run ``config.epochs`` epochs of the step both phases share.
 
-
-def pretrain_epoch(state: TrainingState, unlabeled_stream, config: PretrainConfig) -> TrainingState:
-    """One pass: closed-form weights per batch, one encoder+head step per batch."""
-    sp_cfg = config.self_paced
-    if sp_cfg.gamma_start is None or sp_cfg.gamma_end is None:
-        raise InvalidConfig("resolve pace endpoints before training (with_default_pace)")
-    step = 0
-    for batch in unlabeled_stream:
-        if isinstance(batch, UnlabeledBatch):
-            batch = batch.pair
-        with GradTape() as tape:
-            loss, w_stats = _pretrain_loss(state.model, batch, config.loss_mode, state.gamma, sp_cfg)
-        params = state.model.encoder_head_params()
-        names = sorted(params)
-        grads = tape.gradient(loss, [params[n] for n in names], warn_disconnected=False)
-        state.optimizer.step(state.model.params, dict(zip(names, grads)))
-        value = loss.item()
-        state.record(step, LossBreakdown(0.0, 0.0, value, value), state.gamma, w_stats)
-        step += 1
-    state.epoch += 1
-    state.gamma = pace_schedule(sp_cfg, state.epoch, state.max_epoch)
+    ``batches(epoch)`` yields an epoch's batches. Per batch, ``loss(batch,
+    gamma)`` returns the taped total, the (sup, reg, sp_con) terms and the
+    pair-weight stats; gradients over ``names`` feed one RAdam step, the
+    teacher (if any) takes one EMA update, and one history row is appended.
+    Gamma follows ``config.self_paced``'s pace, advancing after each epoch. A
+    NaN/Inf or a vanishing norm is re-raised naming the phase, epoch and step.
+    """
+    params = state.model.params
+    state.gamma = pace_schedule(config.self_paced, 0, config.epochs)
+    for epoch in range(config.epochs):
+        for step, batch in enumerate(batches(epoch)):
+            try:
+                with GradTape() as tape:
+                    total, terms, w_stats = loss(batch, state.gamma)
+                grads = tape.gradient(total, [params[n] for n in names], warn_disconnected=False)
+                state.optimizer.step(params, dict(zip(names, grads)))
+                if state.teacher is not None:
+                    ema_update(state.teacher, state.model)
+            except (NonFiniteValue, NormTooSmall) as exc:
+                raise type(exc)(f"{phase} epoch {epoch} step {step}: {exc}") from exc
+            row = (epoch, step, *terms, total.item(), state.gamma, *w_stats)
+            state.history.append(dict(zip(HISTORY_COLUMNS, row)))
+        state.epoch += 1
+        state.gamma = pace_schedule(config.self_paced, state.epoch, config.epochs)
     return state
+
+
+def _sp_term(model: ParamModel, pair: PairBatch, labels, gamma: float, cfg: SelfPacedConfig, weighted: bool):
+    """Embed a pair batch; return its self-paced contrastive loss and pair-weight stats."""
+    aug = AugmentedBatch(model.embed_batch(pair.images), pair.pair_of, labels)
+    loss, w = combined_sp_loss(aug, gamma, cfg, weighted=weighted)
+    return loss, weight_stats(w)
 
 
 def run_pretraining(
@@ -306,78 +282,21 @@ def run_pretraining(
     config = replace(config, self_paced=config.self_paced.with_default_pace(config.batch_originals))
     refs = dataset.slice_refs("train")
     _require_full_batch(len(refs), config.batch_originals, "batch_originals")
-    state = TrainingState(
-        model=model,
-        teacher=None,
-        optimizer=RAdam(lr=config.lr),
-        max_epoch=config.epochs,
-        seed=seed,
-        gamma=pace_schedule(config.self_paced, 0, config.epochs),
-    )
-    for epoch in range(config.epochs):
+    unsup = config.loss_mode in ("unsup", "unsup_sp")
+    sp_cfg = replace(config.self_paced, lambdas=(1.0,)) if unsup else config.self_paced
+    weighted = config.loss_mode in ("sp", "unsup_sp")
+
+    def batches(epoch):
         rng = np.random.default_rng([seed, epoch, 1])
-        stream = unlabeled_batches(dataset, refs, config.batch_originals, policy, rng)
-        pretrain_epoch(state, stream, config)
-    return state
+        return (b.pair for b in unlabeled_batches(dataset, refs, config.batch_originals, policy, rng))
 
+    def loss(pair: PairBatch, gamma: float):
+        labels = per_image_labels(pair.images.shape[0] // 2) if unsup else pair.meta_labels
+        sp, w_stats = _sp_term(model, pair, labels, gamma, sp_cfg, weighted)
+        return sp, (0.0, 0.0, sp.item()), w_stats
 
-# ---------------------------------------------------------------------------
-# semi-supervised training
-# ---------------------------------------------------------------------------
-
-def semisup_epoch(
-    state: TrainingState,
-    labeled_stream,
-    unlabeled_stream,
-    config: SemiSupConfig,
-) -> TrainingState:
-    """One epoch of total = sup + lambda_reg*consistency + lambda_sp*sp_con.
-
-    With both lambdas zero the unlabeled stream is ignored entirely and the
-    epoch is plain supervised training. Otherwise the unlabeled stream drives
-    the step count and labeled batches cycle.
-    """
-    use_unlabeled = (config.lambda_reg > 0 or config.lambda_sp > 0) and unlabeled_stream is not None
-    if use_unlabeled:
-        pairs = zip(itertools.cycle(list(labeled_stream)), unlabeled_stream)
-    else:
-        pairs = ((lab, None) for lab in labeled_stream)
-
-    sp_cfg = config.self_paced
-    for step, ((images, masks), unlabeled) in enumerate(pairs):
-        w_stats = (0.0, 0.0, 0.0)
-        with GradTape() as tape:
-            sup = supervised_loss(state.model.segment_batch(images), masks)
-            total = sup
-            reg_value = 0.0
-            sp_value = 0.0
-            if unlabeled is not None and config.lambda_reg > 0:
-                teacher_logits = state.teacher.as_model().segment_batch(unlabeled.clean_images)
-                student_logits = state.model.segment_batch(unlabeled.student_view)
-                reg = consistency_loss(student_logits, teacher_logits.data)
-                reg_value = reg.item()
-                total = total + reg * config.lambda_reg
-            if unlabeled is not None and config.lambda_sp > 0:
-                z = state.model.embed_batch(unlabeled.pair.images)
-                aug = AugmentedBatch(z, unlabeled.pair.pair_of, unlabeled.pair.meta_labels)
-                sp, w = combined_sp_loss(aug, state.gamma, sp_cfg, weighted=config.sp_weighting)
-                w_stats = weight_stats(w)
-                sp_value = sp.item()
-                total = total + sp * config.lambda_sp
-        names = sorted(state.model.params)
-        grads = tape.gradient(total, [state.model.params[n] for n in names], warn_disconnected=False)
-        state.optimizer.step(state.model.params, dict(zip(names, grads)))
-        if state.teacher is not None:
-            ema_update(state.teacher, state.model, config.ema_decay)
-        state.record(
-            step,
-            LossBreakdown(sup=sup.item(), reg=reg_value, sp_con=sp_value, total=total.item()),
-            state.gamma,
-            w_stats,
-        )
-    state.epoch += 1
-    state.gamma = pace_schedule(sp_cfg, state.epoch, state.max_epoch)
-    return state
+    state = TrainingState(model=model, teacher=None, optimizer=RAdam(lr=config.lr))
+    return _fit(state, "pretrain", config, sorted(model.encoder_head_params()), batches, loss)
 
 
 def run_semisup(
@@ -388,7 +307,12 @@ def run_semisup(
     seed: int = 0,
     policy: AugmentationPolicy | None = None,
 ) -> TrainingState:
-    """Semi-supervised training on the train split with the given labeled patients."""
+    """Semi-supervised training on the train split with the given labeled patients.
+
+    With both lambdas zero the unlabeled stream is never drawn and this is
+    plain supervised training. Otherwise the unlabeled stream drives the step
+    count and labeled batches cycle.
+    """
     policy = policy or AugmentationPolicy()
     config = replace(
         config, self_paced=config.self_paced.with_default_pace(config.unlabeled_batch_originals)
@@ -413,56 +337,46 @@ def run_semisup(
         ]
     else:
         unlabeled_refs = dataset.slice_refs("train")
-    if config.lambda_reg > 0 or config.lambda_sp > 0:
+    use_unlabeled = config.lambda_reg > 0 or config.lambda_sp > 0
+    if use_unlabeled:
         _require_full_batch(len(unlabeled_refs), config.unlabeled_batch_originals, "unlabeled_batch_originals")
+
+    def batches(epoch):
+        lab = labeled_batches(dataset, labeled_refs, config.batch_size, np.random.default_rng([seed, epoch, 0]))
+        if not use_unlabeled:
+            return ((b, None) for b in lab)
+        unl_rng = np.random.default_rng([seed, epoch, 1])
+        unl = unlabeled_batches(
+            dataset, unlabeled_refs, config.unlabeled_batch_originals, policy, unl_rng,
+            noise_sigma=config.consistency_noise,
+        )
+        return zip(itertools.cycle(list(lab)), unl)
+
+    teacher = EmaTeacher(model, decay=config.ema_decay)
+
+    def loss(batch, gamma: float):
+        (images, masks), unlabeled = batch
+        sup = supervised_loss(model.segment_batch(images), masks)
+        total, reg_value, sp_value, w_stats = sup, 0.0, 0.0, (0.0, 0.0, 0.0)
+        if config.lambda_reg > 0:
+            teacher_logits = teacher.as_model().segment_batch(unlabeled.clean_images)
+            reg = consistency_loss(model.segment_batch(unlabeled.student_view), teacher_logits.data)
+            reg_value = reg.item()
+            total = total + reg * config.lambda_reg
+        if config.lambda_sp > 0:
+            pair = unlabeled.pair
+            sp, w_stats = _sp_term(model, pair, pair.meta_labels, gamma, config.self_paced, config.sp_weighting)
+            sp_value = sp.item()
+            total = total + sp * config.lambda_sp
+        return total, (sup.item(), reg_value, sp_value), w_stats
 
     scales = (
         {"enc.": config.encoder_lr_scale, "head.": config.encoder_lr_scale}
         if config.encoder_lr_scale != 1.0
         else None
     )
-    state = TrainingState(
-        model=model,
-        teacher=EmaTeacher(model, decay=config.ema_decay),
-        optimizer=RAdam(lr=config.lr, lr_scales=scales),
-        max_epoch=config.epochs,
-        seed=seed,
-        gamma=pace_schedule(config.self_paced, 0, config.epochs),
-    )
-    for epoch in range(config.epochs):
-        lab_rng = np.random.default_rng([seed, epoch, 0])
-        lab = labeled_batches(dataset, labeled_refs, config.batch_size, lab_rng)
-        if config.lambda_reg > 0 or config.lambda_sp > 0:
-            unl_rng = np.random.default_rng([seed, epoch, 1])
-            unl = unlabeled_batches(
-                dataset,
-                unlabeled_refs,
-                config.unlabeled_batch_originals,
-                policy,
-                unl_rng,
-                noise_sigma=config.consistency_noise,
-            )
-        else:
-            unl = None
-        semisup_epoch(state, lab, unl, config)
-    return state
-
-
-def train_supervised(
-    model: ParamModel,
-    dataset: SynthDataset,
-    labeled_patients: list[int],
-    config: SemiSupConfig,
-    seed: int = 0,
-) -> TrainingState:
-    """Supervised baseline: the semi-supervised loop with both lambdas at zero."""
-    return run_semisup(
-        model,
-        dataset,
-        labeled_patients,
-        replace(config, lambda_reg=0.0, lambda_sp=0.0),
-        seed=seed,
-    )
+    state = TrainingState(model=model, teacher=teacher, optimizer=RAdam(lr=config.lr, lr_scales=scales))
+    return _fit(state, "semisup", config, sorted(model.params), batches, loss)
 
 
 # ---------------------------------------------------------------------------

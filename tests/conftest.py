@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from spcl.autodiff import GradTape
 from spcl.contrastive import AugmentedBatch
+from spcl.optim import RAdam
+from spcl.self_paced import pace_schedule
+from spcl.semi_supervised import labeled_batches, supervised_loss
 
 
 def interleaved_pairs(num_samples: int) -> np.ndarray:
@@ -39,6 +43,39 @@ def random_batch(
         pair_of=interleaved_pairs(n2),
         meta_labels=labels,
     )
+
+
+def reference_supervised_history(model, dataset, labeled_patients, config, seed: int) -> list[dict]:
+    """Plain supervised training written out step by step, independent of spcl's training loop.
+
+    Per epoch, labeled batches drawn with ``default_rng([seed, epoch, 0])``;
+    per batch, cross-entropy, its gradient and one RAdam step at one
+    learning rate for every parameter (``encoder_lr_scale`` 1). Trains
+    ``model`` in place and returns the history rows run_semisup writes with
+    both lambdas at zero; gamma is logged but does not enter the loss.
+    """
+    refs = [
+        (vi, si)
+        for vi, v in enumerate(dataset.volumes)
+        if v.patient_id in set(labeled_patients)
+        for si in range(v.num_slices)
+    ]
+    pace = config.self_paced.with_default_pace(config.unlabeled_batch_originals)
+    optimizer = RAdam(lr=config.lr)
+    names = sorted(model.params)
+    history = []
+    for epoch in range(config.epochs):
+        gamma = pace_schedule(pace, epoch, config.epochs)
+        rng = np.random.default_rng([seed, epoch, 0])
+        for step, (images, masks) in enumerate(labeled_batches(dataset, refs, config.batch_size, rng)):
+            with GradTape() as tape:
+                loss = supervised_loss(model.segment_batch(images), masks)
+            grads = tape.gradient(loss, [model.params[n] for n in names], warn_disconnected=False)
+            optimizer.step(model.params, dict(zip(names, grads)))
+            sup = loss.item()
+            history.append({"epoch": epoch, "step": step, "sup": sup, "reg": 0.0, "sp_con": 0.0, "total": sup,
+                            "gamma": gamma, "mean_w": 0.0, "min_w": 0.0, "max_w": 0.0})
+    return history
 
 
 @pytest.fixture

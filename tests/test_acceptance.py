@@ -10,10 +10,11 @@ import time
 
 import numpy as np
 
+from conftest import reference_supervised_history
 from spcl.config import ExperimentConfig, config_from_dict
 from spcl.models import ModelConfig, ParamModel
 from spcl.self_paced import SelfPacedConfig, loss_bounds
-from spcl.semi_supervised import SemiSupConfig, run_semisup, train_supervised, write_history_csv
+from spcl.semi_supervised import SemiSupConfig, run_semisup, write_history_csv
 from spcl.synth_data import generate_dataset
 from spcl.verify import (
     check_closed_form_weights,
@@ -69,13 +70,13 @@ class TestCriterion4Equivalences:
         mc = ModelConfig(image_shape=(8, 8), arch="conv", conv_channels=(3, 4), head_hidden=8, embed_dim=6, seed=0)
         cfg = SemiSupConfig(epochs=3, batch_size=4, lambda_reg=0.0, lambda_sp=0.0)
         semi = run_semisup(ParamModel(mc), dataset, labeled, cfg, seed=5)
-        sup = train_supervised(ParamModel(mc), dataset, labeled, cfg, seed=5)
+        sup = ParamModel(mc)  # trained in place by an independent supervised loop
         pa, pb = tmp_path / "semi.csv", tmp_path / "sup.csv"
         write_history_csv(semi.history, pa)
-        write_history_csv(sup.history, pb)
+        write_history_csv(reference_supervised_history(sup, dataset, labeled, cfg, seed=5), pb)
         assert pa.read_bytes() == pb.read_bytes()
         for k in semi.model.params:
-            np.testing.assert_array_equal(semi.model.params[k].data, sup.model.params[k].data)
+            np.testing.assert_array_equal(semi.model.params[k].data, sup.params[k].data)
         _report("criterion 4b (reduction to supervised)", "history CSVs and parameters bitwise equal")
 
 

@@ -148,6 +148,11 @@ class TestConfig:
             "self_paced.gamma_start=NaN",
             "self_paced.lambdas=[1.0, Infinity]",
             "model.leaky_slope=NaN",
+            "ablation.num_labeled=-1",
+            "ablation.num_labeled=0",
+            "ablation.baseline_margin=NaN",
+            "ablation.seeds=[]",
+            "ablation.seeds=[0, 1]",
         ],
     )
     def test_training_value_out_of_range_rejected_at_load(self, override):
@@ -306,6 +311,13 @@ class TestCliProcess:
         assert lines[0] == "epoch,p,regularizer,gamma,mean_w,min_w,max_w"
         assert len(lines) - 1 == 5 * 3 * 2  # epochs 0..4 x three exponents x two regularizers
 
+    def test_pace_report_rejects_non_positive_epochs(self, workdir):
+        for epochs in ("0", "-3"):  # -3 used to exit 0 with a header-only CSV
+            r = run_cli(["pace-report", "--config", "small.json", "--epochs", epochs], workdir)
+            assert r.returncode == 2, r.stderr
+            assert "Traceback" not in r.stderr
+            assert not (workdir / "runs" / "pace").exists()
+
     def test_config_error_exit_code(self, workdir):
         for override in ("data.bogus=1", "ablation.eval_split=bogus"):
             r = run_cli(["train", "--config", "small.json", "--set", override, "--name", "bad"], workdir)
@@ -320,6 +332,12 @@ class TestCliProcess:
             assert r.returncode == 2, r.stderr
             assert "Traceback" not in r.stderr
             assert not (workdir / "runs" / "bad").exists()
+
+    def test_training_failure_exits_1_naming_the_step(self, workdir):
+        r = run_cli(["train", "--config", "small.json", "--set", "semisup.lr=1e200", "--name", "bad"], workdir)
+        assert r.returncode == 1, r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("training failed: semisup epoch 0 step 1: op 'conv2d' produced NaN/Inf")
 
     def test_wrongly_typed_value_exits_2_before_any_output(self, workdir):
         r = run_cli(["train", "--config", "small.json", "--set", "pretrain.epochs=abc", "--name", "bad"], workdir)

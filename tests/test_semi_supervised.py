@@ -6,13 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import reference_supervised_history
 from spcl.autodiff import GradTape, Tensor
-from spcl.errors import InvalidConfig, ShapeMismatch
+from spcl.errors import InvalidConfig, NonFiniteValue, ShapeMismatch
 from spcl.models import ModelConfig, ParamModel
 from spcl.self_paced import SelfPacedConfig
 from spcl.semi_supervised import (
     DiceReport,
-    LossBreakdown,
     PretrainConfig,
     SemiSupConfig,
     consistency_loss,
@@ -21,7 +21,6 @@ from spcl.semi_supervised import (
     run_pretraining,
     run_semisup,
     supervised_loss,
-    train_supervised,
     write_history_csv,
 )
 from spcl.synth_data import AugmentationPolicy, generate_dataset
@@ -117,13 +116,6 @@ class TestConsistencyLoss:
         assert np.any(g != 0.0)
 
 
-class TestLossBreakdown:
-    def test_additivity(self):
-        lb = LossBreakdown(sup=1.0, reg=0.5, sp_con=2.0, total=1.0 + 0.1 * 0.5 + 0.2 * 2.0)
-        assert lb.check_additivity(0.1, 0.2)
-        assert not lb.check_additivity(0.3, 0.2)
-
-
 @pytest.fixture
 def pair_loss_calls(monkeypatch):
     """Count pair_loss_values calls made through any module that binds it."""
@@ -204,18 +196,33 @@ class TestPretraining:
         with pytest.raises(InvalidConfig):
             PretrainConfig(loss_mode="bogus")
 
+    def test_training_failure_names_phase_epoch_and_step(self):
+        cfg = PretrainConfig(epochs=2, batch_originals=4, loss_mode="unsup", lr=1e200)
+        with pytest.raises(NonFiniteValue, match=r"^pretrain epoch 0 step 1: op 'conv2d' produced NaN/Inf"):
+            run_pretraining(small_model(), small_dataset(), cfg, seed=0, policy=FAST_POLICY)
+
 
 class TestSemiSupLoop:
     def test_zero_lambdas_bitwise_identical_to_supervised(self):
-        """Same seed, unlabeled stream present but both lambdas zero."""
+        """Both lambdas zero: an independent supervised loop, bit for bit, whatever the unlabeled settings."""
         ds = small_dataset()
         labeled = ds.splits["train"][:1]
-        cfg = SemiSupConfig(epochs=3, batch_size=4, lambda_reg=0.0, lambda_sp=0.0)
-        a = run_semisup(small_model(), ds, labeled, cfg, seed=5, policy=FAST_POLICY)
-        b = train_supervised(small_model(), ds, labeled, SemiSupConfig(epochs=3, batch_size=4), seed=5)
-        assert len(a.history) == len(b.history)
-        for ra, rb in zip(a.history, b.history):
-            assert ra == rb  # bitwise: identical floats in every column
+        base = SemiSupConfig(epochs=3, batch_size=4, lambda_reg=0.0, lambda_sp=0.0)
+        # 32 originals exceed the 18 train slices, which is rejected once a lambda is positive
+        unusable = replace(base, unlabeled_batch_originals=32, sp_on_unlabeled_only=True, consistency_noise=0.5)
+        states = []
+        for cfg in (base, unusable):
+            reference = small_model()
+            expected = reference_supervised_history(reference, ds, labeled, cfg, seed=5)
+            state = run_semisup(small_model(), ds, labeled, cfg, seed=5, policy=FAST_POLICY)
+            assert len(state.history) == len(expected)
+            for ra, rb in zip(state.history, expected):
+                assert ra == rb  # bitwise: identical floats in every column
+            for k in reference.params:
+                np.testing.assert_array_equal(state.model.params[k].data, reference.params[k].data)
+            states.append(state)
+        a, b = states
+        assert [r["total"] for r in a.history] == [r["total"] for r in b.history]
         for k in a.model.params:
             np.testing.assert_array_equal(a.model.params[k].data, b.model.params[k].data)
 
@@ -226,8 +233,13 @@ class TestSemiSupLoop:
                             self_paced=SelfPacedConfig(tau=0.5, lambdas=(1.0, 0.1, 0.1)))
         state = run_semisup(small_model(), ds, labeled, cfg, seed=1, policy=FAST_POLICY)
         for row in state.history:
-            lb = LossBreakdown(row["sup"], row["reg"], row["sp_con"], row["total"])
-            assert lb.check_additivity(0.07, 0.13)
+            assert abs(row["total"] - (row["sup"] + 0.07 * row["reg"] + 0.13 * row["sp_con"])) <= 1e-10
+
+    def test_training_failure_names_phase_epoch_and_step(self):
+        ds = small_dataset()
+        cfg = SemiSupConfig(epochs=2, batch_size=4, unlabeled_batch_originals=4, lr=1e200)
+        with pytest.raises(NonFiniteValue, match=r"^semisup epoch 0 step 1: op 'conv2d' produced NaN/Inf"):
+            run_semisup(small_model(), ds, ds.splits["train"][:1], cfg, seed=0, policy=FAST_POLICY)
 
     def test_determinism_identical_histories(self):
         ds = small_dataset()

@@ -5,17 +5,9 @@ with an EMA teacher, and the semi-supervised training objective.
 """
 
 from .autodiff import GradTape, Tensor, finite_diff_check, grad, l2_normalize
-from .contrastive import (
-    AugmentedBatch,
-    PairLossMatrix,
-    meta_contrastive_loss,
-    pair_loss,
-    positive_set,
-    unsup_contrastive_loss,
-)
-from .models import EmaTeacher, ModelConfig, ParamModel, embed, ema_update, segment
+from .contrastive import AugmentedBatch, meta_contrastive_loss, unsup_contrastive_loss
+from .models import EmaTeacher, ModelConfig, ParamModel, ema_update
 from .self_paced import (
-    PairWeightMatrix,
     SelfPacedConfig,
     combined_sp_loss,
     loss_bounds,

@@ -73,6 +73,10 @@ def run_variant(
     """Train one recipe end to end and return its test Dice."""
     if variant not in VARIANTS:
         raise InvalidConfig(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if variant == "full-supervision":
+        labeled = dataset.splits["train"]
+    else:
+        labeled = dataset.first_train_patients(config.ablation.num_labeled)
     model = ParamModel(config.model_config(seed=seed))
 
     mode = _PRETRAIN_MODE.get(variant)
@@ -80,8 +84,6 @@ def run_variant(
         pre = replace(config.pretrain, loss_mode=mode)
         run_pretraining(model, dataset, pre, seed=seed, policy=config.augment)
 
-    train = dataset.splits["train"]
-    labeled = train if variant == "full-supervision" else train[: config.ablation.num_labeled]
     if variant in ("sp-con(semisup)", "sp-con(both)"):
         semi = replace(config.semisup, lambda_reg=0.0)
     elif variant == "sp-con(both)+mean-teacher":
@@ -199,7 +201,7 @@ def directional_experiment(
 
     noisy_kwargs = {**config.data_kwargs(), "noise_level": noise_level}
     noisy = generate_dataset(**noisy_kwargs)
-    labeled = noisy.splits["train"][: config.ablation.num_labeled]
+    labeled = noisy.first_train_patients(config.ablation.num_labeled)
 
     def noisy_run(sp_weighting: bool, loss_mode: str, seed: int) -> float:
         model = ParamModel(config.model_config(seed=seed))

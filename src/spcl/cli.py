@@ -78,6 +78,7 @@ def cmd_pretrain(config: ExperimentConfig, args) -> int:
 
 def cmd_train(config: ExperimentConfig, args) -> int:
     dataset = _dataset_for(config, args.data)
+    labeled = dataset.first_train_patients(config.ablation.num_labeled)
     expected = config.model_config()
     if args.init:
         model = ParamModel.load(args.init)
@@ -89,7 +90,6 @@ def cmd_train(config: ExperimentConfig, args) -> int:
         model.reset_decoder(seed=config.seed)
     else:
         model = ParamModel(expected)
-    labeled = dataset.splits["train"][: config.ablation.num_labeled]
     state = run_semisup(model, dataset, labeled, config.semisup, seed=config.seed, policy=config.augment)
     out = _run_dir(config, args.name)
     state.model.save(out / "model.npz")

@@ -66,7 +66,6 @@ class ModelSection:
     leaky_slope: float = 0.01
 
     def __post_init__(self):
-        # image-size checks need the data section; they run when a model is built
         check_layers(self)
 
 
@@ -110,6 +109,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in _SHARE_SELF_PACED:
             object.__setattr__(self, name, replace(getattr(self, name), self_paced=self.self_paced))
+        self.model_config()  # image-size checks that need both the data and model sections
 
     # -- values derived from several sections --
 

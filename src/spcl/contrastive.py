@@ -71,25 +71,8 @@ class AugmentedBatch:
         return self.embeddings.shape[0]
 
     @property
-    def num_originals(self) -> int:
-        return self.num_samples // 2
-
-    @property
     def num_meta_labels(self) -> int:
         return self.meta_labels.shape[0]
-
-
-@dataclass(frozen=True)
-class PairLossMatrix:
-    """Dense l_ij values with the positive-set mask that selects real entries."""
-
-    values: np.ndarray  # (2N, 2N); meaningful where mask is True
-    mask: np.ndarray    # (2N, 2N) bool, True for j in P^k(i)
-    tau: float
-
-    def entries(self) -> np.ndarray:
-        """The l_ij values inside the positive mask, flattened row-major."""
-        return self.values[self.mask]
 
 
 def _check_tau(tau: float) -> float:
@@ -97,16 +80,6 @@ def _check_tau(tau: float) -> float:
     if tau <= 0.0:
         raise InvalidConfig(f"temperature must be positive, got {tau}")
     return tau
-
-
-def positive_set(batch: AugmentedBatch, k: int, i: int) -> set[int]:
-    """Indices sharing anchor i's k-th meta-label, plus its paired view, minus i."""
-    labels = batch.meta_labels[k]
-    same = np.flatnonzero(labels == labels[i])
-    out = set(int(j) for j in same)
-    out.discard(int(i))
-    out.add(int(batch.pair_of[i]))
-    return out
 
 
 def positive_mask(batch: AugmentedBatch, k: int) -> np.ndarray:
@@ -142,13 +115,6 @@ def pair_loss_values(batch: AugmentedBatch, tau: float) -> Tensor:
     return lse - scores
 
 
-def pair_loss(batch: AugmentedBatch, i: int, j: int, tau: float) -> float:
-    """Single l_ij for anchor i and positive candidate j (i != j)."""
-    if i == j:
-        raise InvalidConfig("pair loss is undefined for i == j")
-    return float(pair_loss_values(batch, tau).data[i, j])
-
-
 def masked_mean(values, mask: np.ndarray, weights: np.ndarray | None = None):
     """(1/2N) sum_i (1/|row_i|) sum_{j in row_i} w_ij values_ij, as one masked sum.
 
@@ -173,15 +139,8 @@ def unsup_contrastive_loss(batch: AugmentedBatch, tau: float) -> Tensor:
     return masked_mean(pair_loss_values(batch, tau), pair_mask(batch))
 
 
-def meta_contrastive_loss(batch: AugmentedBatch, k: int, tau: float) -> tuple[Tensor, PairLossMatrix]:
-    """Average l over each anchor's positive set for meta-label k.
-
-    Returns the scalar loss and the dense PairLossMatrix so downstream
-    self-paced weighting can reuse the l_ij without recomputing them.
-    """
+def meta_contrastive_loss(batch: AugmentedBatch, k: int, tau: float) -> Tensor:
+    """Average l over each anchor's positive set for meta-label k."""
     if not (0 <= k < batch.num_meta_labels):
         raise InvalidConfig(f"meta-label index {k} out of range [0, {batch.num_meta_labels})")
-    values = pair_loss_values(batch, tau)
-    mask = positive_mask(batch, k)
-    loss = masked_mean(values, mask)
-    return loss, PairLossMatrix(values=np.array(values.data), mask=mask, tau=float(tau))
+    return masked_mean(pair_loss_values(batch, tau), positive_mask(batch, k))

@@ -171,7 +171,7 @@ class ParamModel:
         return h, skip
 
     def embed_batch(self, images) -> Tensor:
-        """Unit-norm embeddings z = normalize(g(E(x))), shape (B, embed_dim)."""
+        """Unit-norm embeddings z = normalize(g(E(x))), shape (B, embed_dim); one (H, W) image gives B = 1."""
         feat, _ = self.encode(images)
         h = (feat @ self.params["head.0.w"] + self.params["head.0.b"]).leaky_relu(
             self.config.leaky_slope
@@ -180,7 +180,7 @@ class ParamModel:
         return l2_normalize_rows(z)
 
     def segment_batch(self, images) -> Tensor:
-        """Per-pixel class logits, shape (B, H, W, num_classes)."""
+        """Per-pixel class logits, shape (B, H, W, num_classes); one (H, W) image gives B = 1."""
         feat, skip = self.encode(images)
         h, w = self.config.image_shape
         if self.config.arch == "conv":
@@ -289,17 +289,6 @@ class ParamModel:
         return cls(cfg, params)
 
 
-def embed(model: ParamModel, image) -> Tensor:
-    """Single-image embedding, shape (embed_dim,)."""
-    return model.embed_batch(np.asarray(image)[None]).reshape(model.config.embed_dim)
-
-
-def segment(model: ParamModel, image) -> Tensor:
-    """Single-image logits, shape (H, W, num_classes)."""
-    h, w = model.config.image_shape
-    return model.segment_batch(np.asarray(image)[None]).reshape(h, w, model.config.num_classes)
-
-
 class EmaTeacher:
     """Exponential-moving-average shadow of a model's parameters.
 
@@ -320,11 +309,9 @@ class EmaTeacher:
         )
 
 
-def ema_update(teacher: EmaTeacher, student: ParamModel, decay: float | None = None) -> EmaTeacher:
+def ema_update(teacher: EmaTeacher, student: ParamModel) -> EmaTeacher:
     """teacher <- decay * teacher + (1 - decay) * student, parameter-wise."""
-    a = teacher.decay if decay is None else float(decay)
-    if not (0.0 <= a < 1.0):
-        raise InvalidConfig(f"decay must be in [0, 1), got {a}")
+    a = teacher.decay
     for k, s in student.params.items():
         t = teacher.shadow.get(k)
         if t is None or t.shape != s.shape:

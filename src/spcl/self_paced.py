@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Tensor
-from .contrastive import AugmentedBatch, PairLossMatrix, masked_mean, pair_loss_values, positive_mask
+from .contrastive import AugmentedBatch, masked_mean, pair_loss_values, positive_mask
 from .errors import InvalidConfig
 from .schema import check_finite
 
@@ -87,23 +87,6 @@ class SelfPacedConfig:
             gamma_start=lo if self.gamma_start is None else self.gamma_start,
             gamma_end=hi if self.gamma_end is None else self.gamma_end,
         )
-
-
-@dataclass(frozen=True)
-class PairWeightMatrix:
-    """Dense w_ij in [0, 1] aligned with a PairLossMatrix (mask shared)."""
-
-    values: np.ndarray
-    mask: np.ndarray
-    gamma: float
-    regularizer: str
-
-    def entries(self) -> np.ndarray:
-        return self.values[self.mask]
-
-    def stats(self) -> tuple[float, float, float]:
-        """(mean, min, max) of the in-mask weights."""
-        return weight_stats(self.entries())
 
 
 def _check_gamma(gamma: float) -> float:
@@ -181,14 +164,16 @@ def sp_contrastive_loss(
     gamma: float,
     config: SelfPacedConfig,
     values: Tensor | None = None,
-) -> tuple[Tensor, PairWeightMatrix, PairLossMatrix]:
-    """Self-paced contrastive loss for meta-label k at pace gamma.
+) -> tuple[Tensor, np.ndarray]:
+    """Self-paced contrastive loss for meta-label k at pace gamma, and its weights.
 
     Computes l_ij, solves the inner weight problem exactly in closed form,
-    and returns (1/2N) sum_i (1/|P(i)|) sum_j [w_ij l_ij + R_gamma(w_ij)].
-    The weights (and the regularizer term) are constants for gradient
-    purposes: only w_ij * grad(l_ij) reaches the encoder. ``values`` may pass
-    in ``pair_loss_values(batch, config.tau)`` already built for this batch.
+    and returns (1/2N) sum_i (1/|P(i)|) sum_j [w_ij l_ij + R_gamma(w_ij)]
+    with the in-mask weights w_ij, flattened row-major over
+    ``positive_mask(batch, k)``. The weights (and the regularizer term) are
+    constants for gradient purposes: only w_ij * grad(l_ij) reaches the
+    encoder. ``values`` may pass in ``pair_loss_values(batch, config.tau)``
+    already built for this batch.
     """
     gamma = _check_gamma(gamma)
     if not (0 <= k < batch.num_meta_labels):
@@ -199,22 +184,7 @@ def sp_contrastive_loss(
     w = np.where(mask, optimal_weight(values.data, gamma, config.regularizer), 0.0)
     r = np.where(mask, regularizer_value(w, gamma, config.regularizer), 0.0)
     loss = masked_mean(values, mask, w) + masked_mean(r, mask)
-    return (
-        loss,
-        PairWeightMatrix(values=w, mask=mask, gamma=gamma, regularizer=config.regularizer),
-        PairLossMatrix(values=np.array(values.data), mask=mask, tau=config.tau),
-    )
-
-
-def weighted_loss_terms(
-    losses: PairLossMatrix,
-    weights: PairWeightMatrix,
-) -> tuple[float, float]:
-    """(w*l part, regularizer part) of the self-paced scalar, from stored matrices."""
-    mask = losses.mask
-    w = np.where(mask, weights.values, 0.0)
-    r = np.where(mask, regularizer_value(w, weights.gamma, weights.regularizer), 0.0)
-    return masked_mean(losses.values, mask, w), masked_mean(r, mask)
+    return loss, w[mask]
 
 
 def combined_sp_loss(
@@ -243,8 +213,8 @@ def combined_sp_loss(
         if lam == 0.0:
             continue
         if weighted:
-            term, weights, _ = sp_contrastive_loss(batch, k, gamma, config, values=values)
-            pooled.append(weights.entries())
+            term, weights = sp_contrastive_loss(batch, k, gamma, config, values=values)
+            pooled.append(weights)
         else:
             mask = positive_mask(batch, k)
             term = masked_mean(values, mask)

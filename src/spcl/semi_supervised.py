@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 import numpy as np
 
-from .autodiff import GradTape, Tensor, tsum
+from .autodiff import GradTape, Tensor, detached_max, masked_logsumexp_rows, tsum
 from .contrastive import AugmentedBatch
 from .errors import InvalidConfig, NonFiniteValue, NormTooSmall, ShapeMismatch
 from .models import EmaTeacher, ParamModel, ema_update
@@ -55,8 +55,6 @@ PRETRAIN_MODES = ("unsup", "unsup_sp", "meta", "sp")
 # ---------------------------------------------------------------------------
 
 def _softmax_rows(logits: Tensor) -> Tensor:
-    from .autodiff import detached_max
-
     shift = detached_max(logits, axis=1, keepdims=True)
     e = (logits - shift).exp()
     return e / tsum(e, axis=1, keepdims=True)
@@ -82,8 +80,6 @@ def supervised_loss(logits, target) -> Tensor:
         raise ShapeMismatch(f"target size {t.size} does not match {flat.shape[0]} pixels")
     if t.min() < 0 or t.max() >= classes:
         raise InvalidConfig(f"target labels must lie in [0, {classes})")
-    from .autodiff import masked_logsumexp_rows
-
     log_probs = flat - masked_logsumexp_rows(flat, np.ones((1, classes)))
     onehot = np.zeros((t.size, classes))
     onehot[np.arange(t.size), t] = 1.0
@@ -352,7 +348,8 @@ def run_semisup(
         )
         return zip(itertools.cycle(list(lab)), unl)
 
-    teacher = EmaTeacher(model, decay=config.ema_decay)
+    # only the consistency term reads the teacher
+    teacher = EmaTeacher(model, decay=config.ema_decay) if config.lambda_reg > 0 else None
 
     def loss(batch, gamma: float):
         (images, masks), unlabeled = batch

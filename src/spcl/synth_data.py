@@ -89,6 +89,13 @@ class SynthDataset:
             for si in range(v.num_slices)
         ]
 
+    def first_train_patients(self, n: int) -> list[int]:
+        """The first n train patients: the labeled set of a semi-supervised run."""
+        train = self.splits["train"]
+        if n > len(train):
+            raise InvalidConfig(f"num_labeled={n} exceeds the {len(train)} patients of the train split")
+        return train[:n]
+
     @property
     def image_shape(self) -> tuple[int, int]:
         return self.volumes[0].slices.shape[1:]

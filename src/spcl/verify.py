@@ -15,19 +15,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import GradTape, Tensor, finite_diff_check, l2_normalize
-from .contrastive import AugmentedBatch, meta_contrastive_loss, pair_loss_values, unsup_contrastive_loss
+from .autodiff import GradTape, Tensor, finite_diff_check, l2_normalize, min_kink_distance
+from .contrastive import (
+    AugmentedBatch,
+    masked_mean,
+    meta_contrastive_loss,
+    pair_loss_values,
+    positive_mask,
+    unsup_contrastive_loss,
+)
 from .models import ModelConfig, ParamModel
 from .self_paced import (
     HARD,
     LINEAR,
     SelfPacedConfig,
+    combined_sp_loss,
     loss_bounds,
     optimal_weight,
     pace_schedule,
     regularizer_value,
     sp_contrastive_loss,
-    weighted_loss_terms,
 )
 from .semi_supervised import consistency_loss, supervised_loss
 from .synth_data import interleaved_pairs
@@ -80,6 +87,13 @@ def _unit_rows(rng, n, d):
 def _random_batch(rng, n, d=8, classes=3):
     labels = np.repeat(rng.integers(0, classes, size=n), 2)[None, :]
     return AugmentedBatch(_unit_rows(rng, 2 * n, d), interleaved_pairs(2 * n), labels)
+
+
+def _dense(mask, weights):
+    """In-mask weights, as sp_contrastive_loss returns them, scattered back to (2N, 2N)."""
+    w = np.zeros(mask.shape)
+    w[mask] = weights
+    return w
 
 
 def check_closed_form_weights(weight_fn=optimal_weight, trials: int = 1000, seed: int = 0) -> FamilyResult:
@@ -159,8 +173,6 @@ def check_gradients(configs: int = 5, seed: int = 33, tolerance: float = 1e-4) -
     kink are redrawn: central differences are invalid across the kink, and
     the filter never looks at gradients, so a wrong backward rule still fails.
     """
-    from .autodiff import min_kink_distance
-
     t0 = time.time()
     rng = np.random.default_rng(seed)
     step = 1e-5
@@ -208,18 +220,15 @@ def check_gradients(configs: int = 5, seed: int = 33, tolerance: float = 1e-4) -
             params.update(zip(eh_names, ts))
             return ParamModel(cfg, params)
 
-        sp_w = None
+        sp_mask = sp_w = None
 
         def frozen_sp(*ts):
-            nonlocal sp_w
+            nonlocal sp_mask, sp_w
             batch = AugmentedBatch(rebuild_eh(ts).embed_batch(pair_imgs), pair, labels)
             if sp_w is None:
-                _, sp_w, _ = sp_contrastive_loss(batch, 0, gamma, sp_cfg)
-            vals = pair_loss_values(batch, sp_cfg.tau)
-            coef = sp_w.mask.astype(float) / sp_w.mask.sum(axis=1)[:, None]
-            from .autodiff import tsum
-
-            return tsum(Tensor(coef * sp_w.values) * vals) * (1.0 / 8)
+                sp_mask = positive_mask(batch, 0)
+                sp_w = _dense(sp_mask, sp_contrastive_loss(batch, 0, gamma, sp_cfg)[1])
+            return masked_mean(pair_loss_values(batch, sp_cfg.tau), sp_mask, sp_w)
 
         cases = {
             "unsup_con": lambda *ts: unsup_contrastive_loss(
@@ -227,7 +236,7 @@ def check_gradients(configs: int = 5, seed: int = 33, tolerance: float = 1e-4) -
             ),
             "meta_con": lambda *ts: meta_contrastive_loss(
                 AugmentedBatch(rebuild_eh(ts).embed_batch(pair_imgs), pair, labels), 0, 0.5
-            )[0],
+            ),
             "sp_con_frozen_w": frozen_sp,
             "cross_entropy": lambda *ts: supervised_loss(rebuild_full(ts).segment_batch(images), target),
             "consistency": lambda *ts: consistency_loss(rebuild_full(ts).segment_batch(images), teacher_logits),
@@ -261,8 +270,7 @@ def check_equivalences(seed: int = 3) -> FamilyResult:
         )
         tau = float(rng.uniform(0.1, 1.0))
         a = unsup_contrastive_loss(degenerate, tau).item()
-        b, _ = meta_contrastive_loss(degenerate, 0, tau)
-        if a != b.item():
+        if a != meta_contrastive_loss(degenerate, 0, tau).item():
             problems.append("degenerate-label inequality")
             break
     cfg = SelfPacedConfig(regularizer=HARD, tau=0.5)
@@ -270,14 +278,12 @@ def check_equivalences(seed: int = 3) -> FamilyResult:
         n = int(rng.integers(2, 6))
         batch = _random_batch(rng, n)
         _, hi = loss_bounds(n, 0.5)
-        _, weights, losses = sp_contrastive_loss(batch, 0, hi + 1.0, cfg)
-        wl, _ = weighted_loss_terms(losses, weights)
-        meta, _ = meta_contrastive_loss(batch, 0, 0.5)
-        if abs(wl - meta.item()) > 1e-10:
+        _, weights = sp_contrastive_loss(batch, 0, hi + 1.0, cfg)
+        mask = positive_mask(batch, 0)
+        wl = masked_mean(pair_loss_values(batch, 0.5).data, mask, _dense(mask, weights))
+        if abs(wl - meta_contrastive_loss(batch, 0, 0.5).item()) > 1e-10:
             problems.append("hard-mode saturation mismatch")
             break
-    from .self_paced import combined_sp_loss
-
     batch = _random_batch(rng, 4, classes=2)
     scrambled = AugmentedBatch(
         batch.embeddings,
@@ -392,8 +398,8 @@ def check_permutation_invariance(seed: int = 6) -> FamilyResult:
             batch.embeddings.data[perm], inv[batch.pair_of[perm]], batch.meta_labels[:, perm]
         )
         tau = float(rng.uniform(0.1, 1.0))
-        a, _ = meta_contrastive_loss(batch, 0, tau)
-        b, _ = meta_contrastive_loss(permuted, 0, tau)
+        a = meta_contrastive_loss(batch, 0, tau)
+        b = meta_contrastive_loss(permuted, 0, tau)
         worst = max(worst, abs(a.item() - b.item()))
         worst = max(
             worst,

@@ -10,10 +10,8 @@ from spcl.autodiff import GradTape, Tensor
 from spcl.contrastive import (
     AugmentedBatch,
     meta_contrastive_loss,
-    pair_loss,
     pair_loss_values,
     positive_mask,
-    positive_set,
     unsup_contrastive_loss,
 )
 from spcl.errors import InvalidConfig
@@ -25,11 +23,20 @@ def naive_pair_loss(z: np.ndarray, i: int, j: int, tau: float) -> float:
     return -math.log(math.exp(float(z[i] @ z[j]) / tau) / denom)
 
 
+def naive_positive_set(labels, pair_of, i: int) -> set[int]:
+    """P(i) from its definition: same label, minus the anchor, plus the paired view."""
+    return {j for j in range(len(labels)) if labels[j] == labels[i] and j != i} | {int(pair_of[i])}
+
+
+def mask_row(batch: AugmentedBatch, k: int, i: int) -> set[int]:
+    return set(int(j) for j in np.flatnonzero(positive_mask(batch, k)[i]))
+
+
 def naive_meta_loss(z, pair_of, labels, tau):
     n2 = len(z)
     total = 0.0
     for i in range(n2):
-        pos = {j for j in range(n2) if labels[j] == labels[i] and j != i} | {int(pair_of[i])}
+        pos = naive_positive_set(labels, pair_of, i)
         total += sum(naive_pair_loss(z, i, j, tau) for j in pos) / len(pos)
     return total / n2
 
@@ -61,13 +68,13 @@ class TestPositiveSet:
         batch = AugmentedBatch(
             unit_rows(rng, 4, 6), interleaved_pairs(4), np.array([[0, 0, 1, 1]])
         )
-        assert positive_set(batch, 0, 0) == {1}
+        assert mask_row(batch, 0, 0) == {1}
 
     def test_all_same_class(self, rng):
         batch = AugmentedBatch(
             unit_rows(rng, 4, 6), interleaved_pairs(4), np.array([[7, 7, 7, 7]])
         )
-        assert positive_set(batch, 0, 0) == {1, 2, 3}
+        assert mask_row(batch, 0, 0) == {1, 2, 3}
 
     def test_degenerate_labels_reduce_to_twin(self, rng):
         batch = random_batch(rng, 3, num_classes=[3])
@@ -75,14 +82,14 @@ class TestPositiveSet:
             batch.embeddings, batch.pair_of, np.repeat(np.arange(3), 2)[None, :]
         )
         for i in range(6):
-            assert positive_set(batch, 0, i) == {int(batch.pair_of[i])}
+            assert mask_row(batch, 0, i) == {int(batch.pair_of[i])}
 
     def test_never_contains_anchor_always_contains_twin(self, rng):
         for _ in range(20):
             batch = random_batch(rng, 5, num_classes=[2, 4], num_labels=2)
             for k in range(2):
                 for i in range(10):
-                    pos = positive_set(batch, k, i)
+                    pos = mask_row(batch, k, i)
                     assert i not in pos
                     assert int(batch.pair_of[i]) in pos
 
@@ -90,7 +97,7 @@ class TestPositiveSet:
         batch = random_batch(rng, 6, num_classes=[3])
         mask = positive_mask(batch, 0)
         for i in range(12):
-            assert set(np.flatnonzero(mask[i])) == positive_set(batch, 0, i)
+            assert set(np.flatnonzero(mask[i])) == naive_positive_set(batch.meta_labels[0], batch.pair_of, i)
 
 
 class TestPairLoss:
@@ -98,13 +105,13 @@ class TestPairLoss:
         z = np.tile(unit_rows(rng, 1, 5), (8, 1))
         batch = AugmentedBatch(z, interleaved_pairs(8), np.zeros((1, 8), dtype=int))
         for i, j in [(0, 1), (2, 5), (7, 3)]:
-            assert pair_loss(batch, i, j, tau=0.5) == pytest.approx(math.log(7), abs=1e-12)
+            assert pair_loss_values(batch, tau=0.5).data[i, j] == pytest.approx(math.log(7), abs=1e-12)
 
     def test_two_cluster_hand_value(self):
         # z0 = z1 = e_x, z2 = z3 = e_y, tau = 1: l_01 = log(e + 2) - 1
         z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         batch = AugmentedBatch(z, interleaved_pairs(4), np.array([[0, 0, 1, 1]]))
-        assert pair_loss(batch, 0, 1, tau=1.0) == pytest.approx(0.5514447139320509, abs=1e-12)
+        assert pair_loss_values(batch, tau=1.0).data[0, 1] == pytest.approx(0.5514447139320509, abs=1e-12)
 
     def test_huge_temperature_washes_out(self, rng):
         batch = random_batch(rng, 4)
@@ -136,19 +143,17 @@ class TestPairLoss:
         labels = np.zeros((1, 8), dtype=int)
         a = AugmentedBatch(z, interleaved_pairs(8), labels)
         b = AugmentedBatch(z2, interleaved_pairs(8), labels)
-        assert pair_loss(b, i, j, 0.5) < pair_loss(a, i, j, 0.5)
+        assert pair_loss_values(b, 0.5).data[i, j] < pair_loss_values(a, 0.5).data[i, j]
 
     def test_no_overflow_at_tau_001(self, rng):
         batch = random_batch(rng, 8)
         vals = pair_loss_values(batch, tau=0.01).data
         assert np.all(np.isfinite(vals))
 
-    def test_rejects_bad_tau_and_self_pair(self, rng):
+    def test_rejects_bad_tau(self, rng):
         batch = random_batch(rng, 2)
         with pytest.raises(InvalidConfig):
-            pair_loss(batch, 0, 1, tau=0.0)
-        with pytest.raises(InvalidConfig):
-            pair_loss(batch, 1, 1, tau=1.0)
+            pair_loss_values(batch, tau=0.0)
 
 
 class TestUnsupLoss:
@@ -178,13 +183,13 @@ class TestMetaLoss:
         z = np.tile(unit_rows(rng, 1, 4), (8, 1))
         labels = np.repeat(rng.integers(0, 2, size=4), 2)[None, :]
         batch = AugmentedBatch(z, interleaved_pairs(8), labels)
-        loss, _ = meta_contrastive_loss(batch, 0, 0.3)
+        loss = meta_contrastive_loss(batch, 0, 0.3)
         assert loss.item() == pytest.approx(math.log(7), abs=1e-12)
 
     def test_single_class_uses_all_candidates(self, rng):
         batch = random_batch(rng, 2, num_classes=[1])
-        loss, mat = meta_contrastive_loss(batch, 0, 0.7)
-        assert mat.mask.sum() == 4 * 3  # every off-diagonal entry is a positive
+        loss = meta_contrastive_loss(batch, 0, 0.7)
+        assert positive_mask(batch, 0).sum() == 4 * 3  # every off-diagonal entry is a positive
         ref = naive_meta_loss(batch.embeddings.data, batch.pair_of, batch.meta_labels[0], 0.7)
         assert loss.item() == pytest.approx(ref, abs=1e-10)
 
@@ -193,7 +198,7 @@ class TestMetaLoss:
             n = int(rng.integers(2, 8))
             batch = random_batch(rng, n, num_classes=[int(rng.integers(1, n + 1))])
             tau = float(rng.choice([0.1, 0.5, 1.0]))
-            ours, _ = meta_contrastive_loss(batch, 0, tau)
+            ours = meta_contrastive_loss(batch, 0, tau)
             ref = naive_meta_loss(batch.embeddings.data, batch.pair_of, batch.meta_labels[0], tau)
             assert ours.item() == pytest.approx(ref, abs=1e-10)
 
@@ -206,7 +211,7 @@ class TestMetaLoss:
             )
             tau = float(rng.uniform(0.1, 1.0))
             a = unsup_contrastive_loss(batch, tau).item()
-            b, _ = meta_contrastive_loss(batch, 0, tau)
+            b = meta_contrastive_loss(batch, 0, tau)
             assert a == b.item()  # bitwise: same masked-mean code path
 
     def test_permutation_invariance(self, rng):
@@ -221,8 +226,8 @@ class TestMetaLoss:
                 inv[batch.pair_of[perm]],
                 batch.meta_labels[:, perm],
             )
-            a, _ = meta_contrastive_loss(batch, 0, tau)
-            b, _ = meta_contrastive_loss(permuted, 0, tau)
+            a = meta_contrastive_loss(batch, 0, tau)
+            b = meta_contrastive_loss(permuted, 0, tau)
             assert a.item() == pytest.approx(b.item(), abs=1e-12)
             assert unsup_contrastive_loss(batch, tau).item() == pytest.approx(
                 unsup_contrastive_loss(permuted, tau).item(), abs=1e-12
@@ -230,12 +235,12 @@ class TestMetaLoss:
 
     def test_loss_matrix_alignment(self, rng):
         batch = random_batch(rng, 4, num_classes=[2])
-        _, mat = meta_contrastive_loss(batch, 0, 0.5)
+        values, mask = pair_loss_values(batch, 0.5).data, positive_mask(batch, 0)
         z = batch.embeddings.data
         for i in range(8):
-            for j in positive_set(batch, 0, i):
-                assert mat.values[i, j] == pytest.approx(naive_pair_loss(z, i, j, 0.5), abs=1e-10)
-                assert mat.mask[i, j]
+            for j in naive_positive_set(batch.meta_labels[0], batch.pair_of, i):
+                assert values[i, j] == pytest.approx(naive_pair_loss(z, i, j, 0.5), abs=1e-10)
+                assert mask[i, j]
 
 
 class TestGradientFlow:
@@ -246,7 +251,7 @@ class TestGradientFlow:
         with GradTape() as tape:
             z = l2_normalize_rows(raw)
             batch = AugmentedBatch(z, interleaved_pairs(8), np.repeat(rng.integers(0, 2, 4), 2)[None, :])
-            loss, _ = meta_contrastive_loss(batch, 0, 0.5)
+            loss = meta_contrastive_loss(batch, 0, 0.5)
         (g,) = tape.gradient(loss, [raw])
         assert g.shape == (8, 6)
         assert np.any(g != 0.0)

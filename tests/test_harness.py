@@ -120,6 +120,7 @@ class TestConfig:
             {"data": {"height": 0}},
             {"data": {"width": 1}},
             {"data": {"num_partitions": 0}},
+            {"data": {"height": 18, "width": 18}},  # the conv arch downsamples twice
         ],
     )
     def test_out_of_range_value_rejected_at_load(self, data):
@@ -165,7 +166,7 @@ class TestConfig:
             {"model": {"arch": "dense", "skip_width": 0}},  # no skip branch
             {"model": {"arch": "dense", "conv_channels": []}},  # dense never reads conv_channels
             {"model": {"encoder_widths": [64, 0]}},  # conv never reads the encoder widths
-            {"data": {"height": 10}},  # conv needs dims divisible by 4 only once a model is built
+            {"model": {"arch": "dense"}, "data": {"height": 10}},  # only conv needs dims divisible by 4
         ],
     )
     def test_sizes_an_arch_does_not_build_pass_at_load(self, data):
@@ -333,6 +334,22 @@ class TestCliProcess:
             assert "Traceback" not in r.stderr
             assert not (workdir / "runs" / "bad").exists()
 
+    def test_conv_image_size_exits_2_before_any_data(self, workdir):
+        # a missing --data directory would exit 3 if the data came first;
+        # generate-data never builds a model
+        for args in (["pretrain", "--data", "missing"], ["generate-data", "--out", "ds"]):
+            r = run_cli([*args, "--config", "small.json", "--set", "data.height=18"], workdir)
+            assert r.returncode == 2, r.stderr
+            assert "divisible by 4" in r.stderr and "Traceback" not in r.stderr
+            assert not (workdir / "ds").exists() and not (workdir / "runs").exists()
+
+    def test_num_labeled_above_train_split_exits_2(self, workdir):
+        # slicing the split would label every train patient: a fully supervised run
+        r = run_cli(["train", "--config", "small.json", "--set", "ablation.num_labeled=100", "--name", "bad"], workdir)
+        assert r.returncode == 2, r.stderr
+        assert "num_labeled=100" in r.stderr and "Traceback" not in r.stderr
+        assert not (workdir / "runs" / "bad").exists()
+
     def test_training_failure_exits_1_naming_the_step(self, workdir):
         r = run_cli(["train", "--config", "small.json", "--set", "semisup.lr=1e200", "--name", "bad"], workdir)
         assert r.returncode == 1, r.stderr
@@ -442,6 +459,20 @@ class TestAblationRuns:
         dataset = generate_dataset(**cfg.data_kwargs())
         with pytest.raises(InvalidConfig):
             run_variant("bogus", dataset, cfg, seed=0)
+
+    def test_num_labeled_above_train_split_rejected(self):
+        from spcl.ablation import directional_experiment, run_variant
+        from spcl.synth_data import generate_dataset
+
+        cfg = config_from_dict({**SMALL, "ablation": {**SMALL["ablation"], "num_labeled": 100}})
+        dataset = generate_dataset(**cfg.data_kwargs())
+        train = len(dataset.splits["train"])
+        match = f"num_labeled=100 exceeds the {train} patients of the train split"
+        with pytest.raises(InvalidConfig, match=match):
+            run_variant("baseline", dataset, cfg, seed=0)
+        with pytest.raises(InvalidConfig, match=match):
+            directional_experiment(cfg, seeds=(0, 1, 2))
+        assert dataset.first_train_patients(train) == dataset.splits["train"]
 
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))

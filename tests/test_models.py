@@ -9,7 +9,7 @@ import pytest
 
 from spcl.autodiff import GradTape, Tensor, finite_diff_check
 from spcl.errors import DataError, InvalidConfig, ShapeMismatch
-from spcl.models import EmaTeacher, ModelConfig, ParamModel, embed, ema_update, segment
+from spcl.models import EmaTeacher, ModelConfig, ParamModel, ema_update
 
 TINY = ModelConfig(
     image_shape=(4, 4), num_classes=2, arch="dense", encoder_widths=(8, 4),
@@ -30,18 +30,19 @@ def npy_bytes() -> bytes:
 class TestEmbed:
     def test_unit_norm(self, rng):
         model = ParamModel(TINY)
-        z = embed(model, rng.random((4, 4)))
+        z = model.embed_batch(rng.random((4, 4)))
+        assert z.shape == (1, 4)
         assert abs(np.linalg.norm(z.data) - 1.0) < 1e-10
 
     def test_deterministic(self, rng):
         model = ParamModel(TINY)
         x = rng.random((4, 4))
-        assert np.array_equal(embed(model, x).data, embed(model, x).data)
+        assert np.array_equal(model.embed_batch(x).data, model.embed_batch(x).data)
 
     def test_distinct_inputs_distinct_embeddings(self, rng):
         model = ParamModel(TINY)
-        a = embed(model, rng.random((4, 4))).data
-        b = embed(model, rng.random((4, 4))).data
+        a = model.embed_batch(rng.random((4, 4))).data[0]
+        b = model.embed_batch(rng.random((4, 4))).data[0]
         assert float(a @ b) < 1.0 - 1e-6
 
     def test_batch_matches_single(self, rng):
@@ -49,14 +50,14 @@ class TestEmbed:
         images = rng.random((3, 4, 4))
         batched = model.embed_batch(images).data
         for i in range(3):
-            np.testing.assert_allclose(batched[i], embed(model, images[i]).data, atol=1e-12)
+            np.testing.assert_allclose(batched[i], model.embed_batch(images[i]).data[0], atol=1e-12)
 
 
 class TestSegment:
     def test_output_shape(self, rng):
         model = ParamModel(ModelConfig(image_shape=(16, 16), num_classes=2))
-        logits = segment(model, rng.random((16, 16)))
-        assert logits.shape == (16, 16, 2)
+        logits = model.segment_batch(rng.random((16, 16)))
+        assert logits.shape == (1, 16, 16, 2)
 
     def test_conv_output_shape_and_unit_embedding(self, rng):
         model = ParamModel(TINY_CONV)
@@ -86,7 +87,7 @@ class TestSegment:
         model = ParamModel(TINY)
         model.params["dec.out.w"] = Tensor(np.zeros(model.params["dec.out.w"].shape), requires_grad=True)
         model.params["dec.out.b"] = Tensor(np.zeros(model.params["dec.out.b"].shape), requires_grad=True)
-        logits = segment(model, rng.random((4, 4))).data
+        logits = model.segment_batch(rng.random((4, 4))).data
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         probs = e / e.sum(axis=-1, keepdims=True)
         np.testing.assert_allclose(probs, 0.5, atol=1e-12)
@@ -94,7 +95,7 @@ class TestSegment:
     def test_rejects_wrong_spatial_shape(self, rng):
         model = ParamModel(TINY)
         with pytest.raises(ShapeMismatch):
-            segment(model, rng.random((5, 5)))
+            model.segment_batch(rng.random((5, 5)))
 
     def test_cross_entropy_gradient_finite_difference(self, rng):
         from spcl.semi_supervised import supervised_loss
@@ -159,7 +160,7 @@ class TestEmaTeacher:
         one = {k: Tensor(np.ones(v.shape), requires_grad=True) for k, v in model.params.items()}
         zero = {k: Tensor(np.zeros(v.shape), requires_grad=True) for k, v in model.params.items()}
         teacher.shadow = {k: np.ones(v.shape) for k, v in model.params.items()}
-        ema_update(teacher, ParamModel(TINY, zero), decay=0.99)
+        ema_update(teacher, ParamModel(TINY, zero))
         np.testing.assert_allclose(teacher.shadow["enc.0.w"], 0.99)
 
     def test_decay_zero_copies_student(self, rng):
@@ -206,7 +207,7 @@ class TestCheckpoint:
         for k in model.params:
             np.testing.assert_array_equal(loaded.params[k].data, model.params[k].data)
         x = rng.random((4, 4))
-        np.testing.assert_array_equal(embed(loaded, x).data, embed(model, x).data)
+        np.testing.assert_array_equal(loaded.embed_batch(x).data, model.embed_batch(x).data)
 
     def test_dense_without_skip_trains_and_round_trips(self, tmp_path, rng):
         from spcl.optim import RAdam

@@ -7,7 +7,14 @@ import pytest
 
 from conftest import interleaved_pairs, random_batch
 from spcl.autodiff import GradTape, Tensor, l2_normalize_rows
-from spcl.contrastive import AugmentedBatch, meta_contrastive_loss, pair_loss_values, unsup_contrastive_loss
+from spcl.contrastive import (
+    AugmentedBatch,
+    masked_mean,
+    meta_contrastive_loss,
+    pair_loss_values,
+    positive_mask,
+    unsup_contrastive_loss,
+)
 from spcl.errors import InvalidConfig
 from spcl.self_paced import (
     HARD,
@@ -19,11 +26,25 @@ from spcl.self_paced import (
     pace_schedule,
     regularizer_value,
     sp_contrastive_loss,
-    weighted_loss_terms,
 )
 from spcl.synth_data import per_image_labels
 
 GRID = np.linspace(0.0, 1.0, 10001)  # step 1e-4
+
+
+def dense_weights(batch: AugmentedBatch, k: int, weights: np.ndarray) -> np.ndarray:
+    """sp_contrastive_loss's in-mask weights scattered back to a (2N, 2N) matrix."""
+    w = np.zeros((batch.num_samples, batch.num_samples))
+    w[positive_mask(batch, k)] = weights
+    return w
+
+
+def weighted_loss_terms(batch, k, weights, gamma, config) -> tuple[float, float]:
+    """(w*l part, regularizer part) of the self-paced scalar, rebuilt from its weights."""
+    mask = positive_mask(batch, k)
+    w = dense_weights(batch, k, weights)
+    r = np.where(mask, regularizer_value(w, gamma, config.regularizer), 0.0)
+    return masked_mean(pair_loss_values(batch, config.tau).data, mask, w), masked_mean(r, mask)
 
 
 def grid_argmin(l: float, gamma: float, regularizer: str) -> float:
@@ -176,10 +197,10 @@ class TestSelfPacedLoss:
         batch = random_batch(rng, 4, num_classes=[2])
         cfg = SelfPacedConfig(regularizer=HARD, tau=0.5)
         _, hi = loss_bounds(4, 0.5)
-        loss, weights, losses = sp_contrastive_loss(batch, 0, hi + 1.0, cfg)
-        assert np.all(weights.entries() == 1.0)
-        wl, reg = weighted_loss_terms(losses, weights)
-        meta, _ = meta_contrastive_loss(batch, 0, 0.5)
+        loss, weights = sp_contrastive_loss(batch, 0, hi + 1.0, cfg)
+        assert np.all(weights == 1.0)
+        wl, reg = weighted_loss_terms(batch, 0, weights, hi + 1.0, cfg)
+        meta = meta_contrastive_loss(batch, 0, 0.5)
         assert wl == pytest.approx(meta.item(), abs=1e-10)
         assert loss.item() == pytest.approx(wl + reg, abs=1e-12)
 
@@ -187,9 +208,9 @@ class TestSelfPacedLoss:
         batch = random_batch(rng, 4, num_classes=[2])
         cfg = SelfPacedConfig(regularizer=HARD, tau=0.5)
         lo, _ = loss_bounds(4, 0.5)
-        loss, weights, losses = sp_contrastive_loss(batch, 0, lo * 0.5, cfg)
-        assert np.all(weights.entries() == 0.0)
-        wl, reg = weighted_loss_terms(losses, weights)
+        loss, weights = sp_contrastive_loss(batch, 0, lo * 0.5, cfg)
+        assert np.all(weights == 0.0)
+        wl, reg = weighted_loss_terms(batch, 0, weights, lo * 0.5, cfg)
         assert wl == 0.0 and reg == 0.0
         assert loss.item() == 0.0
 
@@ -200,7 +221,7 @@ class TestSelfPacedLoss:
         with GradTape() as tape:
             z = l2_normalize_rows(raw)
             batch = AugmentedBatch(z, interleaved_pairs(8), np.repeat(rng.integers(0, 2, 4), 2)[None, :])
-            loss, _, _ = sp_contrastive_loss(batch, 0, lo * 0.5, cfg)
+            loss, _ = sp_contrastive_loss(batch, 0, lo * 0.5, cfg)
         (g,) = tape.gradient(loss, [raw])
         assert np.all(g == 0.0)
 
@@ -215,9 +236,10 @@ class TestSelfPacedLoss:
             z = l2_normalize_rows(arr if isinstance(arr, Tensor) else Tensor(arr))
             return AugmentedBatch(z, interleaved_pairs(6), labels)
 
-        _, weights, _ = sp_contrastive_loss(batch_of(raw0), 0, gamma, cfg)
-        w_frozen = weights.values
-        mask = weights.mask
+        batch0 = batch_of(raw0)
+        _, weights = sp_contrastive_loss(batch0, 0, gamma, cfg)
+        w_frozen = dense_weights(batch0, 0, weights)
+        mask = positive_mask(batch0, 0)
         coef = mask.astype(float) / mask.sum(axis=1)[:, None]
 
         def frozen_loss(arr):
@@ -258,8 +280,8 @@ class TestSelfPacedLoss:
                 gamma_start=base.gamma_start, gamma_end=base.gamma_end,
             )
             gamma = pace_schedule(cfg, 50, 100)
-            _, weights, _ = sp_contrastive_loss(batch, 0, gamma, cfg)
-            means[p] = weights.stats()[0]
+            _, weights = sp_contrastive_loss(batch, 0, gamma, cfg)
+            means[p] = weights.mean()
         assert means[0.5] > means[2.0]
 
 
@@ -268,7 +290,7 @@ class TestCombinedLoss:
         batch = random_batch(rng, 4, num_classes=[2])
         cfg = SelfPacedConfig(tau=0.5, lambdas=(1.0,)).with_default_pace(4)
         gamma = 0.5 * (cfg.gamma_start + cfg.gamma_end)
-        single, _, _ = sp_contrastive_loss(batch, 0, gamma, cfg)
+        single, _ = sp_contrastive_loss(batch, 0, gamma, cfg)
         assert combined_sp_loss(batch, gamma, cfg)[0].item() == single.item()
 
     def test_zero_lambda_drops_label(self, rng):
@@ -301,7 +323,7 @@ class TestCombinedLoss:
         gamma = 0.5 * (cfg.gamma_start + cfg.gamma_end)
         loss, pooled = combined_sp_loss(batch, gamma, cfg)
         terms = [sp_contrastive_loss(batch, k, gamma, cfg) for k in (0, 2)]
-        np.testing.assert_array_equal(pooled, np.concatenate([w.entries() for _, w, _ in terms]))
+        np.testing.assert_array_equal(pooled, np.concatenate([w for _, w in terms]))
         assert loss.item() == (terms[0][0] * 1.0 + terms[1][0] * 0.25).item()
 
     def test_unweighted_is_meta_loss_bitwise(self, rng):
@@ -309,8 +331,8 @@ class TestCombinedLoss:
         cfg = SelfPacedConfig(tau=0.5, lambdas=(1.0, 0.0, 0.25))
         loss, pooled = combined_sp_loss(batch, 1.0, cfg, weighted=False)
         meta = [meta_contrastive_loss(batch, k, 0.5) for k in (0, 2)]
-        assert loss.item() == (meta[0][0] * 1.0 + meta[1][0] * 0.25).item()
-        assert pooled.size == sum(int(m.mask.sum()) for _, m in meta) and np.all(pooled == 1.0)
+        assert loss.item() == (meta[0] * 1.0 + meta[1] * 0.25).item()
+        assert pooled.size == sum(int(positive_mask(batch, k).sum()) for k in (0, 2)) and np.all(pooled == 1.0)
 
     def test_unweighted_per_image_labels_is_unsup_loss_bitwise(self, rng):
         batch = random_batch(rng, 5)

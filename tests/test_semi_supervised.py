@@ -269,6 +269,22 @@ class TestSemiSupLoop:
             gap = np.abs(shadow - state.model.params[k].data).max()
             assert gap < 0.05  # bounded updates keep the EMA close
 
+    def test_no_teacher_without_consistency_term(self, monkeypatch):
+        import spcl.semi_supervised as semi_supervised
+
+        calls = []
+        real = semi_supervised.ema_update
+        monkeypatch.setattr(semi_supervised, "ema_update", lambda t, s: calls.append(1) or real(t, s))
+        ds = small_dataset()
+        labeled = ds.splits["train"][:1]
+        cfg = SemiSupConfig(epochs=1, batch_size=4, unlabeled_batch_originals=4, lambda_reg=0.0, lambda_sp=0.1)
+        state = run_semisup(small_model(), ds, labeled, cfg, seed=0, policy=FAST_POLICY)
+        assert len(state.history) > 0
+        assert state.teacher is None and calls == []
+        # the patched name is the one the loop calls: with the term on, one update per step
+        state = run_semisup(small_model(), ds, labeled, replace(cfg, lambda_reg=0.1), seed=0, policy=FAST_POLICY)
+        assert state.teacher is not None and len(calls) == len(state.history) > 0
+
     def test_unlabeled_only_switch(self):
         ds = small_dataset()
         labeled = ds.splits["train"][:1]

@@ -7,22 +7,31 @@ reverse to accumulate d(scalar)/d(param), and ``GradTape.replay`` re-executes
 the recorded forwards to reproduce the output bit-for-bit. Outside a tape,
 the same primitives evaluate eagerly with no recording.
 
-Every public operation checks its result for NaN/Inf and raises
-``NonFiniteValue`` instead of propagating garbage. The check lives in one
-place, ``Tensor.__init__``: each op output and each wrapped constant is
-scanned exactly once, and ``_apply`` only re-raises the error with the op's
-name.
+Every ``Tensor`` holds finite values, and every op keeps it so. A finite
+input can turn into NaN or Inf only through an overflow, a divide-by-zero or
+an invalid operation, and each of these sets an IEEE status flag. Ops
+therefore run under ``np.errstate(divide, invalid, over="raise")``: the
+flag becomes a ``FloatingPointError``, which ``_apply`` re-raises as
+``NonFiniteValue`` naming the op, and ``GradTape.gradient`` as
+``NonFiniteValue`` naming the op whose backward failed. Op outputs are not
+scanned; values from outside an op are: ``Tensor.__init__`` scans each caller
+array and constant (Python scalars included) exactly once. The one routine
+that can overflow without setting the caller's flag is a BLAS product large
+enough for OpenBLAS to split across threads; ``matmul`` and ``conv2d`` scan
+such products themselves and raise the error the flag would have.
 
-Floating-point warnings are silenced by one ``np.errstate(divide, invalid,
-over="ignore")`` scope per region, not per op: ``GradTape`` enters it for its
-whole ``with`` block and ``finite_diff_check`` for each parameter's
-evaluation loop. An op applied outside any such scope (tests, demos,
-evaluation) enters its own, so an overflow surfaces only as
-``NonFiniteValue``, never as a ``RuntimeWarning``.
+The raising error state is entered once per region, not per op: ``GradTape``
+enters it for its whole ``with`` block, ``GradTape.gradient`` for its walk
+and ``finite_diff_check`` for each parameter's evaluation loop. An op applied
+outside any such scope (tests, demos, evaluation) enters its own. Underflow
+keeps NumPy's setting. A ``FloatingPointError`` raised inside a region by
+NumPy code that is not an op becomes a ``NonFiniteValue`` when the region
+exits, so no op, backward walk or finite-difference check hands its caller
+a raw ``FloatingPointError`` or an overflow ``RuntimeWarning``.
 
 A ``Tensor`` built from a caller's array copies it. An op output that the
-forward has just allocated (a writeable, C-contiguous float64 ndarray owning
-its memory) is frozen in place instead; views, NumPy scalars and anything
+forward has just allocated (a C-contiguous float64 ndarray owning its
+memory) is frozen in place instead; views, NumPy scalars and anything
 else are copied as before. Either way ``Tensor.data`` is read-only and holds
 the same bits.
 
@@ -51,36 +60,56 @@ from .errors import DisconnectedParamWarning, NonFiniteValue, NormTooSmall, Shap
 EPS_NORM = 1e-30
 
 _TAPE_STACK: list["GradTape"] = []
-_IGNORE_FP = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
-_quiet_depth = 0  # open _quiet_floats scopes; while any is open, _apply enters no errstate of its own
+_RAISE_FP = {"divide": "raise", "invalid": "raise", "over": "raise"}
+_raise_depth = 0  # open _raising_floats scopes; while any is open, _apply enters no errstate of its own
 
 
 @contextlib.contextmanager
-def _quiet_floats():
-    """Silence divide/invalid/overflow warnings for every op in a ``with`` block.
+def _raising_floats():
+    """Raise on divide/invalid/overflow for every op in a ``with`` block.
 
-    Restored on every exit, including an exception. Results are unchanged:
-    errstate only decides whether NumPy warns.
+    A ``FloatingPointError`` that no op named (NumPy code between ops)
+    leaves the block as ``NonFiniteValue``. The error state is restored on
+    every exit. Results are unchanged: errstate only decides whether NumPy
+    raises.
     """
-    global _quiet_depth
-    with np.errstate(**_IGNORE_FP):
-        _quiet_depth += 1
+    global _raise_depth
+    with np.errstate(**_RAISE_FP):
+        _raise_depth += 1
         try:
             yield
+        except FloatingPointError as exc:
+            raise NonFiniteValue(f"NaN/Inf outside an op: {exc}") from exc
         finally:
-            _quiet_depth -= 1
+            _raise_depth -= 1
+
+
+# An overflow in a BLAS worker thread never sets the calling thread's flag.
+# OpenBLAS's default build splits a product across threads above 2**18
+# multiply-adds; the threshold is a build option, so every product above
+# 2**16 is scanned. The scan is one pass over the m x n output, against k
+# multiply-adds per output element for the product itself.
+_THREADED_BLAS_MNK = 1 << 16
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` for 2-D operands, raising ``FloatingPointError`` on NaN/Inf like any flagged op."""
+    out = x @ y
+    if x.shape[0] * x.shape[1] * y.shape[1] > _THREADED_BLAS_MNK and not np.isfinite(out).all():
+        raise FloatingPointError("overflow encountered in a threaded matmul")
+    return out
 
 
 def _freeze(a, fresh: bool = False) -> np.ndarray:
     """Read-only C-order float64 array holding ``a``'s values.
 
-    ``fresh`` promises that nothing else holds ``a``; such an array, when it
+    ``fresh`` promises that nothing else writes ``a``; such an array, when it
     already has the final layout and owns its memory, is frozen in place
     instead of copied.
     """
     if fresh and type(a) is np.ndarray and a.dtype == np.float64:
         flags = a.flags
-        if flags.writeable and flags.c_contiguous and flags.owndata:
+        if flags.c_contiguous and flags.owndata:
             flags.writeable = False
             return a
     out = np.array(a, dtype=np.float64, order="C")
@@ -89,13 +118,19 @@ def _freeze(a, fresh: bool = False) -> np.ndarray:
 
 
 class Tensor:
-    """Immutable float64 array with optional gradient tracking."""
+    """Immutable, finite float64 array with optional gradient tracking.
+
+    ``_fresh`` marks an array computed under the raising error state from
+    finite operands, which nothing else writes (an op output, a teacher
+    shadow): it is frozen in place and not scanned. Anything else is copied
+    and scanned for NaN/Inf.
+    """
 
     __slots__ = ("data", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str = "", _fresh: bool = False):
         self.data = _freeze(data, _fresh)
-        if not np.isfinite(self.data).all():
+        if not (_fresh or np.isfinite(self.data).all()):
             raise NonFiniteValue(f"tensor {name!r} contains NaN/Inf")
         self.requires_grad = bool(requires_grad)
         self.name = name
@@ -175,11 +210,7 @@ class Tensor:
 
 
 def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    if isinstance(x, (float, int)):
-        return Tensor(np.array(x, dtype=np.float64), _fresh=True)
-    return Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class Node:
@@ -203,8 +234,8 @@ class GradTape:
         self._tracked: set[int] = set()
 
     def __enter__(self) -> "GradTape":
-        self._quiet = _quiet_floats()
-        self._quiet.__enter__()
+        self._floats = _raising_floats()
+        self._floats.__enter__()
         _TAPE_STACK.append(self)
         return self
 
@@ -213,7 +244,7 @@ class GradTape:
             popped = _TAPE_STACK.pop()
             assert popped is self
         finally:
-            self._quiet.__exit__(exc_type, exc, tb)
+            self._floats.__exit__(exc_type, exc, tb)
 
     def watch(self, tensor: Tensor) -> None:
         """Track ``tensor`` like a ``requires_grad`` one in the ops recorded from now on.
@@ -253,24 +284,31 @@ class GradTape:
 
         Parameters that never influenced ``output`` get an exact zero gradient
         and a ``DisconnectedParamWarning`` (suppress with
-        ``warn_disconnected=False``).
+        ``warn_disconnected=False``). The walk runs under the raising error
+        state: a NaN/Inf in a node's cotangents, or in their sum with the
+        cotangents already accumulated, raises ``NonFiniteValue`` naming
+        that node's op.
         """
         if output.data.ndim != 0:
             raise ShapeMismatch(f"gradient target must be scalar, got shape {output.shape}")
         grads: dict[int, np.ndarray] = {id(output): np.ones((), dtype=np.float64)}
         tracked = self._tracked
-        for node in reversed(self.nodes):
-            g_out = grads.pop(id(node.output), None)
-            if g_out is None:
-                continue
-            for t, g in zip(node.inputs, node.backward_fn(g_out)):
-                if g is None:
-                    continue
-                key = id(t)
-                if not (t.requires_grad or key in tracked):
-                    continue
-                acc = grads.get(key)
-                grads[key] = g if acc is None else acc + g
+        with _raising_floats():
+            try:
+                for node in reversed(self.nodes):
+                    g_out = grads.pop(id(node.output), None)
+                    if g_out is None:
+                        continue
+                    for t, g in zip(node.inputs, node.backward_fn(g_out)):
+                        if g is None:
+                            continue
+                        key = id(t)
+                        if not (t.requires_grad or key in tracked):
+                            continue
+                        acc = grads.get(key)
+                        grads[key] = g if acc is None else acc + g
+            except FloatingPointError:
+                raise NonFiniteValue(f"backward of op {node.op!r} produced NaN/Inf") from None
         out: list[np.ndarray] = []
         disconnected: list[str] = []
         for i, p in enumerate(params):
@@ -316,18 +354,19 @@ def _apply(
     ``backward_fn_factory(input_datas, out_data)`` must return a closure
     mapping the output cotangent to one cotangent (or None) per input.
     ``forward_fn`` returns a new array or a view, never an array that
-    something else can still write: a new array is frozen in place.
+    something else can still write: a new array is frozen in place. It runs
+    under the raising error state, so its output is finite or it raises.
     """
     datas = [t.data for t in inputs]
-    if _quiet_depth:
-        out_data = forward_fn(*datas)
-    else:
-        with np.errstate(**_IGNORE_FP):
-            out_data = forward_fn(*datas)
     try:
-        out = Tensor(out_data, _fresh=True)
-    except NonFiniteValue:
+        if _raise_depth:
+            out_data = forward_fn(*datas)
+        else:
+            with np.errstate(**_RAISE_FP):
+                out_data = forward_fn(*datas)
+    except FloatingPointError:
         raise NonFiniteValue(f"op {op!r} produced NaN/Inf") from None
+    out = Tensor(out_data, _fresh=True)
     if not _TAPE_STACK:
         return out
     tape = _TAPE_STACK[-1]
@@ -402,9 +441,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(datas, out):
         da, db = datas
-        return lambda g: (g @ db.T, da.T @ g)
+        return lambda g: (_product(g, db.T), _product(da.T, g))
 
-    return _apply("matmul", (a, b), np.matmul, bwd)
+    return _apply("matmul", (a, b), _product, bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -580,7 +619,7 @@ def conv2d(x: Tensor, kernel: Tensor, image_hw: tuple[int, int]) -> Tensor:
         return np.take(padded, idx, axis=1).reshape(b * h * w, k * k * channels)
 
     def fwd(xd, kd):
-        out = im2col(xd, cin) @ kd
+        out = _product(im2col(xd, cin), kd)
         out.shape = (xd.shape[0], h * w * cout)  # in place, so the tensor can own it
         return out
 
@@ -595,8 +634,8 @@ def conv2d(x: Tensor, kernel: Tensor, image_hw: tuple[int, int]) -> Tensor:
 
         def back(g):
             b = xd.shape[0]
-            g_kernel = im2col(xd, cin).T @ g.reshape(b * h * w, cout)
-            g_x = (im2col(g, cout) @ flipped).reshape(b, h * w * cin) if need_x else None
+            g_kernel = _product(im2col(xd, cin).T, g.reshape(b * h * w, cout))
+            g_x = _product(im2col(g, cout), flipped).reshape(b, h * w * cin) if need_x else None
             return g_x, g_kernel
 
         return back
@@ -663,6 +702,15 @@ def detached_max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return Tensor(np.max(a.data, axis=axis, keepdims=keepdims))
 
 
+def _norms(data: np.ndarray, axis=None):
+    """``np.linalg.norm``, whose overflow raises ``NonFiniteValue`` instead of a warning or a raw error."""
+    try:
+        with np.errstate(**_RAISE_FP):
+            return np.linalg.norm(data, axis=axis)
+    except FloatingPointError:
+        raise NonFiniteValue("norm overflowed: the vector holds values too large to normalize") from None
+
+
 def l2_normalize(v: Tensor | np.ndarray) -> Tensor:
     """Scale a 1-D vector to unit Euclidean norm.
 
@@ -673,7 +721,7 @@ def l2_normalize(v: Tensor | np.ndarray) -> Tensor:
     t = _as_tensor(v)
     if t.ndim != 1:
         raise ShapeMismatch(f"l2_normalize expects a 1-D vector, got shape {t.shape}")
-    norm = float(np.linalg.norm(t.data))
+    norm = float(_norms(t.data))
     if norm <= EPS_NORM:
         raise NormTooSmall(f"vector norm {norm:.3e} <= {EPS_NORM:.0e}")
     return t / tsum(t * t) ** 0.5
@@ -684,7 +732,7 @@ def l2_normalize_rows(m: Tensor | np.ndarray) -> Tensor:
     t = _as_tensor(m)
     if t.ndim != 2:
         raise ShapeMismatch(f"l2_normalize_rows expects a matrix, got shape {t.shape}")
-    norms = np.linalg.norm(t.data, axis=1)
+    norms = _norms(t.data, axis=1)
     if np.any(norms <= EPS_NORM):
         raise NormTooSmall(f"row norm {norms.min():.3e} <= {EPS_NORM:.0e}")
     return t / tsum(t * t, axis=1, keepdims=True) ** 0.5
@@ -727,7 +775,7 @@ def finite_diff_check(
     for pi, p in enumerate(params):
         base = p.data
         numeric = np.zeros(base.size, dtype=np.float64)
-        with _quiet_floats():
+        with _raising_floats():
             for ci in range(base.size):
                 pert = base.reshape(-1).copy()
                 pert[ci] += step

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tensor, avg_pool2x, concat, conv2d, l2_normalize_rows, upsample2x
-from .errors import DataError, InvalidConfig, ShapeMismatch
+from .autodiff import _RAISE_FP, Tensor, avg_pool2x, concat, conv2d, l2_normalize_rows, upsample2x
+from .errors import DataError, InvalidConfig, NonFiniteValue, ShapeMismatch
 from .schema import check_finite, check_value
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -292,7 +292,9 @@ class ParamModel:
 class EmaTeacher:
     """Exponential-moving-average shadow of a model's parameters.
 
-    Never updated by gradients; ema_update pulls it toward the student.
+    Never updated by gradients; ema_update pulls it toward the student. The
+    shadow arrays are finite and read-only: the student's own at the start,
+    then each one ema_update computes.
     """
 
     def __init__(self, student: ParamModel, decay: float = 0.99):
@@ -300,21 +302,32 @@ class EmaTeacher:
             raise InvalidConfig(f"decay must be in [0, 1), got {decay}")
         self.decay = float(decay)
         self.config = student.config
-        self.shadow: dict[str, np.ndarray] = {k: np.array(v.data) for k, v in student.params.items()}
+        self.shadow: dict[str, np.ndarray] = {k: v.data for k, v in student.params.items()}
 
     def as_model(self) -> ParamModel:
-        """Frozen view for inference: constant tensors, no gradient tracking."""
+        """Frozen view for inference: constant tensors over the shadow arrays, not copied or rescanned."""
         return ParamModel(
-            self.config, {k: Tensor(v, requires_grad=False, name=k) for k, v in self.shadow.items()}
+            self.config, {k: Tensor(v, requires_grad=False, name=k, _fresh=True) for k, v in self.shadow.items()}
         )
 
 
 def ema_update(teacher: EmaTeacher, student: ParamModel) -> EmaTeacher:
-    """teacher <- decay * teacher + (1 - decay) * student, parameter-wise."""
+    """teacher <- decay * teacher + (1 - decay) * student, parameter-wise.
+
+    Each new shadow array is computed under the raising error state, so it
+    is finite (an overflow raises NonFiniteValue naming the parameter), and
+    then frozen.
+    """
     a = teacher.decay
-    for k, s in student.params.items():
-        t = teacher.shadow.get(k)
-        if t is None or t.shape != s.shape:
-            raise ShapeMismatch(f"teacher/student mismatch on {k!r}")
-        teacher.shadow[k] = a * t + (1.0 - a) * s.data
+    try:
+        with np.errstate(**_RAISE_FP):
+            for k, s in student.params.items():
+                t = teacher.shadow.get(k)
+                if t is None or t.shape != s.shape:
+                    raise ShapeMismatch(f"teacher/student mismatch on {k!r}")
+                new = a * t + (1.0 - a) * s.data
+                new.flags.writeable = False
+                teacher.shadow[k] = new
+    except FloatingPointError:
+        raise NonFiniteValue(f"EMA update of {k!r} produced NaN/Inf") from None
     return teacher

@@ -101,14 +101,16 @@ def optimal_weight(loss, gamma: float, regularizer: str):
 
     Hard mode thresholds (ties at loss == gamma resolve to w = 1); linear mode
     ramps as 1 - loss/gamma, clipped to [0, 1] so the argmin property holds
-    for any real loss value. Accepts scalars or arrays.
+    for any real loss value. The loss is clipped to [0, gamma] before the
+    division, which gives the same bits and cannot overflow however small
+    gamma is. Accepts scalars or arrays.
     """
     gamma = _check_gamma(gamma)
     l = np.asarray(loss, dtype=np.float64)
     if regularizer == HARD:
         w = np.where(l <= gamma, 1.0, 0.0)
     elif regularizer == LINEAR:
-        w = np.clip(1.0 - l / gamma, 0.0, 1.0)
+        w = 1.0 - np.clip(l, 0.0, gamma) / gamma
     else:
         raise InvalidConfig(f"unknown regularizer {regularizer!r}")
     return float(w) if np.isscalar(loss) or np.ndim(loss) == 0 else w

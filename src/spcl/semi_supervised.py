@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 import numpy as np
 
@@ -238,6 +239,9 @@ def _fit(
     teacher (if any) takes one EMA update, and one history row is appended.
     Gamma follows ``config.self_paced``'s pace, advancing after each epoch. A
     NaN/Inf or a vanishing norm is re-raised naming the phase, epoch and step.
+    The ops' raising error state catches a NaN/Inf where it arises; the check
+    on the scalar loss (and RAdam's scan of the new parameters) backs it up
+    for any routine that sets no floating-point flag.
     """
     params = state.model.params
     state.gamma = pace_schedule(config.self_paced, 0, config.epochs)
@@ -246,13 +250,16 @@ def _fit(
             try:
                 with GradTape() as tape:
                     total, terms, w_stats = loss(batch, state.gamma)
+                value = total.item()
+                if not math.isfinite(value):
+                    raise NonFiniteValue("the loss is NaN/Inf")
                 grads = tape.gradient(total, [params[n] for n in names], warn_disconnected=False)
                 state.optimizer.step(params, dict(zip(names, grads)))
                 if state.teacher is not None:
                     ema_update(state.teacher, state.model)
             except (NonFiniteValue, NormTooSmall) as exc:
                 raise type(exc)(f"{phase} epoch {epoch} step {step}: {exc}") from exc
-            row = (epoch, step, *terms, total.item(), state.gamma, *w_stats)
+            row = (epoch, step, *terms, value, state.gamma, *w_stats)
             state.history.append(dict(zip(HISTORY_COLUMNS, row)))
         state.epoch += 1
         state.gamma = pace_schedule(config.self_paced, state.epoch, config.epochs)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spcl.autodiff import GradTape
+from spcl.autodiff import GradTape, _apply
 from spcl.contrastive import AugmentedBatch
 from spcl.optim import RAdam
 from spcl.self_paced import pace_schedule
@@ -43,6 +43,11 @@ def random_batch(
         pair_of=interleaved_pairs(n2),
         meta_labels=labels,
     )
+
+
+def exploding_exp(a):
+    """``autodiff.exp`` with the same forward and a backward that overflows: patch it in to fail a training's backward."""
+    return _apply("exp", (a,), np.exp, lambda datas, out: lambda g: (g * out * 1e300 * 1e300,))
 
 
 def reference_supervised_history(model, dataset, labeled_patients, config, seed: int) -> list[dict]:

@@ -58,8 +58,9 @@ class TestTensorBasics:
             assert out.data.flags.c_contiguous, op
             assert not out.data.flags.writeable, op
 
-    def test_eager_op_scans_output_once(self, monkeypatch):
+    def test_eager_op_makes_no_finite_scan(self, monkeypatch):
         a, b = Tensor(np.ones((16, 32))), Tensor(np.ones((16, 32)))
+        w = Tensor(np.ones((32, 8)))
         calls = []
         real_isfinite = np.isfinite
 
@@ -69,7 +70,17 @@ class TestTensorBasics:
 
         monkeypatch.setattr(np, "isfinite", counting_isfinite)
         ad.add(a, b)
-        assert len(calls) == 1
+        ad.matmul(a, w)
+        assert calls == []  # the raising error state is the check
+        Tensor(np.ones(3))
+        a + 2.0
+        assert len(calls) == 2  # a caller array and a scalar constant are scanned
+
+    @pytest.mark.parametrize("operand", [float("nan"), np.array([np.nan, 1.0]), [1.0, np.inf]])
+    def test_non_finite_operand_rejected(self, operand):
+        t = Tensor([1.0, 2.0])
+        with pytest.raises(NonFiniteValue, match="contains NaN/Inf"):
+            t * operand
 
 
 class TestDispatch:
@@ -163,6 +174,124 @@ class TestDispatch:
         produced, kept = frozen[-1]
         assert kept is produced and out.data is produced
         assert out.shape == shape
+
+
+BIG = 1e308
+
+# One input per primitive that drives its forward into an overflow, a
+# divide-by-zero or an invalid operation. neg, transpose, reshape, concat and
+# upsample2x only move finite values, so their forward cannot fail.
+FORWARD_FAILURES = {
+    "add": lambda: Tensor([BIG]) + Tensor([BIG]),
+    "sub": lambda: Tensor([BIG]) - Tensor([-BIG]),
+    "mul": lambda: Tensor([1e200]) * Tensor([1e200]),
+    "div": lambda: Tensor([1.0]) / Tensor([0.0]),
+    "matmul": lambda: Tensor([[1e200]]) @ Tensor([[1e200]]),
+    "exp": lambda: Tensor([1000.0]).exp(),
+    "log": lambda: Tensor([-1.0]).log(),
+    "power": lambda: Tensor([-1.0]) ** 0.5,
+    "leaky_relu": lambda: Tensor([-1e300]).leaky_relu(1e10),
+    "sum": lambda: Tensor([BIG, BIG]).sum(),
+    "mean": lambda: Tensor([BIG, BIG]).mean(),
+    "conv2d": lambda: ad.conv2d(Tensor(np.full((1, 4), 1e200)), Tensor(np.full((9, 1), 1e200)), (2, 2)),
+    "avg_pool2x": lambda: ad.avg_pool2x(Tensor(np.full((1, 4), BIG)), (2, 2)),
+}
+
+# (input, loss) per primitive: the forward is finite and the op's backward
+# overflows or divides by zero, either in its own cotangent or when that
+# cotangent is added to the one a later use of the input already left there.
+BACKWARD_FAILURES = {
+    "add": (np.zeros(1), lambda x: ((x + Tensor(np.zeros(2))) * Tensor([BIG, BIG])).sum()),
+    "sub": (np.zeros(1), lambda x: ((x - Tensor(np.zeros(2))) * Tensor([BIG, BIG])).sum()),
+    "neg": (np.zeros(1), lambda x: (-x * Tensor([-BIG])).sum() + (x * Tensor([BIG])).sum()),
+    "mul": (np.zeros(1), lambda x: ((x * Tensor([1e200])) * Tensor([1e200])).sum()),
+    "div": (np.full(1, 1e-200), lambda x: (Tensor([1.0]) / x).sum()),
+    "matmul": (np.zeros((1, 1)), lambda x: ((x @ Tensor([[1e200]])) * Tensor([[1e200]])).sum()),
+    "transpose": (np.zeros((1, 2)), lambda x: (x.T * Tensor([[BIG], [BIG]])).sum() + (x * Tensor([[BIG, BIG]])).sum()),
+    "exp": (np.zeros(1), lambda x: (x.exp() * Tensor([BIG])).sum() + (x * Tensor([BIG])).sum()),
+    "log": (np.full(1, 1e-300), lambda x: (x.log() * Tensor([1e10])).sum()),
+    "power": (np.zeros(1), lambda x: (x**0.5).sum()),
+    "leaky_relu": (np.full(1, -1e-300), lambda x: (x.leaky_relu(1e200) * Tensor([1e200])).sum()),
+    "sum": (np.zeros(1), lambda x: x.sum() * BIG + (x * Tensor([BIG])).sum()),
+    "mean": (np.zeros(1), lambda x: x.mean() * BIG + (x * Tensor([BIG])).sum()),
+    "reshape": (np.zeros(2), lambda x: (x.reshape(2, 1) * Tensor([[BIG], [BIG]])).sum() + (x * Tensor([BIG, BIG])).sum()),
+    "concat": (np.zeros(1), lambda x: (ad.concat([x, Tensor([0.0])]) * Tensor([BIG, BIG])).sum() + (x * Tensor([BIG])).sum()),
+    "conv2d": (np.zeros((9, 1)), lambda k: (ad.conv2d(Tensor(np.full((1, 4), 1e200)), k, (2, 2)) * Tensor(np.full((1, 4), 1e200))).sum()),
+    "avg_pool2x": (np.zeros((1, 4)), lambda x: (ad.avg_pool2x(x, (2, 2)) * Tensor([[BIG]])).sum() + (x * Tensor(np.full((1, 4), 1.7e308))).sum()),
+    "upsample2x": (np.zeros((1, 1)), lambda x: (ad.upsample2x(x, (1, 1)) * Tensor(np.full((1, 4), BIG))).sum()),
+}
+
+
+@pytest.fixture
+def strict_floats():
+    """Any warning is an error, and NumPy's error state must be restored afterwards."""
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+    assert np.geterr() == before
+
+
+class TestFloatingPointFlags:
+    @pytest.mark.parametrize("where", ["eager", "tape"])
+    @pytest.mark.parametrize("op", sorted(FORWARD_FAILURES))
+    def test_forward_failure_names_the_op(self, strict_floats, op, where):
+        with pytest.raises(NonFiniteValue, match=f"^op '{op}' produced NaN/Inf$"):
+            if where == "tape":
+                with GradTape():
+                    FORWARD_FAILURES[op]()
+            else:
+                FORWARD_FAILURES[op]()
+
+    @pytest.mark.parametrize("op", sorted(BACKWARD_FAILURES))
+    def test_backward_failure_names_the_op(self, strict_floats, op):
+        x0, loss = BACKWARD_FAILURES[op]
+        x = Tensor(x0, requires_grad=True)
+        with GradTape() as tape:
+            out = loss(x)
+        with pytest.raises(NonFiniteValue, match=f"^backward of op '{op}' produced NaN/Inf$"):
+            tape.gradient(out, [x])
+
+    def test_every_primitive_is_covered(self):
+        primitives = {"add", "sub", "neg", "mul", "div", "matmul", "transpose", "exp", "log", "power",
+                      "leaky_relu", "sum", "mean", "reshape", "concat", "conv2d", "avg_pool2x", "upsample2x"}
+        assert set(BACKWARD_FAILURES) == primitives
+        assert set(FORWARD_FAILURES) == primitives - {"neg", "transpose", "reshape", "concat", "upsample2x"}
+
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_threaded_product_overflow_names_matmul(self, strict_floats, row):
+        # large enough for OpenBLAS to split across threads, whose overflow
+        # flags never reach the calling thread
+        a = np.ones((256, 512))
+        a[row] = 1e306
+        with pytest.raises(NonFiniteValue, match="^op 'matmul' produced NaN/Inf$"):
+            Tensor(a) @ Tensor(np.ones((512, 64)))
+
+    @pytest.mark.parametrize("where", ["tape", "finite_diff"])
+    def test_numpy_error_between_ops_becomes_non_finite_value(self, strict_floats, where):
+        def loss(q):
+            np.exp(np.array([1000.0]))  # plain NumPy, not an op
+            return q.sum()
+
+        p = Tensor([1.0], requires_grad=True)
+        with pytest.raises(NonFiniteValue, match="^NaN/Inf outside an op: overflow"):
+            if where == "tape":
+                with GradTape():
+                    loss(p)
+            else:
+                finite_diff_check(loss, [p])
+
+    @pytest.mark.parametrize("where", ["eager", "tape"])
+    @pytest.mark.parametrize("normalize", ["rows", "vector"])
+    def test_norm_overflow_raises_non_finite_value(self, strict_floats, where, normalize):
+        x = Tensor([[1.0, 2.0], [1e200, 1e200]], requires_grad=True)
+        fn = ad.l2_normalize_rows if normalize == "rows" else (lambda t: l2_normalize(t.reshape(4)))
+        with pytest.raises(NonFiniteValue, match="norm overflowed"):
+            if where == "tape":
+                with GradTape():
+                    fn(x)
+            else:
+                fn(x)
 
 
 class TestL2Normalize:

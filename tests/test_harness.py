@@ -356,6 +356,19 @@ class TestCliProcess:
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("training failed: semisup epoch 0 step 1: op 'conv2d' produced NaN/Inf")
 
+    def test_backward_failure_exits_1_naming_the_op(self, workdir):
+        # the CLI in a process whose exp backward overflows
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "from conftest import exploding_exp; import spcl.autodiff, spcl.cli; "
+            "spcl.autodiff.exp = exploding_exp; sys.exit(spcl.cli.main(sys.argv[2:]))"
+        )
+        tests_dir = str(Path(__file__).resolve().parent)
+        r = run_python(["-c", script, tests_dir, "pretrain", "--config", "small.json", "--name", "bad"], workdir)
+        assert r.returncode == 1, r.stderr
+        assert "Traceback" not in r.stderr
+        assert re.match(r"training failed: pretrain epoch \d+ step \d+: backward of op 'exp' produced NaN/Inf$", r.stderr)
+
     def test_wrongly_typed_value_exits_2_before_any_output(self, workdir):
         r = run_cli(["train", "--config", "small.json", "--set", "pretrain.epochs=abc", "--name", "bad"], workdir)
         assert r.returncode == 2, r.stderr

@@ -2,13 +2,14 @@
 
 import io
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spcl.autodiff import GradTape, Tensor, finite_diff_check
-from spcl.errors import DataError, InvalidConfig, ShapeMismatch
+from spcl.errors import DataError, InvalidConfig, NonFiniteValue, ShapeMismatch
 from spcl.models import EmaTeacher, ModelConfig, ParamModel, ema_update
 
 TINY = ModelConfig(
@@ -195,6 +196,29 @@ class TestEmaTeacher:
         with GradTape() as tape:
             out = teacher.as_model().segment_batch(x).sum()
         assert not tape.nodes  # nothing tracked
+
+    def test_as_model_wraps_shadows_without_copy_or_scan(self, monkeypatch):
+        teacher = EmaTeacher(ParamModel(TINY), decay=0.9)
+        ema_update(teacher, ParamModel(replace(TINY, seed=4)))
+        assert all(not v.flags.writeable for v in teacher.shadow.values())
+        calls = []
+        real_isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda *a, **k: calls.append(1) or real_isfinite(*a, **k))
+        frozen = teacher.as_model()
+        assert calls == []
+        for k, v in teacher.shadow.items():
+            assert frozen.params[k].data is v
+
+    def test_update_overflow_names_the_parameter(self):
+        model = ParamModel(TINY)
+        teacher = EmaTeacher(model)
+        teacher.decay = 2.0  # out of range, so that a * shadow overflows
+        teacher.shadow = {k: np.full(v.shape, 1e308) for k, v in model.params.items()}
+        first = next(iter(model.params))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=f"^EMA update of '{first}' produced NaN/Inf$"):
+                ema_update(teacher, model)
 
 
 class TestCheckpoint:

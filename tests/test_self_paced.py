@@ -97,6 +97,15 @@ class TestOptimalWeight:
             if regularizer == HARD:
                 assert set(np.unique(w)) <= {0.0, 1.0}
 
+    def test_linear_weight_cannot_overflow(self, rng):
+        losses = np.concatenate([rng.uniform(-5, 50, size=500), [0.0, -0.0, 2.0, 1e300, -1e300]])
+        for gamma in (2.0, 1e-3, 1e-310):
+            with np.errstate(over="ignore"):
+                expected = np.clip(1.0 - losses / gamma, 0.0, 1.0)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                w = optimal_weight(losses, gamma, LINEAR)
+            assert w.tobytes() == expected.tobytes()
+
 
 class TestRegularizerValue:
     def test_hand_values(self):

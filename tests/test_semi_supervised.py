@@ -1,12 +1,14 @@
 """Objectives, training loops, reduction cases, Dice evaluation."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import reference_supervised_history
+from conftest import exploding_exp, reference_supervised_history
+from spcl import autodiff as ad, semi_supervised
 from spcl.autodiff import GradTape, Tensor
 from spcl.errors import InvalidConfig, NonFiniteValue, ShapeMismatch
 from spcl.models import ModelConfig, ParamModel
@@ -199,6 +201,27 @@ class TestPretraining:
     def test_training_failure_names_phase_epoch_and_step(self):
         cfg = PretrainConfig(epochs=2, batch_originals=4, loss_mode="unsup", lr=1e200)
         with pytest.raises(NonFiniteValue, match=r"^pretrain epoch 0 step 1: op 'conv2d' produced NaN/Inf"):
+            run_pretraining(small_model(), small_dataset(), cfg, seed=0, policy=FAST_POLICY)
+
+    def test_backward_failure_names_the_op(self, monkeypatch):
+        monkeypatch.setattr(ad, "exp", exploding_exp)
+        cfg = PretrainConfig(epochs=2, batch_originals=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=r"^pretrain epoch \d+ step \d+: backward of op 'exp' produced NaN/Inf$"):
+                run_pretraining(small_model(), small_dataset(), cfg, seed=0, policy=FAST_POLICY)
+
+    def test_unflagged_non_finite_loss_is_caught(self, monkeypatch):
+        real = semi_supervised._sp_term
+
+        def inf_loss(*args):
+            # an op whose routine sets no IEEE flag: adding Inf raises none, and op outputs are not scanned
+            loss, w_stats = real(*args)
+            return ad._apply("unflagged", (loss,), lambda x: x + np.inf, lambda datas, out: lambda g: (g,)), w_stats
+
+        monkeypatch.setattr(semi_supervised, "_sp_term", inf_loss)
+        cfg = PretrainConfig(epochs=1, batch_originals=4)
+        with pytest.raises(NonFiniteValue, match=r"^pretrain epoch 0 step 0: the loss is NaN/Inf$"):
             run_pretraining(small_model(), small_dataset(), cfg, seed=0, policy=FAST_POLICY)
 
 

@@ -77,7 +77,7 @@ def run_variant(
         labeled = dataset.splits["train"]
     else:
         labeled = dataset.first_train_patients(config.ablation.num_labeled)
-    model = ParamModel(config.model_config(seed=seed))
+    model = ParamModel(replace(config.model, seed=seed))
 
     mode = _PRETRAIN_MODE.get(variant)
     if mode is not None:
@@ -176,7 +176,6 @@ def directional_experiment(
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
     noise_level: float = 0.5,
     margin: float = 0.05,
-    spl_margin: float = 0.02,
 ) -> DirectionalResult:
     """Five-variant chain at the configured noise plus the high-noise SPL test.
 
@@ -204,7 +203,7 @@ def directional_experiment(
     labeled = noisy.first_train_patients(config.ablation.num_labeled)
 
     def noisy_run(sp_weighting: bool, loss_mode: str, seed: int) -> float:
-        model = ParamModel(config.model_config(seed=seed))
+        model = ParamModel(replace(config.model, seed=seed))
         pre = replace(config.pretrain, loss_mode=loss_mode)
         run_pretraining(model, noisy, pre, seed=seed, policy=config.augment)
         semi = replace(config.semisup, sp_weighting=sp_weighting)

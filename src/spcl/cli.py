@@ -67,7 +67,7 @@ def cmd_generate_data(config: ExperimentConfig, args) -> int:
 
 def cmd_pretrain(config: ExperimentConfig, args) -> int:
     dataset = _dataset_for(config, args.data)
-    model = ParamModel(config.model_config())
+    model = ParamModel(config.model)
     state = run_pretraining(model, dataset, config.pretrain, seed=config.seed, policy=config.augment)
     out = _run_dir(config, args.name)
     model.save(out / "encoder.npz")
@@ -79,7 +79,7 @@ def cmd_pretrain(config: ExperimentConfig, args) -> int:
 def cmd_train(config: ExperimentConfig, args) -> int:
     dataset = _dataset_for(config, args.data)
     labeled = dataset.first_train_patients(config.ablation.num_labeled)
-    expected = config.model_config()
+    expected = config.model
     if args.init:
         model = ParamModel.load(args.init)
         # config.json must describe the model that is trained.

@@ -1,12 +1,13 @@
 """Experiment configuration: nested sections, JSON files, dotted-path overrides.
 
-The ``self_paced``, ``pretrain``, ``semisup`` and ``augment`` sections are the
-module configs themselves (SelfPacedConfig, PretrainConfig, SemiSupConfig,
-AugmentationPolicy) at experiment-level defaults. There is one ``self_paced``
-section: pre-training and the semi-supervised term share it, so
-``pretrain.self_paced`` and ``semisup.self_paced`` are not file keys.
-``data``, ``model`` and ``ablation`` hold values that are derived from or
-absent in the module configs.
+The ``model``, ``self_paced``, ``pretrain``, ``semisup`` and ``augment``
+sections are the module configs themselves (ModelConfig, SelfPacedConfig,
+PretrainConfig, SemiSupConfig, AugmentationPolicy) at experiment-level
+defaults. The fields in ``_DERIVED`` are set from other fields and are not
+file keys: pre-training and the semi-supervised term share the one
+``self_paced`` section, and the model takes its image shape from ``data``
+and its seed from the top-level ``seed``. ``data`` and ``ablation`` hold
+values that are absent in the module configs.
 
 Every field has a default. Loading replaces the fields a file gives in the
 default config: unknown keys and wrongly typed values are rejected, and the
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import InvalidConfig
-from .models import ModelConfig, check_layers
+from .models import ModelConfig
 from .schema import check_finite, check_value
 from .self_paced import SelfPacedConfig
 from .semi_supervised import PretrainConfig, SemiSupConfig
@@ -55,21 +56,6 @@ class DataSection:
 
 
 @dataclass(frozen=True)
-class ModelSection:
-    arch: str = "conv"
-    conv_channels: tuple[int, ...] = (6, 12)
-    encoder_widths: tuple[int, ...] = (64, 32)
-    head_hidden: int = 64
-    embed_dim: int = 32
-    decoder_width: int = 64
-    skip_width: int = 16
-    leaky_slope: float = 0.01
-
-    def __post_init__(self):
-        check_layers(self)
-
-
-@dataclass(frozen=True)
 class AblationSection:
     seeds: tuple[int, ...] = (0, 1, 2)
     num_labeled: int = 2
@@ -86,8 +72,13 @@ class AblationSection:
             raise InvalidConfig(f"eval_split must be one of {SPLITS}, got {self.eval_split!r}")
 
 
-# Sections whose self_paced field is the top-level self_paced section.
-_SHARE_SELF_PACED = ("pretrain", "semisup")
+# Section fields that ExperimentConfig sets from other fields; they are not file keys.
+_DERIVED = {
+    "model": {"image_shape": lambda c: (c.data.height, c.data.width), "seed": lambda c: c.seed,
+              "num_classes": lambda c: 2},
+    "pretrain": {"self_paced": lambda c: c.self_paced},
+    "semisup": {"self_paced": lambda c: c.self_paced},
+}
 
 
 @dataclass(frozen=True)
@@ -95,7 +86,7 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: str = "runs"
     data: DataSection = field(default_factory=DataSection)
-    model: ModelSection = field(default_factory=ModelSection)
+    model: ModelConfig = field(default_factory=ModelConfig)
     self_paced: SelfPacedConfig = field(default_factory=lambda: SelfPacedConfig(tau=0.5, lambdas=(1.0, 0.1, 0.1)))
     pretrain: PretrainConfig = field(default_factory=lambda: PretrainConfig(epochs=40))
     semisup: SemiSupConfig = field(default_factory=lambda: SemiSupConfig(lr=2e-3))
@@ -107,9 +98,9 @@ class ExperimentConfig:
     ablation: AblationSection = field(default_factory=AblationSection)
 
     def __post_init__(self):
-        for name in _SHARE_SELF_PACED:
-            object.__setattr__(self, name, replace(getattr(self, name), self_paced=self.self_paced))
-        self.model_config()  # image-size checks that need both the data and model sections
+        for name, derived in _DERIVED.items():
+            values = {key: value(self) for key, value in derived.items()}
+            object.__setattr__(self, name, replace(getattr(self, name), **values))
 
     # -- values derived from several sections --
 
@@ -124,22 +115,6 @@ class ExperimentConfig:
             num_partitions=d.num_partitions,
         )
 
-    def model_config(self, seed: int | None = None) -> ModelConfig:
-        m = self.model
-        return ModelConfig(
-            image_shape=(self.data.height, self.data.width),
-            num_classes=2,
-            arch=m.arch,
-            conv_channels=tuple(m.conv_channels),
-            encoder_widths=tuple(m.encoder_widths),
-            head_hidden=m.head_hidden,
-            embed_dim=m.embed_dim,
-            decoder_width=m.decoder_width,
-            skip_width=m.skip_width,
-            leaky_slope=m.leaky_slope,
-            seed=self.seed if seed is None else seed,
-        )
-
     def output_root(self) -> Path:
         root = os.environ.get(OUTPUT_ROOT_ENV)
         return Path(root) / self.output_dir if root else Path(self.output_dir)
@@ -148,12 +123,11 @@ class ExperimentConfig:
 def _from_dict(base, data: dict, path: str = ""):
     """``base`` with the fields ``data`` gives replaced, each value checked against its field.
 
-    Fields holding a dataclass are sections at the top level only; inside a
-    section they are not file keys.
+    Fields holding a dataclass are sections; derived fields are not file keys.
     """
     hints = typing.get_type_hints(type(base))
-    known = {name for name, hint in hints.items() if not (path and dataclasses.is_dataclass(hint))}
-    unknown = set(data) - known
+    derived = _DERIVED.get(path[:-1], {})
+    unknown = {name for name in data if name not in hints or name in derived}
     if unknown:
         raise InvalidConfig(f"unknown config keys at {path or 'top level'}: {sorted(unknown)}")
     changes = {}
@@ -175,8 +149,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     data = json.loads(json.dumps(dataclasses.asdict(config)))
-    for name in _SHARE_SELF_PACED:
-        del data[name]["self_paced"]
+    for name, derived in _DERIVED.items():
+        data[name] = {key: value for key, value in data[name].items() if key not in derived}
     return data
 
 

@@ -29,7 +29,7 @@ class ModelConfig:
     image_shape: tuple[int, int] = (16, 16)
     num_classes: int = 2
     arch: str = "conv"  # "conv": weight-shared downsampling blocks; "dense": flat projections
-    conv_channels: tuple[int, int] = (6, 12)
+    conv_channels: tuple[int, ...] = (6, 12)  # conv arch only, exactly two
     encoder_widths: tuple[int, ...] = (64, 32)  # dense arch only
     head_hidden: int = 64
     embed_dim: int = 32
@@ -39,9 +39,25 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_layers(self)
-        if any(s < 1 for s in self.image_shape):
-            raise InvalidConfig(f"image_shape must be positive, got {self.image_shape!r}")
+        # Only the sizes ``arch`` builds are checked: a conv model never reads the encoder
+        # widths, decoder_width or skip_width, and a dense model never reads conv_channels.
+        if self.arch not in ("conv", "dense"):
+            raise InvalidConfig(f"arch must be 'conv' or 'dense', got {self.arch!r}")
+        check_finite(self, "leaky_slope")
+        if len(self.encoder_widths) < 1:
+            raise InvalidConfig("need at least one encoder block")
+        positive = dict(image_shape=self.image_shape, head_hidden=(self.head_hidden,), embed_dim=(self.embed_dim,))
+        if self.arch == "conv":
+            if len(self.conv_channels) != 2:
+                raise InvalidConfig(f"conv arch needs 2 conv_channels, got {self.conv_channels!r}")
+            positive["conv_channels"] = self.conv_channels
+        else:
+            positive.update(encoder_widths=self.encoder_widths, decoder_width=(self.decoder_width,))
+            if self.skip_width < 0:  # 0 drops the skip branch
+                raise InvalidConfig(f"skip_width must be >= 0, got {self.skip_width}")
+        for name, sizes in positive.items():
+            if any(v < 1 for v in sizes):
+                raise InvalidConfig(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.num_classes < 2:
             raise InvalidConfig("need at least two classes")
         if self.arch == "conv" and any(s % 4 for s in self.image_shape):
@@ -54,33 +70,6 @@ class ModelConfig:
     @property
     def feature_dim(self) -> int:
         return self.encoder_widths[-1] if self.arch == "dense" else 32
-
-
-def check_layers(m) -> None:
-    """Reject an arch, layer sizes or a LeakyReLU slope the model cannot be built from.
-
-    ``m`` is a ModelConfig or any object with its layer fields (the
-    experiment config's model section). Only the sizes ``m.arch`` builds are
-    checked: a conv model never reads the encoder widths, decoder_width or
-    skip_width, and a dense model never reads conv_channels.
-    """
-    if m.arch not in ("conv", "dense"):
-        raise InvalidConfig(f"arch must be 'conv' or 'dense', got {m.arch!r}")
-    check_finite(m, "leaky_slope")
-    if len(m.encoder_widths) < 1:
-        raise InvalidConfig("need at least one encoder block")
-    positive = {"head_hidden": (m.head_hidden,), "embed_dim": (m.embed_dim,)}
-    if m.arch == "conv":
-        if len(m.conv_channels) != 2:
-            raise InvalidConfig(f"conv arch needs 2 conv_channels, got {tuple(m.conv_channels)!r}")
-        positive["conv_channels"] = m.conv_channels
-    else:
-        positive.update(encoder_widths=m.encoder_widths, decoder_width=(m.decoder_width,))
-        if m.skip_width < 0:  # 0 drops the skip branch
-            raise InvalidConfig(f"skip_width must be >= 0, got {m.skip_width}")
-    for name, sizes in positive.items():
-        if any(v < 1 for v in sizes):
-            raise InvalidConfig(f"{name} must be positive, got {getattr(m, name)!r}")
 
 
 def _init_params(config: ModelConfig) -> dict[str, Tensor]:
@@ -249,7 +238,8 @@ class ParamModel:
     def load(cls, path) -> "ParamModel":
         """Read a checkpoint written by ``save``.
 
-        A missing or unreadable file, config keys other than ModelConfig's
+        A missing or unreadable file, metadata that is not a JSON object or
+        names another format version, config keys other than ModelConfig's
         fields, a config value of the wrong type or rejected by ModelConfig,
         or parameter names or shapes other than the config builds are a
         DataError.
@@ -263,9 +253,13 @@ class ParamModel:
                 arrays = {k: data[k] for k in data.files if k != "__meta__"}
         except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
             raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise DataError(f"checkpoint {path} metadata is not a JSON object")
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise InvalidConfig(f"unsupported checkpoint format: {meta.get('format_version')}")
+            raise DataError(f"checkpoint {path} has unsupported format: {meta.get('format_version')}")
         cfg_d = meta.get("config", {})
+        if not isinstance(cfg_d, dict):
+            raise DataError(f"checkpoint {path} config is not a JSON object")
         hints = typing.get_type_hints(ModelConfig)
         names = set(hints)
         if set(cfg_d) != names:

@@ -44,7 +44,7 @@ def pace_report(
     if max_epoch < 1:
         raise InvalidConfig(f"max_epoch must be >= 1, got {max_epoch}")
     dataset = generate_dataset(**config.data_kwargs())
-    model = ParamModel(config.model_config())
+    model = ParamModel(config.model)
     rng = np.random.default_rng([config.seed, 777])
     refs = dataset.slice_refs("train")
     take = [refs[i] for i in rng.permutation(len(refs))[: config.pretrain.batch_originals]]

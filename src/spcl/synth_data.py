@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -526,11 +526,7 @@ def save_dataset(dataset: SynthDataset, path) -> None:
         "format_version": DATASET_FORMAT_VERSION,
         "seed": dataset.seed,
         "noise_level": dataset.noise_level,
-        "spec": {
-            "num_partitions": dataset.spec.num_partitions,
-            "num_patients": dataset.spec.num_patients,
-            "num_phases": dataset.spec.num_phases,
-        },
+        "spec": asdict(dataset.spec),
         "splits": dataset.splits,
         "volumes": entries,
     }
@@ -538,6 +534,7 @@ def save_dataset(dataset: SynthDataset, path) -> None:
 
 
 def load_dataset(path) -> SynthDataset:
+    """Read a directory written by ``save_dataset``; a malformed one is a DataError naming its manifest."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -546,29 +543,37 @@ def load_dataset(path) -> SynthDataset:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"corrupt manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"{manifest_path} is not a JSON object")
     if manifest.get("format_version") != DATASET_FORMAT_VERSION:
         raise DataError(f"unsupported dataset format: {manifest.get('format_version')}")
-    spec = MetaLabelSpec(**manifest["spec"])
-    volumes = []
-    for entry in manifest["volumes"]:
-        try:
-            slices = np.load(root / entry["images"])
-            masks = np.load(root / entry["masks"])
-        except (OSError, EOFError, ValueError) as exc:
-            raise DataError(f"cannot read volume arrays named in {manifest_path}: {exc}") from exc
-        volumes.append(
-            SynthVolume(
-                patient_id=entry["patient_id"],
-                phase=entry["phase"],
-                slices=slices,
-                masks=masks,
-                misalignment_offset=entry["misalignment_offset"],
+    try:
+        spec = MetaLabelSpec(**manifest["spec"])
+        volumes = []
+        for entry in manifest["volumes"]:
+            try:
+                slices = np.load(root / entry["images"])
+                masks = np.load(root / entry["masks"])
+            except (OSError, EOFError, ValueError) as exc:
+                raise DataError(f"cannot read volume arrays named in {manifest_path}: {exc}") from exc
+            volumes.append(
+                SynthVolume(
+                    patient_id=entry["patient_id"],
+                    phase=entry["phase"],
+                    slices=slices,
+                    masks=masks,
+                    misalignment_offset=entry["misalignment_offset"],
+                )
             )
+        splits = {k: list(v) for k, v in manifest["splits"].items()}
+        seed, noise_level = manifest["seed"], manifest["noise_level"]
+    except KeyError as exc:
+        raise DataError(f"{manifest_path} lacks the key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise DataError(f"malformed {manifest_path}: {exc}") from exc
+    shapes = [v.slices.shape for v in volumes]
+    if len({s[1:] for s in shapes}) != 1 or any(len(s) != 3 or v.masks.shape != s for s, v in zip(shapes, volumes)):
+        raise DataError(
+            f"{manifest_path} must name (S, H, W) slices of one (H, W) with masks of their shape, got {shapes}"
         )
-    return SynthDataset(
-        volumes=volumes,
-        spec=spec,
-        splits={k: list(v) for k, v in manifest["splits"].items()},
-        seed=manifest["seed"],
-        noise_level=manifest["noise_level"],
-    )
+    return SynthDataset(volumes=volumes, spec=spec, splits=splits, seed=seed, noise_level=noise_level)

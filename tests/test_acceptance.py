@@ -124,7 +124,7 @@ class TestCriterion6DirectionalExperiment:
         from spcl.ablation import CHAIN_VARIANTS, directional_experiment
 
         result = directional_experiment(
-            DIRECTIONAL_CONFIG, seeds=(0, 1, 2, 3, 4), noise_level=0.5, margin=0.05, spl_margin=0.02
+            DIRECTIONAL_CONFIG, seeds=(0, 1, 2, 3, 4), noise_level=0.5, margin=0.05
         )
         chain = [result.medians[v] for v in CHAIN_VARIANTS]
         for a, b, va, vb in zip(chain, chain[1:], CHAIN_VARIANTS, CHAIN_VARIANTS[1:]):

@@ -21,7 +21,8 @@ from spcl.config import (
     config_to_dict,
     load_config,
 )
-from spcl.errors import InvalidConfig
+from spcl.errors import DataError, InvalidConfig
+from spcl.models import ModelConfig, ParamModel
 from spcl.verify import check_closed_form_weights, run_verification
 
 SMALL = {
@@ -68,6 +69,24 @@ class TestConfig:
             config_from_dict({"nonsense": {}})
         with pytest.raises(InvalidConfig):
             config_from_dict({"pretrain": {"self_paced": {}}})
+        for derived in ({"seed": 1}, {"image_shape": [8, 8]}, {"num_classes": 3}):
+            with pytest.raises(InvalidConfig, match="unknown config keys at model"):
+                config_from_dict({"model": derived})
+
+    def test_model_section_is_a_modelconfig_with_derived_fields(self, tmp_path):
+        cfg = config_from_dict({"seed": 4, "data": {"height": 8, "width": 8}, "model": {"arch": "dense"}})
+        assert cfg.model == ModelConfig(image_shape=(8, 8), arch="dense", seed=4)
+        # conv_channels takes any length in the type; a conv checkpoint still needs exactly two
+        path = tmp_path / "model.npz"
+        ParamModel(config_from_dict(SMALL).model).save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k != "__meta__"}
+            meta = json.loads(bytes(data["__meta__"]).decode())
+        meta["config"]["conv_channels"] = [3, 4, 5]
+        with open(path, "wb") as fh:
+            np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+        with pytest.raises(DataError, match="conv arch needs 2 conv_channels"):
+            ParamModel.load(path)
 
     @pytest.mark.parametrize(
         "data, key",
@@ -224,7 +243,7 @@ class TestConfig:
 
     def test_builders_produce_valid_configs(self):
         cfg = config_from_dict(SMALL)
-        assert cfg.model_config().image_shape == (8, 8)
+        assert cfg.model.image_shape == (8, 8)
         assert cfg.pretrain.epochs == 2
         assert replace(cfg.semisup, lambda_sp=0.0).lambda_sp == 0.0
         assert cfg.self_paced.lambdas == (1.0, 0.1, 0.1)
@@ -396,6 +415,15 @@ class TestCliProcess:
     def test_data_error_exit_code(self, workdir):
         r = run_cli(["pretrain", "--config", "small.json", "--data", "missing_dir"], workdir)
         assert r.returncode == 3
+
+    def test_malformed_dataset_exits_3_naming_the_manifest(self, workdir):
+        r = run_cli(["generate-data", "--config", "small.json", "--out", "ds"], workdir)
+        assert r.returncode == 0, r.stderr
+        np.save(workdir / "ds" / "vol_001_images.npy", np.zeros((6, 4, 4)))  # another (H, W)
+        r = run_cli(["train", "--config", "small.json", "--data", "ds", "--name", "bad"], workdir)
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.startswith("data error: ") and "manifest.json" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_missing_checkpoint_exit_code(self, workdir):
         r = run_cli(["eval", "--config", "small.json", "--model", "nope.npz"], workdir)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from spcl.autodiff import GradTape, Tensor, finite_diff_check
-from spcl.errors import DataError, InvalidConfig, NonFiniteValue, ShapeMismatch
+from spcl.errors import DataError, NonFiniteValue, ShapeMismatch
 from spcl.models import EmaTeacher, ModelConfig, ParamModel, ema_update
+from spcl.optim import RAdam
 
 TINY = ModelConfig(
     image_shape=(4, 4), num_classes=2, arch="dense", encoder_widths=(8, 4),
@@ -221,6 +222,17 @@ class TestEmaTeacher:
                 ema_update(teacher, model)
 
 
+class TestRAdam:
+    def test_second_moment_overflow_names_the_parameter(self):
+        opt = RAdam(lr=1e-3)
+        params = {"v": Tensor(np.zeros(3), requires_grad=True), "w": Tensor(np.zeros(3), requires_grad=True)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="^RAdam update of 'w' produced NaN/Inf$"):
+                opt.step(params, {"v": np.ones(3), "w": np.full(3, 1e200)})
+        assert not opt.v["w"].any()  # the overflowing moment was not stored
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path, rng):
         model = ParamModel(TINY)
@@ -234,7 +246,6 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.embed_batch(x).data, model.embed_batch(x).data)
 
     def test_dense_without_skip_trains_and_round_trips(self, tmp_path, rng):
-        from spcl.optim import RAdam
         from spcl.semi_supervised import supervised_loss
 
         model = ParamModel(replace(TINY, skip_width=0))
@@ -268,7 +279,16 @@ class TestCheckpoint:
         data["__meta__"] = np2.frombuffer(json.dumps(meta).encode(), dtype=np2.uint8)
         with open(path, "wb") as fh:
             np2.savez(fh, **data)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(DataError, match="unsupported format: 999"):
+            ParamModel.load(path)
+
+    @pytest.mark.parametrize("meta", [[1, 2], "x", 3, None, {"format_version": 1, "config": [1]}])
+    def test_metadata_not_an_object_is_data_error(self, tmp_path, meta):
+        path = tmp_path / "model.npz"
+        arrays = {k: v.data for k, v in ParamModel(TINY).params.items()}
+        with open(path, "wb") as fh:
+            np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+        with pytest.raises(DataError, match="is not a JSON object"):
             ParamModel.load(path)
 
     @pytest.mark.parametrize(

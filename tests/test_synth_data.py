@@ -1,6 +1,8 @@
 """Synthetic volume generation, meta-labels, augmentation, persistence."""
 
 import hashlib
+import json
+import re
 
 import numpy as np
 import pytest
@@ -253,6 +255,36 @@ class TestPersistence:
         (tmp_path / "data" / "vol_001_masks.npy").unlink()
         with pytest.raises(DataError, match="vol_001_masks.npy"):
             load_dataset(tmp_path / "data")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m, root: m.pop("spec"),
+            lambda m, root: m.pop("volumes"),
+            lambda m, root: m["volumes"][0].pop("images"),
+            lambda m, root: m["spec"].update(num_organs=3),
+            lambda m, root: m.update(splits=[[0, 1]]),
+            lambda m, root: m.update(volumes=[]),
+            lambda m, root: np.save(root / m["volumes"][1]["images"], np.zeros((4, 8, 12))),
+            lambda m, root: np.save(root / m["volumes"][1]["masks"], np.zeros((4, 8), dtype=np.int64)),
+        ],
+        ids=["no-spec", "no-volumes", "no-images", "unknown-spec-key", "splits-not-mapping", "empty-volumes",
+             "other-slice-shape", "masks-not-slice-shape"],
+    )
+    def test_malformed_manifest_is_data_error_naming_it(self, tmp_path, edit):
+        ds = generate_dataset(4, 4, (8, 8), seed=0)
+        save_dataset(ds, tmp_path / "data")
+        path = tmp_path / "data" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest, tmp_path / "data")
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            load_dataset(tmp_path / "data")
+
+    def test_manifest_not_an_object(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("[1, 2]")
+        with pytest.raises(DataError, match="is not a JSON object"):
+            load_dataset(tmp_path)
 
     def test_bad_version(self, tmp_path):
         ds = generate_dataset(4, 4, (8, 8), seed=0)

@@ -1,11 +1,15 @@
 """Dense float64 tensors with reverse-mode differentiation on an explicit tape.
 
-A ``Tensor`` wraps an immutable C-order float64 ndarray. While a ``GradTape``
-is active, every primitive applied to a tracked tensor appends a node (inputs,
-forward closure, backward closure) to the tape; ``grad`` walks the tape in
-reverse to accumulate d(scalar)/d(param), and ``GradTape.replay`` re-executes
-the recorded forwards to reproduce the output bit-for-bit. Outside a tape,
-the same primitives evaluate eagerly with no recording.
+A ``Tensor`` wraps an immutable C-order float64 ndarray and is tracked when
+its ``requires_grad`` flag is set. While a ``GradTape`` is active, every
+primitive applied to a tracked tensor appends a node (inputs, output, forward
+closure, backward closure) to the tape and sets ``requires_grad`` on its
+output. ``GradTape.gradient`` walks the tape in reverse to accumulate
+d(scalar)/d(param), and ``GradTape.replay`` re-executes the recorded forwards
+to reproduce the output bit-for-bit. Outside a tape, the same primitives
+evaluate eagerly: nothing is recorded and the outputs are untracked. The flag
+outlives the tape, so a later tape treats an earlier tape's op outputs as
+tracked leaves, not as constants.
 
 Every ``Tensor`` holds finite values, and every op keeps it so. A finite
 input can turn into NaN or Inf only through an overflow, a divide-by-zero or
@@ -38,11 +42,9 @@ the same bits.
 ``conv2d`` lowers to im2col (Chellapilla, Puri & Simard 2006). The columns
 are gathered with ``np.take`` along the pixel axis, which writes them once in
 C order, so the reshape to the (pixels, taps) matrix is a view, not a second
-copy. Its backward computes the input cotangent only when the input was
-tracked on the tape when the op was recorded: the image batch of a taped
-forward is a constant, and the gradient walk would drop that cotangent
-anyway. Watching a tensor therefore affects only the ops recorded after the
-``watch`` call; watch an input before using it. ``avg_pool2x``'s backward
+copy. Its backward computes the input cotangent only when the input is
+tracked: the image batch of a taped forward is a constant, and the gradient
+walk would drop that cotangent anyway. ``avg_pool2x``'s backward
 and ``upsample2x``'s forward write their broadcast result once into a new
 array.
 """
@@ -231,7 +233,6 @@ class GradTape:
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self._tracked: set[int] = set()
 
     def __enter__(self) -> "GradTape":
         self._floats = _raising_floats()
@@ -245,15 +246,6 @@ class GradTape:
             assert popped is self
         finally:
             self._floats.__exit__(exc_type, exc, tb)
-
-    def watch(self, tensor: Tensor) -> None:
-        """Track ``tensor`` like a ``requires_grad`` one in the ops recorded from now on.
-
-        Ops recorded before the call are not affected: they may have left the
-        tensor out of the tape, or (``conv2d``) skipped its cotangent, so
-        watch a tensor before using it.
-        """
-        self._tracked.add(id(tensor))
 
     def replay(self) -> np.ndarray:
         """Re-execute the recorded forward ops; return the last output's value.
@@ -292,7 +284,6 @@ class GradTape:
         if output.data.ndim != 0:
             raise ShapeMismatch(f"gradient target must be scalar, got shape {output.shape}")
         grads: dict[int, np.ndarray] = {id(output): np.ones((), dtype=np.float64)}
-        tracked = self._tracked
         with _raising_floats():
             try:
                 for node in reversed(self.nodes):
@@ -300,13 +291,10 @@ class GradTape:
                     if g_out is None:
                         continue
                     for t, g in zip(node.inputs, node.backward_fn(g_out)):
-                        if g is None:
+                        if g is None or not t.requires_grad:
                             continue
-                        key = id(t)
-                        if not (t.requires_grad or key in tracked):
-                            continue
-                        acc = grads.get(key)
-                        grads[key] = g if acc is None else acc + g
+                        acc = grads.get(id(t))
+                        grads[id(t)] = g if acc is None else acc + g
             except FloatingPointError:
                 raise NonFiniteValue(f"backward of op {node.op!r} produced NaN/Inf") from None
         out: list[np.ndarray] = []
@@ -330,19 +318,6 @@ def active_tape() -> GradTape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def grad(
-    output: Tensor,
-    params: Sequence[Tensor],
-    tape: GradTape | None = None,
-    warn_disconnected: bool = True,
-) -> list[np.ndarray]:
-    """Reverse-mode gradient of ``output`` w.r.t. ``params`` on the given/active tape."""
-    tape = tape or active_tape()
-    if tape is None:
-        raise ValueError("grad() requires an active or explicit GradTape")
-    return tape.gradient(output, params, warn_disconnected=warn_disconnected)
-
-
 def _apply(
     op: str,
     inputs: tuple[Tensor, ...],
@@ -350,6 +325,8 @@ def _apply(
     backward_fn_factory,
 ) -> Tensor:
     """Run a primitive; record it on the active tape if any input is tracked.
+
+    A recorded op's output gets ``requires_grad``; an eager one's does not.
 
     ``backward_fn_factory(input_datas, out_data)`` must return a closure
     mapping the output cotangent to one cotangent (or None) per input.
@@ -369,12 +346,10 @@ def _apply(
     out = Tensor(out_data, _fresh=True)
     if not _TAPE_STACK:
         return out
-    tape = _TAPE_STACK[-1]
-    tracked = tape._tracked
     for t in inputs:
-        if t.requires_grad or id(t) in tracked:
-            tracked.add(id(out))
-            tape.nodes.append(Node(op, inputs, out, forward_fn, backward_fn_factory(datas, out_data)))
+        if t.requires_grad:
+            out.requires_grad = True
+            _TAPE_STACK[-1].nodes.append(Node(op, inputs, out, forward_fn, backward_fn_factory(datas, out_data)))
             break
     return out
 
@@ -477,39 +452,29 @@ def power(a: Tensor, exponent: float) -> Tensor:
     return _apply("power", (a,), lambda x: x**exponent, bwd)
 
 
-_KINK_TRACK: list[float] | None = None
-
-
 def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
     slope = float(slope)
-
-    def fwd(x):
-        if _KINK_TRACK is not None and x.size:
-            _KINK_TRACK.append(float(np.min(np.abs(x))))
-        return np.where(x > 0.0, x, slope * x)
 
     def bwd(datas, out):
         (da,) = datas
         return lambda g: (g * np.where(da > 0.0, 1.0, slope),)
 
-    return _apply("leaky_relu", (a,), fwd, bwd)
+    return _apply("leaky_relu", (a,), lambda x: np.where(x > 0.0, x, slope * x), bwd)
 
 
 def min_kink_distance(f, *args) -> float:
-    """Smallest |pre-activation| any leaky_relu sees while evaluating f(*args).
+    """Smallest |pre-activation| of a tracked leaky_relu while evaluating f(*args).
 
-    Central differences are invalid when a perturbation crosses the kink, so
+    ``f`` runs under a ``GradTape``, which records the pre-activations; a
+    leaky_relu on an untracked input is not recorded and not seen. Central
+    differences are invalid when a perturbation crosses the kink, so
     gradient checks should skip configurations where this distance is within
     a safety factor of the step.
     """
-    global _KINK_TRACK
-    prev = _KINK_TRACK
-    _KINK_TRACK = []
-    try:
+    with GradTape() as tape:
         f(*args)
-        return min(_KINK_TRACK) if _KINK_TRACK else float("inf")
-    finally:
-        _KINK_TRACK = prev
+    pre = [n.inputs[0].data for n in tape.nodes if n.op == "leaky_relu"]
+    return min((float(np.min(np.abs(x))) for x in pre if x.size), default=float("inf"))
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -596,8 +561,8 @@ def conv2d(x: Tensor, kernel: Tensor, image_hw: tuple[int, int]) -> Tensor:
     x: (B, H*W*Cin) with channel-last pixel layout; kernel: (k*k*Cin, Cout).
     Returns (B, H*W*Cout). The square kernel size is inferred from shapes.
     The columns are one contiguous ``np.take`` gather over a per-shape patch
-    table. The backward returns ``None`` for ``x`` when ``x`` was neither
-    ``requires_grad`` nor watched on the tape when this op was recorded.
+    table. The backward returns ``None`` for ``x`` when ``x`` is untracked
+    (its ``requires_grad`` is not set), as the image batch is.
     """
     h, w = image_hw
     cin = x.shape[1] // (h * w)
@@ -625,9 +590,9 @@ def conv2d(x: Tensor, kernel: Tensor, image_hw: tuple[int, int]) -> Tensor:
 
     def bwd(datas, out):
         xd, kd = datas
-        # _apply's tracked test, at record time: the gradient walk drops the
-        # cotangent of an untracked input (the image batch), so skip it
-        need_x = x.requires_grad or id(x) in _TAPE_STACK[-1]._tracked
+        # the gradient walk drops the cotangent of an untracked input (the
+        # image batch), so skip it
+        need_x = x.requires_grad
         # input cotangent of a same-padded stride-1 conv is a conv of the
         # output cotangent with the spatially flipped, channel-swapped kernel
         flipped = kd.reshape(k, k, cin, cout)[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, cin)

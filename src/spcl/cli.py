@@ -51,10 +51,13 @@ def _run_dir(config: ExperimentConfig, name: str) -> Path:
     return out
 
 
-def _dataset_for(config: ExperimentConfig, path: str | None):
-    if path:
-        return load_dataset(path)
-    return generate_dataset(**config.data_kwargs())
+def _dataset_for(config: ExperimentConfig, path: str | None, image_shape: tuple[int, int], owner: str):
+    """The dataset at ``path`` (or generated from the config); DataError unless its images are ``image_shape``."""
+    dataset = load_dataset(path) if path else generate_dataset(**config.data_kwargs())
+    if dataset.image_shape != image_shape:
+        source = f"dataset {path}" if path else "the dataset generated from the config"
+        raise DataError(f"{source} holds {dataset.image_shape} images, but {owner} is for {image_shape}")
+    return dataset
 
 
 def cmd_generate_data(config: ExperimentConfig, args) -> int:
@@ -66,7 +69,7 @@ def cmd_generate_data(config: ExperimentConfig, args) -> int:
 
 
 def cmd_pretrain(config: ExperimentConfig, args) -> int:
-    dataset = _dataset_for(config, args.data)
+    dataset = _dataset_for(config, args.data, config.model.image_shape, "the config")
     model = ParamModel(config.model)
     state = run_pretraining(model, dataset, config.pretrain, seed=config.seed, policy=config.augment)
     out = _run_dir(config, args.name)
@@ -77,7 +80,7 @@ def cmd_pretrain(config: ExperimentConfig, args) -> int:
 
 
 def cmd_train(config: ExperimentConfig, args) -> int:
-    dataset = _dataset_for(config, args.data)
+    dataset = _dataset_for(config, args.data, config.model.image_shape, "the config")
     labeled = dataset.first_train_patients(config.ablation.num_labeled)
     expected = config.model
     if args.init:
@@ -109,15 +112,15 @@ def cmd_train(config: ExperimentConfig, args) -> int:
 
 
 def cmd_eval(config: ExperimentConfig, args) -> int:
-    dataset = _dataset_for(config, args.data)
     model = ParamModel.load(args.model)
+    dataset = _dataset_for(config, args.data, model.config.image_shape, f"checkpoint {args.model}")
     report = evaluate_dice(model, dataset, split=args.split)
     print(json.dumps({"mean": report.mean, "per_class": {str(k): v for k, v in report.per_class.items()}}, indent=2))
     return EXIT_OK
 
 
 def cmd_ablation(config: ExperimentConfig, args) -> int:
-    dataset = _dataset_for(config, args.data)
+    dataset = _dataset_for(config, args.data, config.model.image_shape, "the config")
     rows = run_ablation(config, dataset=dataset)
     out = _run_dir(config, args.name)
     write_ablation_csv(rows, out / "ablation.csv")

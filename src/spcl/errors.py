@@ -34,4 +34,4 @@ class VerificationFailure(SpclError):
 
 
 class DisconnectedParamWarning(UserWarning):
-    """A parameter passed to grad() does not influence the output."""
+    """A parameter passed to ``GradTape.gradient`` does not influence the output."""

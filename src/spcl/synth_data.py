@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, InvalidConfig
+from .schema import check_value
 
 DATASET_FORMAT_VERSION = 1
 SPLITS = ("train", "val", "test")
@@ -380,8 +382,8 @@ class AugmentationPolicy:
     def identity(cls) -> "AugmentationPolicy":
         return cls(flip_prob=0.0, max_rotate_deg=0.0, crop_scale=(1.0, 1.0), gamma_range=(1.0, 1.0), brightness_delta=0.0)
 
-    def _draw(self, rng, shape):
-        h, w = shape
+    def apply(self, image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        h, w = image.shape
         flip = rng.random() < self.flip_prob
         angle = float(rng.uniform(-self.max_rotate_deg, self.max_rotate_deg))
         scale = float(rng.uniform(*self.crop_scale))
@@ -390,35 +392,18 @@ class AugmentationPolicy:
         x0 = int(rng.integers(0, w - cw + 1))
         gamma = float(rng.uniform(*self.gamma_range))
         delta = float(rng.uniform(-self.brightness_delta, self.brightness_delta))
-        return flip, angle, (y0, x0, ch, cw), gamma, delta
-
-    def _geometry(self, img, flip, angle, crop, order):
+        out = np.asarray(image, dtype=np.float64)
         if flip:
-            img = img[:, ::-1]
+            out = out[:, ::-1]
         if angle != 0.0:
-            img = rotate(img, angle, order)
-        y0, x0, ch, cw = crop
-        h, w = img.shape
+            out = rotate(out, angle)
         if (ch, cw) != (h, w):
-            window = img[y0 : y0 + ch, x0 : x0 + cw]
+            window = out[y0 : y0 + ch, x0 : x0 + cw]
             rows = np.round(np.linspace(0, ch - 1, h)).astype(int)
             cols = np.round(np.linspace(0, cw - 1, w)).astype(int)
-            img = window[rows][:, cols]
-        return img
-
-    def apply(self, image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        flip, angle, crop, gamma, delta = self._draw(rng, image.shape)
-        out = self._geometry(np.asarray(image, dtype=np.float64), flip, angle, crop, order=1)
+            out = window[rows][:, cols]
         out = np.clip(out, 0.0, 1.0) ** gamma + delta
         return np.clip(out, 0.0, 1.0)
-
-    def apply_with_mask(self, image, mask, rng):
-        """Same geometric draws for image and mask; intensity touches the image only."""
-        flip, angle, crop, gamma, delta = self._draw(rng, image.shape)
-        img = self._geometry(np.asarray(image, dtype=np.float64), flip, angle, crop, order=1)
-        msk = self._geometry(np.asarray(mask, dtype=np.float64), flip, angle, crop, order=0)
-        img = np.clip(np.clip(img, 0.0, 1.0) ** gamma + delta, 0.0, 1.0)
-        return img, np.round(msk).astype(np.int64)
 
 
 def augment_pair(image: np.ndarray, policy: AugmentationPolicy, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -571,9 +556,24 @@ def load_dataset(path) -> SynthDataset:
         raise DataError(f"{manifest_path} lacks the key {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise DataError(f"malformed {manifest_path}: {exc}") from exc
+    dataset = SynthDataset(volumes=volumes, spec=spec, splits=splits, seed=seed, noise_level=noise_level)
+    try:
+        _check_types(spec, [f.name for f in fields(spec)], "spec.")
+        for i, v in enumerate(volumes):
+            _check_types(v, ("patient_id", "phase", "misalignment_offset"), f"volumes[{i}].")
+        _check_types(dataset, ("seed", "noise_level"), "")
+    except InvalidConfig as exc:
+        raise DataError(f"malformed {manifest_path}: {exc}") from exc
     shapes = [v.slices.shape for v in volumes]
     if len({s[1:] for s in shapes}) != 1 or any(len(s) != 3 or v.masks.shape != s for s, v in zip(shapes, volumes)):
         raise DataError(
             f"{manifest_path} must name (S, H, W) slices of one (H, W) with masks of their shape, got {shapes}"
         )
-    return SynthDataset(volumes=volumes, spec=spec, splits=splits, seed=seed, noise_level=noise_level)
+    return dataset
+
+
+def _check_types(obj, names, prefix: str) -> None:
+    """InvalidConfig naming ``prefix + name`` unless each named field of the dataclass ``obj`` fits its annotation."""
+    hints = typing.get_type_hints(type(obj))
+    for name in names:
+        check_value(getattr(obj, name), hints[name], prefix + name)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from spcl import autodiff as ad
-from spcl.autodiff import GradTape, Tensor, finite_diff_check, grad, l2_normalize
+from spcl.autodiff import GradTape, Tensor, finite_diff_check, l2_normalize
 from spcl.errors import DisconnectedParamWarning, NonFiniteValue, NormTooSmall
+from spcl.models import ModelConfig, ParamModel
+from spcl.verify import _GRADCHECK_MODEL
 
 
 class TestTensorBasics:
@@ -381,12 +383,22 @@ class TestGrad:
         np.testing.assert_allclose(gw, x.data.T @ (2 * h), atol=1e-12)
         np.testing.assert_allclose(gb, (2 * h).sum(axis=0), atol=1e-12)
 
-    def test_grad_module_function_uses_active_tape(self):
-        x = Tensor(4.0, requires_grad=True)
+    def test_taped_op_outputs_require_grad_eager_ones_do_not(self):
+        x = Tensor(3.0, requires_grad=True)
+        eager = x * 2.0
+        assert not eager.requires_grad
         with GradTape() as tape:
-            y = x * x * x
-            (g,) = grad(y, [x], tape)
-        assert g == pytest.approx(48.0)
+            const = Tensor(2.0) * 2.0
+            y = x * 2.0
+            z = y + const
+        assert not const.requires_grad
+        assert y.requires_grad and z.requires_grad
+        assert [(n.op, n.output) for n in tape.nodes] == [("mul", y), ("add", z)]
+        # the flag outlives the tape: a later tape differentiates through y as a leaf
+        with GradTape() as later:
+            w = y * y
+        (g,) = later.gradient(w, [y])
+        assert g == 12.0
 
 
 class TestTapeReplay:
@@ -580,7 +592,7 @@ class TestConvPath:
             up = ad.upsample2x(x, hw)
             assert _same_bytes(up.data, _ref_upsample(x.data, hw, cin))
 
-    @pytest.mark.parametrize("source", ["requires_grad", "watched", "upstream_op"])
+    @pytest.mark.parametrize("source", ["requires_grad", "upstream_op"])
     def test_conv2d_input_cotangent_only_when_tracked(self, source):
         rng = np.random.default_rng(29)
         hw, k, cin, cout = (4, 6), 3, 2, 3
@@ -597,12 +609,68 @@ class TestConvPath:
         with GradTape() as tape:
             if source == "requires_grad":
                 x = Tensor(xd, requires_grad=True)
-            elif source == "watched":
-                x = Tensor(xd)
-                tape.watch(x)
-            else:  # the output of an op on a tracked tensor: tracked through the tape
+            else:  # the output of a taped op on a tracked tensor: the tape sets requires_grad
                 x = Tensor(xd / 2.0, requires_grad=True) * 2.0
             ad.conv2d(x, kernel, hw)
         g_x, g_kernel = tape.nodes[-1].backward_fn(g)
         assert _same_bytes(g_x, ref_gx)
         assert _same_bytes(g_kernel, const_gk)
+
+
+def _leaky(z, slope):
+    return np.where(z > 0.0, z, slope * z)
+
+
+def _dense_segment_pre_activations(model, images):
+    """Every leaky_relu input of a dense ``segment_batch``, recomputed in NumPy."""
+    p = {k: v.data for k, v in model.params.items()}
+    cfg = model.config
+    h = images.reshape(images.shape[0], -1)
+    pre = []
+    for i in range(len(cfg.encoder_widths)):
+        pre.append(h @ p[f"enc.{i}.w"] + p[f"enc.{i}.b"])
+        h = _leaky(pre[-1], cfg.leaky_slope)
+        if i == 0:
+            skip = h
+    pre.append(h @ p["dec.0.w"] + p["dec.0.b"])
+    pre.append(skip @ p["dec.skip.w"] + p["dec.skip.b"])
+    return pre
+
+
+def _conv_embed_pre_activations(model, images):
+    """Every leaky_relu input of a conv ``embed_batch``, recomputed in NumPy."""
+    p = {k: v.data for k, v in model.params.items()}
+    cfg = model.config
+    (h, w), (c1, c2) = cfg.image_shape, cfg.conv_channels
+    b = images.shape[0]
+    pre = []
+
+    def block(x, name, hw, cin, cout):
+        pre.append(_ref_im2col(x, hw, 3, cin) @ p[f"{name}.w"] + p[f"{name}.b"])
+        act = _leaky(pre[-1], cfg.leaky_slope)
+        return act.reshape(b, hw[0] // 2, 2, hw[1] // 2, 2, cout).mean(axis=(2, 4)).reshape(b, -1)
+
+    x = block(images.reshape(b, h * w), "enc.c0", (h, w), 1, c1)
+    x = block(x, "enc.c1", (h // 2, w // 2), c1, c2)
+    pre.append(x @ p["enc.proj.w"] + p["enc.proj.b"])
+    pre.append(_leaky(pre[-1], cfg.leaky_slope) @ p["head.0.w"] + p["head.0.b"])
+    return pre
+
+
+class TestMinKinkDistance:
+    def test_gradcheck_dense_model_matches_hand_pre_activations(self):
+        model = ParamModel(_GRADCHECK_MODEL)
+        images = np.random.default_rng(5).random((4, 4, 4))
+        expected = min(float(np.abs(z).min()) for z in _dense_segment_pre_activations(model, images))
+        assert ad.min_kink_distance(model.segment_batch, images) == expected
+
+    def test_conv_model_matches_hand_pre_activations(self):
+        model = ParamModel(ModelConfig(image_shape=(8, 8), conv_channels=(2, 3), head_hidden=5, embed_dim=4, seed=7))
+        images = np.random.default_rng(6).random((3, 8, 8))
+        expected = min(float(np.abs(z).min()) for z in _conv_embed_pre_activations(model, images))
+        assert ad.min_kink_distance(lambda: model.embed_batch(images)) == expected
+
+    def test_no_recorded_leaky_relu_gives_inf(self):
+        x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
+        assert ad.min_kink_distance(lambda: (x * 2.0).sum()) == float("inf")
+        assert ad.min_kink_distance(lambda: Tensor([0.5, -3.0]).leaky_relu()) == float("inf")

@@ -425,6 +425,31 @@ class TestCliProcess:
         assert r.stderr.startswith("data error: ") and "manifest.json" in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_train_on_data_of_another_image_shape_exits_3(self, workdir):
+        r = run_cli(["generate-data", "--config", "small.json", "--set", "data.height=12", "--set", "data.width=12",
+                     "--out", "ds12"], workdir)
+        assert r.returncode == 0, r.stderr
+        r = run_cli(["train", "--config", "small.json", "--data", "ds12", "--name", "bad"], workdir)
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.startswith("data error: dataset ds12 ") and "(12, 12)" in r.stderr and "(8, 8)" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workdir / "runs" / "bad").exists()
+
+    def test_eval_checks_the_data_against_the_checkpoint(self, workdir):
+        r = run_cli(["generate-data", "--config", "small.json", "--set", "data.height=12", "--set", "data.width=12",
+                     "--out", "ds12"], workdir)
+        assert r.returncode == 0, r.stderr
+        for side in (8, 12):
+            cfg = ModelConfig(image_shape=(side, side), conv_channels=(3, 4), head_hidden=8, embed_dim=6)
+            ParamModel(cfg).save(workdir / f"m{side}.npz")
+        r = run_cli(["eval", "--config", "small.json", "--model", "m8.npz", "--data", "ds12"], workdir)
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.startswith("data error: dataset ds12 ") and "checkpoint m8.npz is for (8, 8)" in r.stderr
+        assert "Traceback" not in r.stderr
+        # the checkpoint, not the config's 8x8 data section, fixes the shape eval needs
+        r = run_cli(["eval", "--config", "small.json", "--model", "m12.npz", "--data", "ds12"], workdir)
+        assert r.returncode == 0, r.stderr
+
     def test_missing_checkpoint_exit_code(self, workdir):
         r = run_cli(["eval", "--config", "small.json", "--model", "nope.npz"], workdir)
         assert r.returncode == 3, r.stderr

@@ -139,22 +139,6 @@ class TestAugmentation:
             assert v.shape == img.shape
             assert v.min() >= 0.0 and v.max() <= 1.0
 
-    def test_mask_transforms_with_same_geometry(self, rng):
-        policy = AugmentationPolicy(flip_prob=1.0, max_rotate_deg=0.0, crop_scale=(1.0, 1.0), gamma_range=(0.7, 0.9), brightness_delta=0.1)
-        img = rng.random((8, 8))
-        mask = (rng.random((8, 8)) > 0.6).astype(np.int64)
-        out_img, out_mask = policy.apply_with_mask(img, mask, np.random.default_rng(0))
-        np.testing.assert_array_equal(out_mask, mask[:, ::-1])
-        assert out_img.shape == img.shape
-
-
-    def test_mask_keeps_its_values(self, rng):
-        policy = AugmentationPolicy(max_rotate_deg=30.0, crop_scale=(0.6, 1.0))
-        mask = rng.choice([0, 3, 7], size=(12, 12))
-        for seed in range(10):
-            _, out = policy.apply_with_mask(rng.random((12, 12)), mask, np.random.default_rng(seed))
-            assert out.dtype == np.int64
-            assert set(np.unique(out)) <= {0, 3, 7}
 
 
 class TestRotation:
@@ -267,9 +251,17 @@ class TestPersistence:
             lambda m, root: m.update(volumes=[]),
             lambda m, root: np.save(root / m["volumes"][1]["images"], np.zeros((4, 8, 12))),
             lambda m, root: np.save(root / m["volumes"][1]["masks"], np.zeros((4, 8), dtype=np.int64)),
+            lambda m, root: m["spec"].update(num_partitions="4"),
+            lambda m, root: m["spec"].update(num_phases=2.0),
+            lambda m, root: m["volumes"][2].update(patient_id="2"),
+            lambda m, root: m["volumes"][0].update(phase=True),
+            lambda m, root: m["volumes"][1].update(misalignment_offset=None),
+            lambda m, root: m.update(seed=[0]),
+            lambda m, root: m.update(noise_level="0.1"),
         ],
         ids=["no-spec", "no-volumes", "no-images", "unknown-spec-key", "splits-not-mapping", "empty-volumes",
-             "other-slice-shape", "masks-not-slice-shape"],
+             "other-slice-shape", "masks-not-slice-shape", "spec-str", "spec-float", "patient-id-str", "phase-bool",
+             "offset-null", "seed-list", "noise-str"],
     )
     def test_malformed_manifest_is_data_error_naming_it(self, tmp_path, edit):
         ds = generate_dataset(4, 4, (8, 8), seed=0)

@@ -16,6 +16,8 @@ anchor's positive set
 
 Both reduce through the same masked-mean code path, so the meta loss with
 one class per original image equals the unsupervised loss bitwise.
+``masked_mean_sum`` records a weighted sum of K masked means as one tape
+node with the float sequence of K ``masked_mean`` terms added up.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _as_tensor, masked_logsumexp_rows, tsum
+from .autodiff import Tensor, _apply, _as_tensor, masked_logsumexp_rows, tsum
 from .errors import InvalidConfig
 
 
@@ -92,6 +94,16 @@ def positive_mask(batch: AugmentedBatch, k: int) -> np.ndarray:
     return mask
 
 
+def positive_masks(batch: AugmentedBatch, ks: tuple[int, ...]) -> np.ndarray:
+    """Boolean (K, 2N, 2N) stack of ``positive_mask(batch, k)`` for k in ``ks``, built at once."""
+    labels = batch.meta_labels[list(ks)]
+    masks = labels[:, :, None] == labels[:, None, :]
+    idx = np.arange(batch.num_samples)
+    masks[:, idx, batch.pair_of] = True
+    masks[:, idx, idx] = False
+    return masks
+
+
 def pair_mask(batch: AugmentedBatch) -> np.ndarray:
     """Boolean (2N, 2N) mask selecting only each anchor's paired view."""
     n2 = batch.num_samples
@@ -115,6 +127,17 @@ def pair_loss_values(batch: AugmentedBatch, tau: float) -> Tensor:
     return lse - scores
 
 
+def mask_coefficients(mask: np.ndarray) -> np.ndarray:
+    """``mask`` with each row divided by its count of True entries; any leading axes ride along.
+
+    Every mask row must be non-empty.
+    """
+    counts = mask.sum(axis=-1)
+    if np.any(counts == 0):
+        raise InvalidConfig("every anchor needs at least one positive")
+    return mask.astype(np.float64) / counts[..., None]
+
+
 def masked_mean(values, mask: np.ndarray, weights: np.ndarray | None = None):
     """(1/2N) sum_i (1/|row_i|) sum_{j in row_i} w_ij values_ij, as one masked sum.
 
@@ -123,15 +146,51 @@ def masked_mean(values, mask: np.ndarray, weights: np.ndarray | None = None):
     matrix so a single reduction covers the double sum. A Tensor ``values``
     gives a Tensor on the tape; an array gives a float.
     """
-    counts = mask.sum(axis=1)
-    if np.any(counts == 0):
-        raise InvalidConfig("every anchor needs at least one positive")
-    coef = mask.astype(np.float64) / counts[:, None]
+    coef = mask_coefficients(mask)
     if weights is not None:
         coef = coef * weights
     if isinstance(values, Tensor):
         return tsum(Tensor(coef) * values) * (1.0 / mask.shape[0])
     return float(np.sum(coef * values) / mask.shape[0])
+
+
+def masked_mean_sum(values: Tensor, coefs: np.ndarray, scales, offsets=None) -> Tensor:
+    """sum_k scales[k] * (masked mean of ``values`` under ``coefs[k]`` + offsets[k]), as one tape node.
+
+    ``coefs`` is a (K, 2N, 2N) stack of constant coefficient matrices, as
+    ``masked_mean`` builds them (``mask_coefficients``, times any weights),
+    ``scales`` K floats and ``offsets`` K constant floats or None. The value
+    and the cotangent of ``values`` have the bits of the K-term sum built
+    from ops, ``(masked_mean(values, ...) + offsets[k]) * scales[k]`` added
+    left to right: each term's reduction runs over one contiguous (2N, 2N)
+    product, and the K cotangents add up in reverse order, as the tape walk
+    adds them.
+    """
+    scales = [float(c) for c in scales]
+    inv_n = 1.0 / coefs.shape[1]
+
+    def fwd(x):
+        prod = coefs * x
+        total = None
+        for k, scale in enumerate(scales):
+            term = np.sum(prod[k]) * inv_n
+            if offsets is not None:
+                term = term + offsets[k]
+            term = term * scale
+            total = term if total is None else total + term
+        return np.asarray(total)
+
+    def bwd(datas, out):
+        def back(g):
+            acc = None
+            for k in reversed(range(len(scales))):
+                gk = coefs[k] * ((g * scales[k]) * inv_n)
+                acc = gk if acc is None else acc + gk
+            return (acc,)
+
+        return back
+
+    return _apply("masked_mean_sum", (values,), fwd, bwd)
 
 
 def unsup_contrastive_loss(batch: AugmentedBatch, tau: float) -> Tensor:

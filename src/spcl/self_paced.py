@@ -20,8 +20,12 @@ held constant while the encoder takes its gradient step.
 
 ``combined_sp_loss`` is the one training objective, sum_k lambda_k times the
 loss of meta-label k: every pre-training mode, the semi-supervised
-regularizer and the pace report call it, and it builds the pair-loss matrix
-once per batch for all meta-labels.
+regularizer and the pace report call it. It builds the pair-loss matrix, the
+closed-form weights and the regularizer once per batch for all meta-labels,
+and records the K-label sum as one tape node (``masked_mean_sum``). The
+loss of one meta-label, ``sp_contrastive_loss(batch, k, ...)`` with an int
+k, is built from ops as before and is the oracle the tests hold the K-label
+node to, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +36,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Tensor
-from .contrastive import AugmentedBatch, masked_mean, pair_loss_values, positive_mask
+from .contrastive import (
+    AugmentedBatch,
+    mask_coefficients,
+    masked_mean,
+    masked_mean_sum,
+    pair_loss_values,
+    positive_mask,
+    positive_masks,
+)
 from .errors import InvalidConfig
 from .schema import check_finite
 
@@ -162,7 +174,7 @@ def pace_schedule(config: SelfPacedConfig, cur_epoch: int, max_epoch: int) -> fl
 
 def sp_contrastive_loss(
     batch: AugmentedBatch,
-    k: int,
+    k: int | tuple[int, ...],
     gamma: float,
     config: SelfPacedConfig,
     values: Tensor | None = None,
@@ -176,17 +188,36 @@ def sp_contrastive_loss(
     constants for gradient purposes: only w_ij * grad(l_ij) reaches the
     encoder. ``values`` may pass in ``pair_loss_values(batch, config.tau)``
     already built for this batch.
+
+    A tuple ``k`` of label indices gives sum_k lambda_k * loss_k, with
+    lambda_k from ``config.lambdas``, as one ``masked_mean_sum`` node, and
+    the in-mask weights of each label concatenated in order. An int ``k``
+    builds its loss from ops, the per-label path that node must match.
     """
     gamma = _check_gamma(gamma)
-    if not (0 <= k < batch.num_meta_labels):
-        raise InvalidConfig(f"meta-label index {k} out of range [0, {batch.num_meta_labels})")
+    single = isinstance(k, (int, np.integer))
+    ks = (k,) if single else tuple(k)
+    for i in ks:
+        if not (0 <= i < batch.num_meta_labels):
+            raise InvalidConfig(f"meta-label index {i} out of range [0, {batch.num_meta_labels})")
     if values is None:
         values = pair_loss_values(batch, config.tau)
-    mask = positive_mask(batch, k)
-    w = np.where(mask, optimal_weight(values.data, gamma, config.regularizer), 0.0)
-    r = np.where(mask, regularizer_value(w, gamma, config.regularizer), 0.0)
-    loss = masked_mean(values, mask, w) + masked_mean(r, mask)
-    return loss, w[mask]
+    w = optimal_weight(values.data, gamma, config.regularizer)
+    if single:
+        mask = positive_mask(batch, k)
+        w = np.where(mask, w, 0.0)
+        r = np.where(mask, regularizer_value(w, gamma, config.regularizer), 0.0)
+        loss = masked_mean(values, mask, w) + masked_mean(r, mask)
+        return loss, w[mask]
+    # the weights are one matrix for every label; inside a mask the masked
+    # weights equal it, so R of it, masked, is the per-label R, masked
+    masks = positive_masks(batch, ks)
+    coefs = mask_coefficients(masks)
+    r = coefs * np.where(masks, regularizer_value(w, gamma, config.regularizer), 0.0)
+    offsets = [float(np.sum(r_k) / batch.num_samples) for r_k in r]
+    w = np.where(masks, w, 0.0)
+    loss = masked_mean_sum(values, coefs * w, [config.lambdas[i] for i in ks], offsets)
+    return loss, w[masks]
 
 
 def combined_sp_loss(
@@ -197,34 +228,24 @@ def combined_sp_loss(
 ) -> tuple[Tensor, np.ndarray]:
     """The training objective sum_k lambda_k * sp_loss_k, and its pooled weights.
 
-    Builds the pair-loss matrix once and reuses it for every meta-label.
-    With ``weighted=False`` every pair weighs 1 and the regularizer vanishes,
-    which is the plain meta-label contrastive loss. Meta-labels with
-    lambda_k == 0 are skipped entirely (their label vectors are never
-    touched). The second value concatenates, over the used k in order, the
-    in-mask weights w_ij.
+    Builds the pair-loss matrix once and reuses it for every meta-label;
+    the sum is one tape node. With ``weighted=False`` every pair weighs 1
+    and the regularizer vanishes, which is the plain meta-label contrastive
+    loss. Meta-labels with lambda_k == 0 are skipped entirely (their label
+    vectors are never touched). The second value concatenates, over the
+    used k in order, the in-mask weights w_ij.
     """
     if len(config.lambdas) > batch.num_meta_labels:
         raise InvalidConfig(
             f"{len(config.lambdas)} lambdas but batch has {batch.num_meta_labels} meta-labels"
         )
     values = pair_loss_values(batch, config.tau)
-    total: Tensor | None = None
-    pooled = []
-    for k, lam in enumerate(config.lambdas):
-        if lam == 0.0:
-            continue
-        if weighted:
-            term, weights = sp_contrastive_loss(batch, k, gamma, config, values=values)
-            pooled.append(weights)
-        else:
-            mask = positive_mask(batch, k)
-            term = masked_mean(values, mask)
-            pooled.append(np.ones(int(mask.sum())))
-        term = term * lam
-        total = term if total is None else total + term
-    assert total is not None  # config guarantees one positive lambda
-    return total, np.concatenate(pooled)
+    ks = tuple(k for k, lam in enumerate(config.lambdas) if lam != 0.0)
+    if weighted:
+        return sp_contrastive_loss(batch, ks, gamma, config, values=values)
+    masks = positive_masks(batch, ks)
+    loss = masked_mean_sum(values, mask_coefficients(masks), [config.lambdas[k] for k in ks])
+    return loss, np.ones(int(masks.sum()))
 
 
 def weight_stats(weights: np.ndarray) -> tuple[float, float, float]:

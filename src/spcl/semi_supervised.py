@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field, replace
 import numpy as np
 
-from .autodiff import GradTape, Tensor, detached_max, masked_logsumexp_rows, tsum
+from .autodiff import GradTape, Tensor, detached_max, masked_logsumexp_rows, row_maxes, row_sums, tsum
 from .contrastive import AugmentedBatch
 from .errors import InvalidConfig, NonFiniteValue, NormTooSmall, ShapeMismatch
 from .models import EmaTeacher, ParamModel, ema_update
@@ -97,8 +97,9 @@ def consistency_loss(student_logits, teacher_logits) -> Tensor:
     if s.shape != t_data.shape:
         raise ShapeMismatch(f"student {s.shape} vs teacher {t_data.shape}")
     ps = _softmax_rows(_flatten_logits(s))
-    e = np.exp(t_data.reshape(ps.shape) - t_data.reshape(ps.shape).max(axis=1, keepdims=True))
-    pt = e / e.sum(axis=1, keepdims=True)
+    t_rows = t_data.reshape(ps.shape)
+    e = np.exp(t_rows - row_maxes(t_rows))
+    pt = e / row_sums(e)
     diff = ps - Tensor(pt)
     return (diff * diff).mean()
 

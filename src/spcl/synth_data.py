@@ -16,9 +16,15 @@ Positive pairs come from ``AugmentationPolicy``: flip, rotation, crop-resize
 and intensity, drawn and applied per image. The rotation is plain NumPy. It
 ports the cephes ``cosdg``/``sindg`` functions that SciPy evaluates and
 repeats the coordinate and interpolation arithmetic of SciPy's
-``ndimage.rotate`` (``reshape=False``, ``mode="nearest"``, orders 0 and 1), so
-it matches that function bit for bit; an oracle test in the suite compares the
+``ndimage.rotate`` (``reshape=False``, ``mode="nearest"``, order 1), so it
+matches that function bit for bit; an oracle test in the suite compares the
 two whenever SciPy is installed.
+
+A policy that never rotates and whose smallest crop is the full frame (the
+experiment's) draws and transforms a whole pair batch at once
+(``AugmentationPolicy.apply_batch``), with the same draws and the same bits
+as ``apply`` image by image; ``build_pair_batch`` picks that path from the
+policy and the image shape, and a test holds it to the per-image path.
 """
 
 from __future__ import annotations
@@ -51,9 +57,6 @@ class MetaLabelSpec:
     num_partitions: int = 4
     num_patients: int = 10
     num_phases: int = 2
-
-    def class_counts(self) -> tuple[int, int, int]:
-        return (self.num_partitions, self.num_patients, self.num_phases)
 
 
 @dataclass
@@ -312,17 +315,14 @@ def cos_sin_deg(x: float) -> tuple[float, float]:
     return (-c if cos_neg else c), (-s if sin_neg else s)
 
 
-def rotate(image: np.ndarray, angle: float, order: int = 1) -> np.ndarray:
-    """Rotate a 2-D image about its centre by ``angle`` degrees.
+def rotate(image: np.ndarray, angle: float) -> np.ndarray:
+    """Rotate a 2-D image about its centre by ``angle`` degrees, bilinearly.
 
-    This is SciPy's ``ndimage.rotate(image, angle, reshape=False,
-    order=order, mode="nearest")`` bit for bit: the same cos/sin, matrix,
-    offset and coordinate arithmetic, and the same interpolation sums.
-    ``order`` 1 is bilinear, 0 nearest-neighbour; both repeat the border
-    pixel outside the frame.
+    This is SciPy's ``ndimage.rotate(image, angle, reshape=False, order=1,
+    mode="nearest")`` bit for bit: the same cos/sin, matrix, offset and
+    coordinate arithmetic, and the same interpolation sums. The border pixel
+    repeats outside the frame.
     """
-    if order not in (0, 1):
-        raise ValueError(f"rotate supports orders 0 and 1, got {order}")
     src = np.asarray(image, dtype=np.float64)
     h, w = src.shape
     c, s = cos_sin_deg(angle)
@@ -334,9 +334,6 @@ def rotate(image: np.ndarray, angle: float, order: int = 1) -> np.ndarray:
     # input coordinate of output pixel (i, j) on axis d: off[d] + i*m[d,0] + j*m[d,1]
     coords = [(off[d] + rows * m[d, 0]) + cols * m[d, 1] for d in (0, 1)]
     # like SciPy, sum the taps onto 0.0 (so a -0.0 pixel comes out as 0.0)
-    if order == 0:
-        iy, ix = (np.floor(np.clip(cc, 0, n - 1) + 0.5).astype(np.intp) for cc, n in zip(coords, (h, w)))
-        return 0.0 + src[iy, ix]
     taps, weights = [], []
     for cc, n in zip(coords, (h, w)):
         f = np.floor(cc)
@@ -405,6 +402,46 @@ class AugmentationPolicy:
         out = np.clip(out, 0.0, 1.0) ** gamma + delta
         return np.clip(out, 0.0, 1.0)
 
+    def batchable(self, shape: tuple[int, int]) -> bool:
+        """Whether ``apply_batch`` reproduces ``apply`` on images of ``shape``.
+
+        It does when no draw needs its own path. Without rotation and with a
+        crop that always rounds to the full frame, ``apply`` consumes exactly
+        five doubles per image (flip, angle, scale, gamma, delta): the two
+        ``integers(0, 1)`` offsets consume none, and ``uniform(lo, hi)`` is
+        ``lo + (hi - lo) * random()``. Flip and intensity are then
+        elementwise. ``array ** float`` takes NumPy's square and square-root
+        shortcuts at exponents 2 and 0.5, which can round differently from
+        the power function, so gamma ranges holding either are excluded.
+        """
+        h, w = shape
+        lo = self.crop_scale[0]
+        g_lo, g_hi = self.gamma_range
+        return (
+            self.max_rotate_deg == 0.0
+            and max(2, round(h * lo)) == h
+            and max(2, round(w * lo)) == w
+            and not any(g_lo <= e <= g_hi for e in (0.5, 2.0))
+        )
+
+    def apply_batch(self, images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """``apply`` to each image of a (B, H, W) stack in order, as whole-stack operations.
+
+        The policy must be ``batchable`` for the image shape; the result and
+        the generator's state afterwards are then those of ``apply`` called
+        image by image.
+        """
+        images = np.asarray(images, dtype=np.float64)
+        u = rng.random((images.shape[0], 5))  # flip, angle, scale, gamma, delta
+        flip = u[:, 0] < self.flip_prob
+        g_lo, g_hi = self.gamma_range
+        gamma = g_lo + (g_hi - g_lo) * u[:, 3]
+        d = self.brightness_delta
+        delta = -d + (d - -d) * u[:, 4]
+        out = np.where(flip[:, None, None], images[:, :, ::-1], images)
+        out = np.clip(out, 0.0, 1.0) ** gamma[:, None, None] + delta[:, None, None]
+        return np.clip(out, 0.0, 1.0)
+
 
 def augment_pair(image: np.ndarray, policy: AugmentationPolicy, seed) -> tuple[np.ndarray, np.ndarray]:
     """Two independent transform draws of one image, deterministic in the seed."""
@@ -443,18 +480,23 @@ def build_pair_batch(
     policy: AugmentationPolicy,
     rng: np.random.Generator,
 ) -> PairBatch:
-    """Augment each referenced slice twice and attach its three meta-labels."""
-    images = []
+    """Augment each referenced slice twice and attach its three meta-labels.
+
+    The views come from one ``apply_batch`` call when the policy is
+    ``batchable`` for the dataset's image shape, and from ``apply`` image by
+    image otherwise; both give the same bits and leave ``rng`` in the same
+    state.
+    """
     labels = np.zeros((3, 2 * len(refs)), dtype=np.int64)
     for t, (vi, si) in enumerate(refs):
         vol = dataset.volumes[vi]
-        v1 = policy.apply(vol.slices[si], rng)
-        v2 = policy.apply(vol.slices[si], rng)
-        images.extend([v1, v2])
         labels[:, 2 * t] = labels[:, 2 * t + 1] = meta_labels_for(vol, si, dataset.spec)
-    return PairBatch(
-        images=np.stack(images), pair_of=interleaved_pairs(2 * len(refs)), meta_labels=labels
-    )
+    originals = np.repeat(np.stack([dataset.volumes[vi].slices[si] for vi, si in refs]), 2, axis=0)
+    if policy.batchable(originals.shape[1:]):
+        images = policy.apply_batch(originals, rng)
+    else:
+        images = np.stack([policy.apply(image, rng) for image in originals])
+    return PairBatch(images=images, pair_of=interleaved_pairs(2 * len(refs)), meta_labels=labels)
 
 
 def partition_overlap_stats(dataset: SynthDataset, threshold: float = 0.2) -> dict[str, float]:
@@ -562,6 +604,7 @@ def load_dataset(path) -> SynthDataset:
         for i, v in enumerate(volumes):
             _check_types(v, ("patient_id", "phase", "misalignment_offset"), f"volumes[{i}].")
         _check_types(dataset, ("seed", "noise_level"), "")
+        _check_splits(splits, [v.patient_id for v in volumes])
     except InvalidConfig as exc:
         raise DataError(f"malformed {manifest_path}: {exc}") from exc
     shapes = [v.slices.shape for v in volumes]
@@ -570,6 +613,23 @@ def load_dataset(path) -> SynthDataset:
             f"{manifest_path} must name (S, H, W) slices of one (H, W) with masks of their shape, got {shapes}"
         )
     return dataset
+
+
+def _check_splits(splits: dict, patient_ids: list[int]) -> None:
+    """InvalidConfig unless ``splits`` names exactly ``SPLITS``, each a list of distinct volumes' patient ids."""
+    if sorted(splits) != sorted(SPLITS):
+        raise InvalidConfig(f"splits must name exactly {list(SPLITS)}, got {sorted(splits)}")
+    known = set(patient_ids)
+    owner: dict[int, str] = {}
+    for name in SPLITS:
+        for i, pid in enumerate(splits[name]):
+            key = f"splits.{name}[{i}]"
+            check_value(pid, int, key)
+            if pid not in known:
+                raise InvalidConfig(f"{key} = {pid} names no volume's patient_id")
+            if pid in owner:
+                raise InvalidConfig(f"{key}: patient {pid} is already in split {owner[pid]!r}")
+            owner[pid] = name
 
 
 def _check_types(obj, names, prefix: str) -> None:

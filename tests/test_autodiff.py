@@ -674,3 +674,69 @@ class TestMinKinkDistance:
         x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
         assert ad.min_kink_distance(lambda: (x * 2.0).sum()) == float("inf")
         assert ad.min_kink_distance(lambda: Tensor([0.5, -3.0]).leaky_relu()) == float("inf")
+
+
+def _hostile_rows(rng, rows, n):
+    """Rows mixing ordinary values, signed zeros, subnormals and 1e300, plus all-zero rows of either sign."""
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, 1e300, -1e300, 1.0, -3.5])
+    x = np.where(rng.random((rows, n)) < 0.5, rng.choice(pool, (rows, n)), rng.standard_normal((rows, n)))
+    x[0] = 0.0
+    x[1] = -0.0
+    x[2, ::2] = -0.0
+    return x
+
+
+class TestShortRows:
+    """``row_sums``/``row_maxes`` and the ops that use them against NumPy's own row reductions."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_row_reductions_byte_equal_to_numpy(self, n):
+        rng = np.random.default_rng(n)
+        for rows in (3, 64, 2048):
+            x = _hostile_rows(rng, rows, n)
+            assert _same_bytes(ad.row_sums(x), np.sum(x, axis=1, keepdims=True))
+            assert _same_bytes(ad.row_maxes(x), np.max(x, axis=1, keepdims=True))
+            f = np.asfortranarray(x)  # not C-contiguous: handed to NumPy
+            assert _same_bytes(ad.row_sums(f), np.sum(f, axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_ops_reduce_rows_as_numpy_does(self, n):
+        rng = np.random.default_rng(40 + n)
+        x = Tensor(_hostile_rows(rng, 64, n), requires_grad=True)
+        g = _hostile_rows(rng, 64, n)
+        assert _same_bytes(ad.tsum(x, axis=1, keepdims=True).data, np.sum(x.data, axis=1, keepdims=True))
+        assert _same_bytes(ad.detached_max(x, axis=1, keepdims=True).data, np.max(x.data, axis=1, keepdims=True))
+        column = Tensor(rng.standard_normal((64, 1)), requires_grad=True)
+        _, back = _recorded(ad.sub, Tensor(np.zeros((64, n))), column)
+        assert _same_bytes(back(g)[1], (-g).sum(axis=1, keepdims=True))
+
+
+class TestMatmulCotangents:
+    @pytest.mark.parametrize("tracked", ["left", "right", "both"])
+    def test_cotangent_only_for_tracked_operands(self, tracked):
+        rng = np.random.default_rng(31)
+        ad_, bd = rng.standard_normal((5, 4)), rng.standard_normal((4, 3))
+        g = rng.standard_normal((5, 3))
+        a = Tensor(ad_, requires_grad=tracked in ("left", "both"))
+        b = Tensor(bd, requires_grad=tracked in ("right", "both"))
+        _, back = _recorded(ad.matmul, a, b)
+        g_a, g_b = back(g)
+        assert (g_a is None) == (tracked == "right") and (g_b is None) == (tracked == "left")
+        if g_a is not None:
+            assert _same_bytes(g_a, g @ bd.T)
+        if g_b is not None:
+            assert _same_bytes(g_b, ad_.T @ g)
+
+
+class TestFreshViews:
+    def test_fresh_view_is_frozen_in_place(self):
+        flat = np.arange(12.0)
+        t = Tensor(flat[2:8].reshape(2, 3), _fresh=True)
+        assert np.shares_memory(t.data, flat) and not t.data.flags.writeable
+
+    def test_op_output_viewing_an_input_is_still_copied(self):
+        v = Tensor(np.arange(4.0)[1:], requires_grad=True)
+        with GradTape():
+            out = v.T
+        assert not np.shares_memory(out.data, v.data)
+        assert _same_bytes(out.data, v.data)

@@ -12,6 +12,7 @@ from spcl.contrastive import (
     meta_contrastive_loss,
     pair_loss_values,
     positive_mask,
+    positive_masks,
     unsup_contrastive_loss,
 )
 from spcl.errors import InvalidConfig
@@ -98,6 +99,11 @@ class TestPositiveSet:
         mask = positive_mask(batch, 0)
         for i in range(12):
             assert set(np.flatnonzero(mask[i])) == naive_positive_set(batch.meta_labels[0], batch.pair_of, i)
+
+    def test_stacked_masks_equal_per_label_masks(self, rng):
+        batch = random_batch(rng, 6, num_classes=[3, 6, 1], num_labels=3)
+        for ks in [(0,), (2, 0), (0, 1, 2)]:
+            np.testing.assert_array_equal(positive_masks(batch, ks), np.stack([positive_mask(batch, k) for k in ks]))
 
 
 class TestPairLoss:

@@ -425,6 +425,19 @@ class TestCliProcess:
         assert r.stderr.startswith("data error: ") and "manifest.json" in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_manifest_split_ids_that_name_no_patient_exit_3(self, workdir):
+        r = run_cli(["generate-data", "--config", "small.json", "--out", "ds"], workdir)
+        assert r.returncode == 0, r.stderr
+        path = workdir / "ds" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["splits"]["train"] = [str(pid) for pid in manifest["splits"]["train"]]
+        path.write_text(json.dumps(manifest))
+        r = run_cli(["train", "--config", "small.json", "--data", "ds", "--name", "bad"], workdir)
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.startswith("data error: ") and "manifest.json" in r.stderr and "splits.train[0]" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workdir / "runs" / "bad").exists()
+
     def test_train_on_data_of_another_image_shape_exits_3(self, workdir):
         r = run_cli(["generate-data", "--config", "small.json", "--set", "data.height=12", "--set", "data.width=12",
                      "--out", "ds12"], workdir)

@@ -222,7 +222,48 @@ class TestEmaTeacher:
                 ema_update(teacher, model)
 
 
+def per_parameter_radam(params, grads, state, t, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8, scales=None):
+    """One RAdam step written parameter by parameter: the reference for the flat update."""
+    rho_inf = 2.0 / (1.0 - b2) - 1.0
+    rho_t = rho_inf - 2.0 * t * b2**t / (1.0 - b2**t)
+    out = {}
+    for name, g in grads.items():
+        lr_p = lr * max(((len(k), s) for k, s in (scales or {}).items() if name.startswith(k)), default=(0, 1.0))[1]
+        m = b1 * state.get(("m", name), 0.0) + (1.0 - b1) * g
+        v = b2 * state.get(("v", name), 0.0) + (1.0 - b2) * g * g
+        state["m", name], state["v", name] = m, v
+        m_hat = m / (1.0 - b1**t)
+        if rho_t > 4.0:
+            rect = np.sqrt(((rho_t - 4.0) * (rho_t - 2.0) * rho_inf) / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t))
+            out[name] = params[name] - lr_p * rect * m_hat / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        else:
+            out[name] = params[name] - lr_p * m_hat
+    return out
+
+
 class TestRAdam:
+    def test_flat_update_equals_per_parameter_update(self):
+        rng = np.random.default_rng(17)
+        model = ParamModel(TINY)
+        model.params["enc.wide"] = Tensor(rng.standard_normal((90, 200)), requires_grad=True)  # spans 3 chunks
+        scales = {"enc.": 0.05, "head.": 0.05}
+        opt = RAdam(lr=2e-3, lr_scales=scales)
+        names = sorted(model.params)
+        ref = {n: model.params[n].data.copy() for n in names}
+        state = {}
+        for t in range(1, 31):  # rho_t <= 4 for the first steps, > 4 after
+            grads = {n: rng.standard_normal(model.params[n].shape) * 10.0 ** rng.integers(-3, 3) for n in names}
+            if t == 12:  # a caller rebinds a parameter between steps
+                model.params["dec.out.b"] = Tensor(np.full(model.params["dec.out.b"].shape, 0.5), requires_grad=True)
+                ref["dec.out.b"] = model.params["dec.out.b"].data.copy()
+            opt.step(model.params, grads)
+            ref = per_parameter_radam(ref, grads, state, t, lr=2e-3, scales=scales)
+            for n in names:
+                assert model.params[n].data.tobytes() == ref[n].tobytes(), (t, n)
+                assert opt.m[n].tobytes() == state["m", n].tobytes() and opt.v[n].tobytes() == state["v", n].tobytes()
+                assert model.params[n].requires_grad and not model.params[n].data.flags.writeable
+        assert opt.t == 30
+
     def test_second_moment_overflow_names_the_parameter(self):
         opt = RAdam(lr=1e-3)
         params = {"v": Tensor(np.zeros(3), requires_grad=True), "w": Tensor(np.zeros(3), requires_grad=True)}
@@ -231,6 +272,15 @@ class TestRAdam:
             with pytest.raises(NonFiniteValue, match="^RAdam update of 'w' produced NaN/Inf$"):
                 opt.step(params, {"v": np.ones(3), "w": np.full(3, 1e200)})
         assert not opt.v["w"].any()  # the overflowing moment was not stored
+
+    def test_overflow_leaves_every_parameter_and_moment(self):
+        opt = RAdam(lr=1e-3)
+        params = {"v": Tensor(np.zeros(3), requires_grad=True), "w": Tensor(np.zeros(3), requires_grad=True)}
+        before = dict(params)
+        with pytest.raises(NonFiniteValue, match="^RAdam update of 'w' produced NaN/Inf$"):
+            opt.step(params, {"v": np.ones(3), "w": np.full(3, 1e200)})
+        assert all(params[n] is before[n] for n in params)
+        assert not any(opt.m[n].any() or opt.v[n].any() for n in params)
 
 
 class TestCheckpoint:

@@ -350,6 +350,46 @@ class TestCombinedLoss:
         assert loss.item() == unsup_contrastive_loss(batch, 0.5).item()
         np.testing.assert_array_equal(pooled, np.ones(10))
 
+    @pytest.mark.parametrize(
+        "mode, lambdas",
+        [("hard", (1.0, 0.1, 0.1)), ("linear", (1.0, 0.1, 0.1)), ("linear", (0.5, 0.0, 0.25)),
+         ("unweighted", (1.0, 0.1, 0.1)), ("unweighted", (0.0, 0.3, 1.0))],
+    )
+    def test_one_node_matches_per_label_ops_value_and_gradient(self, rng, mode, lambdas):
+        """The K-label node against the per-label sum built from ops, bit for bit, under a cotangent != 1."""
+        weighted = mode != "unweighted"
+        cfg = SelfPacedConfig(regularizer=HARD if mode == "hard" else LINEAR, tau=0.5, lambdas=lambdas)
+        cfg = cfg.with_default_pace(6)
+        gamma = 0.5 * (cfg.gamma_start + cfg.gamma_end)
+
+        def taped(objective):
+            with GradTape() as tape:
+                batch = AugmentedBatch(l2_normalize_rows(raw), interleaved_pairs(12), labels)
+                loss = objective(batch) * 0.1
+            return loss.data, tape.gradient(loss, [raw])[0], tape
+
+        def per_label(batch):
+            values = pair_loss_values(batch, cfg.tau)
+            total = None
+            for k, lam in enumerate(lambdas):
+                if lam == 0.0:
+                    continue
+                if weighted:
+                    term = sp_contrastive_loss(batch, k, gamma, cfg, values=values)[0]
+                else:
+                    term = masked_mean(values, positive_mask(batch, k))
+                total = term * lam if total is None else total + term * lam
+            return total
+
+        for _ in range(12):
+            raw = Tensor(rng.standard_normal((12, 6)), requires_grad=True)
+            labels = np.repeat(rng.integers(0, 3, size=(3, 6)), 2, axis=1)
+            value, grad, tape = taped(lambda b: combined_sp_loss(b, gamma, cfg, weighted=weighted)[0])
+            want_value, want_grad, _ = taped(per_label)
+            assert value.tobytes() == want_value.tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+            assert [n.op for n in tape.nodes].count("masked_mean_sum") == 1
+
     def test_config_validation(self):
         with pytest.raises(InvalidConfig):
             SelfPacedConfig(regularizer="soft")

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from spcl.config import ExperimentConfig
 from spcl.errors import DataError, InvalidConfig
 from spcl.synth_data import (
     ALIGNMENT_TOLERANCE_PX,
@@ -143,24 +144,14 @@ class TestAugmentation:
 
 class TestRotation:
     @pytest.mark.parametrize("size", [7, 8])
-    @pytest.mark.parametrize("order", [0, 1])
-    def test_quarter_turns_are_exact(self, rng, size, order):
+    def test_quarter_turns_are_exact(self, rng, size):
         img = rng.random((size, size))
         for angle, want in [(0.0, img), (90.0, np.rot90(img, 1)), (180.0, np.rot90(img, 2)), (270.0, np.rot90(img, -1))]:
-            np.testing.assert_array_equal(rotate(img, angle, order), want)
-
-    def test_order0_mask_keeps_only_its_values(self, rng):
-        mask = rng.choice([0.0, 2.0, 5.0], size=(16, 16))
-        for angle in rng.uniform(-30.0, 30.0, 20):
-            assert set(np.unique(rotate(mask, angle, order=0))) <= {0.0, 2.0, 5.0}
+            np.testing.assert_array_equal(rotate(img, angle), want)
 
     def test_right_angles_have_exact_cos_sin(self):
         for deg, cs in [(0.0, (1.0, 0.0)), (90.0, (0.0, 1.0)), (180.0, (-1.0, 0.0)), (-90.0, (0.0, -1.0)), (450.0, (0.0, 1.0))]:
             assert tuple(abs(v) if v == 0.0 else v for v in cos_sin_deg(deg)) == cs
-
-    def test_unsupported_order_rejected(self):
-        with pytest.raises(ValueError, match="orders 0 and 1"):
-            rotate(np.zeros((4, 4)), 10.0, order=3)
 
     def test_matches_scipy_rotate_bit_for_bit(self, rng):
         ndimage = pytest.importorskip("scipy.ndimage")
@@ -173,11 +164,9 @@ class TestRotation:
             h, w = (int(n) for n in rng.integers(2, 33, 2))
             img = rng.normal(0.0, 1.0, (h, w)) if trial % 2 else rng.random((h, w))
             batch = rng.uniform(-30.0, 30.0, 3) if trial % 3 else rng.uniform(-400.0, 400.0, 3)
-            for order in (0, 1):
-                src = img if order else np.round(3.0 * img)
-                for angle in batch:
-                    want = ndimage.rotate(src, angle, reshape=False, order=order, mode="nearest")
-                    assert rotate(src, angle, order).tobytes() == want.tobytes(), (h, w, angle, order)
+            for angle in batch:
+                want = ndimage.rotate(img, angle, reshape=False, order=1, mode="nearest")
+                assert rotate(img, angle).tobytes() == want.tobytes(), (h, w, angle)
 
 
 class TestPairBatch:
@@ -198,6 +187,34 @@ class TestPairBatch:
         digest = hashlib.sha256(batch.images.tobytes()).hexdigest()
         assert digest == "c951fcffa1aca1c79d2948e11a53fafc7653aef9dc6c36c4206a9b850fdc6be6"
         assert rng.integers(0, 2**62) == 4104103359617733017
+
+    @pytest.mark.parametrize(
+        "policy, batched",
+        [
+            (ExperimentConfig().augment, True),
+            (AugmentationPolicy.identity(), True),
+            (AugmentationPolicy(flip_prob=0.5, max_rotate_deg=0.0, crop_scale=(1.0, 1.0), gamma_range=(1.0, 1.0),
+                                brightness_delta=0.0), True),
+            (AugmentationPolicy(max_rotate_deg=0.0, crop_scale=(0.97, 1.0), gamma_range=(0.55, 1.95),
+                                brightness_delta=0.5), True),  # 0.97 * 16 rounds to 16
+            (AugmentationPolicy(), False),  # rotation and crop draw per image
+            (AugmentationPolicy(max_rotate_deg=0.0, crop_scale=(0.9, 1.0)), False),
+            (AugmentationPolicy(max_rotate_deg=0.0, crop_scale=(1.0, 1.0), gamma_range=(2.0, 2.0)), False),
+        ],
+        ids=["experiment", "identity", "flip-only", "near-full-crop", "default", "crop", "gamma-square"],
+    )
+    def test_pair_batch_equals_per_image_augmentation(self, policy, batched):
+        ds = generate_dataset(6, 8, (16, 16), noise_level=0.3, seed=1)
+        refs = ds.slice_refs("train")
+        assert policy.batchable((16, 16)) == batched
+        for seed in range(25):
+            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            take = [refs[i] for i in rng.permutation(len(refs))[:8]]
+            oracle.permutation(len(refs))
+            batch = build_pair_batch(ds, take, policy, rng)
+            want = [policy.apply(ds.volumes[vi].slices[si], oracle) for vi, si in take for _ in range(2)]
+            assert batch.images.tobytes() == np.stack(want).tobytes()
+            assert rng.bit_generator.state == oracle.bit_generator.state
 
     def test_build_pair_batch_layout(self, rng):
         ds = generate_dataset(4, 8, (16, 16), seed=2)
@@ -258,10 +275,18 @@ class TestPersistence:
             lambda m, root: m["volumes"][1].update(misalignment_offset=None),
             lambda m, root: m.update(seed=[0]),
             lambda m, root: m.update(noise_level="0.1"),
+            lambda m, root: m["splits"].pop("test"),
+            lambda m, root: m["splits"].update(holdout=[]),
+            lambda m, root: m["splits"].update(train=["0", "1"]),
+            lambda m, root: m["splits"].update(train=[0, True]),
+            lambda m, root: m["splits"]["train"].append(99),
+            lambda m, root: m["splits"]["val"].append(m["splits"]["train"][0]),
+            lambda m, root: m["splits"]["train"].append(m["splits"]["train"][0]),
         ],
         ids=["no-spec", "no-volumes", "no-images", "unknown-spec-key", "splits-not-mapping", "empty-volumes",
              "other-slice-shape", "masks-not-slice-shape", "spec-str", "spec-float", "patient-id-str", "phase-bool",
-             "offset-null", "seed-list", "noise-str"],
+             "offset-null", "seed-list", "noise-str", "split-missing", "split-unknown", "split-id-str",
+             "split-id-bool", "split-id-no-volume", "split-id-in-two-splits", "split-id-twice"],
     )
     def test_malformed_manifest_is_data_error_naming_it(self, tmp_path, edit):
         ds = generate_dataset(4, 4, (8, 8), seed=0)

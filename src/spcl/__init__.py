@@ -32,7 +32,6 @@ from .synth_data import (
     MetaLabelSpec,
     SynthDataset,
     SynthVolume,
-    augment_pair,
     generate_dataset,
     load_dataset,
     meta_labels_for,

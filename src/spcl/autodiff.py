@@ -57,17 +57,32 @@ holds both paths against NumPy.
 ``conv2d`` lowers to im2col (Chellapilla, Puri & Simard 2006). The columns
 are gathered with ``np.take`` along the pixel axis, which writes them once in
 C order, so the reshape to the (pixels, taps) matrix is a view, not a second
-copy. Its backward, like those of ``matmul`` and the elementwise binary
-ops, computes an operand's cotangent only when the operand is tracked: the
-image batch of a taped forward is a constant, and the gradient walk would
-drop that cotangent anyway. ``avg_pool2x``'s backward
-and ``upsample2x``'s forward write their broadcast result once into a new
-array.
+copy; a 1x1 kernel's columns are the image rows themselves, a view of the
+input. An optional per-channel ``bias`` is added in place to the
+(B*H*W, Cout) product before its in-place reshape, and its cotangent is the
+column sum of the output cotangent over the same (B*H*W, Cout) rows: one
+node with the bits of ``reshape``, ``add`` and ``reshape`` around a
+bias-free ``conv2d``. Its backward, like those of ``matmul`` and the
+elementwise binary ops, computes an operand's cotangent only when the
+operand is tracked: the image batch of a taped forward is a constant, and
+the gradient walk would drop that cotangent anyway.
+
+``avg_pool2x``'s forward and ``upsample2x``'s backward sum each 2x2 window
+with four strided adds, (((0.0 + v00) + v01) + v10) + v11 with axis 4
+fastest. That is the order in which ``np.add.reduce`` over axes (2, 4) of
+the (B, H, 2, W, 2, C) view adds them when C >= 2, since its inner loop
+then runs over the channels; the mean then divides by 4.0, as ``np.mean``
+does. With one channel NumPy adds each window row first, so such maps go
+to ``np.sum``. ``avg_pool2x``'s backward and ``upsample2x``'s forward
+write their broadcast result once into a new array. ``leaky_relu`` with a
+slope in [+0.0, 1] is ``np.maximum(x, slope * x)``, which picks what
+``np.where(x > 0, x, slope * x)`` picks; other slopes use ``np.where``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import warnings
 from typing import Callable, Sequence
 
@@ -522,13 +537,27 @@ def power(a: Tensor, exponent: float) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
+    """``x`` where ``x > 0``, else ``slope * x``.
+
+    For ``+0.0 <= slope <= 1`` (sign bit clear) ``slope * x`` has the sign of
+    ``x`` and lies between 0 and ``x``, so the forward is ``np.maximum(x,
+    slope * x)`` and the backward factor ``np.maximum(x > 0, slope)``: both
+    pick ``np.where``'s value, and a tie is between equal bits, never +0 and
+    -0. Every other slope goes through ``np.where``.
+    """
     slope = float(slope)
+    if 0.0 <= slope <= 1.0 and math.copysign(1.0, slope) > 0.0:
+        fwd = lambda x: np.maximum(x, slope * x)
+        factor = lambda x: np.maximum(x > 0.0, slope)
+    else:
+        fwd = lambda x: np.where(x > 0.0, x, slope * x)
+        factor = lambda x: np.where(x > 0.0, 1.0, slope)
 
     def bwd(datas, out):
         (da,) = datas
-        return lambda g: (g * np.where(da > 0.0, 1.0, slope),)
+        return lambda g: (g * factor(da),)
 
-    return _apply("leaky_relu", (a,), lambda x: np.where(x > 0.0, x, slope * x), bwd)
+    return _apply("leaky_relu", (a,), fwd, bwd)
 
 
 def min_kink_distance(f, *args) -> float:
@@ -626,14 +655,13 @@ def _patch_indices(h: int, w: int, k: int) -> np.ndarray:
 _PATCH_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
 
 
-def conv2d(x: Tensor, kernel: Tensor, image_hw: tuple[int, int]) -> Tensor:
-    """Same-padded 2-D convolution via im2col.
+def conv2d(x: Tensor, kernel: Tensor, image_hw: tuple[int, int], bias: Tensor | None = None) -> Tensor:
+    """Same-padded 2-D convolution via im2col, plus an optional per-channel bias.
 
-    x: (B, H*W*Cin) with channel-last pixel layout; kernel: (k*k*Cin, Cout).
-    Returns (B, H*W*Cout). The square kernel size is inferred from shapes.
-    The columns are one contiguous ``np.take`` gather over a per-shape patch
-    table. The backward returns ``None`` for ``x`` when ``x`` is untracked
-    (its ``requires_grad`` is not set), as the image batch is.
+    x: (B, H*W*Cin) with channel-last pixel layout; kernel: (k*k*Cin, Cout);
+    bias: (Cout,). Returns (B, H*W*Cout). The square kernel size is inferred
+    from shapes. The backward returns ``None`` for an untracked ``x`` or
+    ``bias`` (its ``requires_grad`` is not set), as the image batch is.
     """
     h, w = image_hw
     cin = x.shape[1] // (h * w)
@@ -641,42 +669,75 @@ def conv2d(x: Tensor, kernel: Tensor, image_hw: tuple[int, int]) -> Tensor:
     k = int(round(k2**0.5))
     if k * k * cin != kernel.shape[0]:
         raise ShapeMismatch(f"kernel rows {kernel.shape[0]} not a k*k*{cin} layout")
-    idx = _PATCH_CACHE.get((h, w, k))
-    if idx is None:
-        idx = _PATCH_CACHE[(h, w, k)] = _patch_indices(h, w, k)
     cout = kernel.shape[1]
+    if bias is not None and bias.shape != (cout,):
+        raise ShapeMismatch(f"conv2d bias must have shape ({cout},), got {bias.shape}")
+    if k > 1:
+        idx = _PATCH_CACHE.get((h, w, k))
+        if idx is None:
+            idx = _PATCH_CACHE[(h, w, k)] = _patch_indices(h, w, k)
 
     def im2col(xd, channels):
         b = xd.shape[0]
+        if k == 1:
+            return xd.reshape(b * h * w, channels)
         imgs = xd.reshape(b, h * w, channels)
         padded = np.concatenate([imgs, np.zeros((b, 1, channels))], axis=1)
         # take() writes the columns in C order, so the reshape is a view; a
         # fancy index on the middle axis (padded[:, idx, :]) would copy again
         return np.take(padded, idx, axis=1).reshape(b * h * w, k * k * channels)
 
-    def fwd(xd, kd):
+    def fwd(xd, kd, bd=None):
         out = _product(im2col(xd, cin), kd)
+        if bd is not None:
+            out += bd
         out.shape = (xd.shape[0], h * w * cout)  # in place, so the tensor can own it
         return out
 
     def bwd(datas, out):
-        xd, kd = datas
+        xd, kd = datas[0], datas[1]
         # the gradient walk drops the cotangent of an untracked input (the
         # image batch), so skip it
         need_x = x.requires_grad
+        need_b = bias is not None and bias.requires_grad
         # input cotangent of a same-padded stride-1 conv is a conv of the
         # output cotangent with the spatially flipped, channel-swapped kernel
         flipped = kd.reshape(k, k, cin, cout)[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
 
         def back(g):
             b = xd.shape[0]
-            g_kernel = _product(im2col(xd, cin).T, g.reshape(b * h * w, cout))
+            g_rows = g.reshape(b * h * w, cout)
+            g_kernel = _product(im2col(xd, cin).T, g_rows)
             g_x = _product(im2col(g, cout), flipped).reshape(b, h * w * cin) if need_x else None
-            return g_x, g_kernel
+            if bias is None:
+                return g_x, g_kernel
+            return g_x, g_kernel, _unbroadcast(g_rows, (cout,)) if need_b else None
 
         return back
 
-    return _apply("conv2d", (x, kernel), fwd, bwd)
+    inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    return _apply("conv2d", inputs, fwd, bwd)
+
+
+def _window_sums(a: np.ndarray, h: int, w: int, c: int) -> np.ndarray:
+    """``a.reshape(B, h, 2, w, 2, c).sum(axis=(2, 4))`` as (B, h*w*c), with the same bits.
+
+    Four strided adds in NumPy's order when there are two or more channels
+    (see the module docstring); ``np.sum`` itself for one channel, where
+    NumPy adds each window row first, and for an array that is not
+    C-contiguous.
+    """
+    b = a.shape[0]
+    v = a.reshape(b, h, 2, w, 2, c)
+    if c < 2 or not a.flags.c_contiguous:
+        out = v.sum(axis=(2, 4))
+    else:
+        out = 0.0 + v[:, :, 0, :, 0]
+        out += v[:, :, 0, :, 1]
+        out += v[:, :, 1, :, 0]
+        out += v[:, :, 1, :, 1]
+    out.shape = (b, h * w * c)  # in place, so the tensor can own it
+    return out
 
 
 def avg_pool2x(x: Tensor, image_hw: tuple[int, int]) -> Tensor:
@@ -687,9 +748,8 @@ def avg_pool2x(x: Tensor, image_hw: tuple[int, int]) -> Tensor:
     c = x.shape[1] // (h * w)
 
     def fwd(xd):
-        b = xd.shape[0]
-        out = xd.reshape(b, h // 2, 2, w // 2, 2, c).mean(axis=(2, 4))
-        out.shape = (b, (h // 2) * (w // 2) * c)  # in place, so the tensor can own it
+        out = _window_sums(xd, h // 2, w // 2, c)
+        out /= 4.0  # np.mean's division of the same sum
         return out
 
     def bwd(datas, out):
@@ -717,16 +777,7 @@ def upsample2x(x: Tensor, image_hw: tuple[int, int]) -> Tensor:
         out.reshape(b, h, 2, w, 2, c)[...] = xd.reshape(b, h, 1, w, 1, c)
         return out
 
-    def bwd(datas, out):
-        (xd,) = datas
-
-        def back(g):
-            b = xd.shape[0]
-            return (g.reshape(b, h, 2, w, 2, c).sum(axis=(2, 4)).reshape(b, h * w * c),)
-
-        return back
-
-    return _apply("upsample2x", (x,), fwd, bwd)
+    return _apply("upsample2x", (x,), fwd, lambda datas, out: lambda g: (_window_sums(g, h, w, c),))
 
 
 # ---------------------------------------------------------------------------
@@ -776,14 +827,17 @@ def l2_normalize_rows(m: Tensor | np.ndarray) -> Tensor:
     return t / tsum(t * t, axis=1, keepdims=True) ** 0.5
 
 
-def masked_logsumexp_rows(scores: Tensor, mask: np.ndarray) -> Tensor:
+def masked_logsumexp_rows(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Per-row log(sum_j mask_ij * exp(scores_ij)), shift-stabilized, shape (R, 1).
 
     The shift is the full-row max taken as a constant; it cancels exactly in
-    both the value and the gradient, and keeps every exponent <= 0.
+    both the value and the gradient, and keeps every exponent <= 0. Without
+    a mask every entry counts.
     """
     shift = detached_max(scores, axis=1, keepdims=True)
-    e = exp(scores - shift) * Tensor(np.asarray(mask, dtype=np.float64))
+    e = exp(scores - shift)
+    if mask is not None:
+        e = e * Tensor(np.asarray(mask, dtype=np.float64))
     return log(tsum(e, axis=1, keepdims=True)) + shift
 
 

@@ -65,6 +65,8 @@ class AblationSection:
     def __post_init__(self):
         if len(self.seeds) < 3:
             raise InvalidConfig(f"ablation needs at least 3 seeds for a standard deviation, got {len(self.seeds)}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise InvalidConfig(f"ablation.seeds must be distinct, got {list(self.seeds)}")
         if self.num_labeled < 1:
             raise InvalidConfig(f"num_labeled must be >= 1, got {self.num_labeled}")
         check_finite(self, "baseline_margin")

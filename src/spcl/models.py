@@ -129,11 +129,8 @@ class ParamModel:
         return x
 
     def _conv_block(self, x: Tensor, name: str, hw: tuple[int, int]) -> Tensor:
-        out = conv2d(x, self.params[f"{name}.w"], hw)
-        b = self.params[f"{name}.b"]
-        c = b.shape[0]
-        n = out.shape[0] * out.shape[1] // c
-        return (out.reshape(n, c) + b).reshape(out.shape).leaky_relu(self.config.leaky_slope)
+        kernel, bias = self.params[f"{name}.w"], self.params[f"{name}.b"]
+        return conv2d(x, kernel, hw, bias).leaky_relu(self.config.leaky_slope)
 
     def encode(self, images) -> tuple[Tensor, Tensor]:
         """Feature vectors and the full-resolution first-block skip activations."""
@@ -183,11 +180,7 @@ class ParamModel:
             b = u.shape[0]
             cat = concat([u.reshape(b, h * w, c1), skip.reshape(b, h * w, c1)], axis=2)
             cat = cat.reshape(b, h * w * 2 * c1)
-            logits = conv2d(cat, self.params["dec.out.w"], (h, w))
-            bias = self.params["dec.out.b"]
-            logits = (logits.reshape(b * h * w, self.config.num_classes) + bias).reshape(
-                b, h * w * self.config.num_classes
-            )
+            logits = conv2d(cat, self.params["dec.out.w"], (h, w), self.params["dec.out.b"])
         else:
             u = (feat @ self.params["dec.0.w"] + self.params["dec.0.b"]).leaky_relu(
                 self.config.leaky_slope
@@ -207,12 +200,6 @@ class ParamModel:
 
     def decoder_params(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.params.items() if k.startswith("dec.")}
-
-    def parameter_counts(self) -> dict[str, int]:
-        return {
-            "encoder_head": sum(v.data.size for v in self.encoder_head_params().values()),
-            "decoder": sum(v.data.size for v in self.decoder_params().values()),
-        }
 
     def reset_decoder(self, seed: int | None = None) -> None:
         """Fresh decoder init (used when moving from pre-training to segmentation)."""

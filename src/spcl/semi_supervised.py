@@ -81,7 +81,7 @@ def supervised_loss(logits, target) -> Tensor:
         raise ShapeMismatch(f"target size {t.size} does not match {flat.shape[0]} pixels")
     if t.min() < 0 or t.max() >= classes:
         raise InvalidConfig(f"target labels must lie in [0, {classes})")
-    log_probs = flat - masked_logsumexp_rows(flat, np.ones((1, classes)))
+    log_probs = flat - masked_logsumexp_rows(flat)
     onehot = np.zeros((t.size, classes))
     onehot[np.arange(t.size), t] = 1.0
     return tsum(Tensor(onehot) * log_probs) * (-1.0 / t.size)

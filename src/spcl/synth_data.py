@@ -443,12 +443,6 @@ class AugmentationPolicy:
         return np.clip(out, 0.0, 1.0)
 
 
-def augment_pair(image: np.ndarray, policy: AugmentationPolicy, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent transform draws of one image, deterministic in the seed."""
-    rng = np.random.default_rng(seed)
-    return policy.apply(image, rng), policy.apply(image, rng)
-
-
 # ---------------------------------------------------------------------------
 # batch assembly for the contrastive losses
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tensor arithmetic, tape recording, gradients, and the finite-difference checker."""
 
+import contextlib
+import math
 import warnings
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from spcl import autodiff as ad
 from spcl.autodiff import GradTape, Tensor, finite_diff_check, l2_normalize
-from spcl.errors import DisconnectedParamWarning, NonFiniteValue, NormTooSmall
+from spcl.errors import DisconnectedParamWarning, NonFiniteValue, NormTooSmall, ShapeMismatch
 from spcl.models import ModelConfig, ParamModel
 from spcl.verify import _GRADCHECK_MODEL
 
@@ -282,6 +284,23 @@ class TestFloatingPointFlags:
                     loss(p)
             else:
                 finite_diff_check(loss, [p])
+
+    @pytest.mark.parametrize("where", ["eager", "tape"])
+    def test_conv2d_bias_overflow_names_conv2d(self, strict_floats, where):
+        kernel = np.zeros((9, 1))
+        kernel[4] = BIG  # the centre tap: every output pixel of the ones image is BIG
+        bias = Tensor([BIG], requires_grad=where == "tape")
+        with pytest.raises(NonFiniteValue, match="^op 'conv2d' produced NaN/Inf$"):
+            with GradTape() if where == "tape" else contextlib.nullcontext():
+                ad.conv2d(Tensor(np.ones((1, 4))), Tensor(kernel), (2, 2), bias)
+
+    def test_conv2d_bias_cotangent_overflow_names_conv2d(self, strict_floats):
+        bias = Tensor(np.zeros(1), requires_grad=True)
+        with GradTape() as tape:
+            out = ad.conv2d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((9, 1))), (2, 2), bias)
+            loss = (out * Tensor(np.full((1, 4), BIG))).sum()  # the bias cotangent sums four BIGs
+        with pytest.raises(NonFiniteValue, match="^backward of op 'conv2d' produced NaN/Inf$"):
+            tape.gradient(loss, [bias])
 
     @pytest.mark.parametrize("where", ["eager", "tape"])
     @pytest.mark.parametrize("normalize", ["rows", "vector"])
@@ -615,6 +634,94 @@ class TestConvPath:
         g_x, g_kernel = tape.nodes[-1].backward_fn(g)
         assert _same_bytes(g_x, ref_gx)
         assert _same_bytes(g_kernel, const_gk)
+
+
+def _hostile(rng, shape):
+    """Ordinary values of many magnitudes mixed with signed zeros, subnormals and 1e300."""
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, 1e300, -1e300, 1.0, -3.5])
+    ordinary = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 21, shape)
+    return np.where(rng.random(shape) < 0.5, rng.choice(pool, shape), ordinary)
+
+
+class TestConvPathFastPaths:
+    """The maximum-form LeakyReLU, the strided 2x2 adds and the bias inside conv2d against the general forms."""
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0, -0.0, -0.1, 2.0, 1e10])
+    def test_leaky_relu_byte_equal_to_where(self, monkeypatch, slope):
+        rng = np.random.default_rng(3)
+        scale = max(1.0, slope)  # keep slope * x finite for the steep fallback slopes
+        xd = _hostile(rng, (64, 7)) / scale
+        xd[0], xd[1] = 0.0, -0.0
+        g = _hostile(rng, (64, 7)) / scale
+        where_calls = []
+        real_where = np.where
+        monkeypatch.setattr(np, "where", lambda *args: where_calls.append(1) or real_where(*args))
+        out, back = _recorded(ad.leaky_relu, Tensor(xd, requires_grad=True), slope)
+        (g_x,) = back(g)
+        monkeypatch.undo()
+        assert _same_bytes(out.data, np.where(xd > 0.0, xd, slope * xd))
+        assert _same_bytes(g_x, g * np.where(xd > 0.0, 1.0, slope))
+        fast = 0.0 <= slope <= 1.0 and math.copysign(1.0, slope) > 0.0
+        assert bool(where_calls) != fast  # np.where serves exactly the slopes outside [+0.0, 1]
+
+    @pytest.mark.parametrize(
+        "b, hw, c",
+        [(1, (2, 2), 1), (1, (2, 2), 3), (2, (4, 6), 1), (3, (4, 4), 2), (1, (8, 4), 6), (8, (16, 16), 6),
+         (2, (8, 8), 12), (2, (2, 8), 1)],
+    )
+    def test_window_sums_byte_equal_to_numpy(self, b, hw, c):
+        rng = np.random.default_rng(b * 100 + c)
+        h, w = hw
+        xd = _hostile(rng, (b, h * w * c))
+        xd.reshape(b, h // 2, 2, w // 2, 2, c)[:, ::2, :, ::2, :, ::2] = -0.0  # whole windows of -0.0
+        pooled = ad.avg_pool2x(Tensor(xd), hw)
+        assert _same_bytes(pooled.data, xd.reshape(b, h // 2, 2, w // 2, 2, c).mean(axis=(2, 4)).reshape(b, -1))
+
+        _, back = _recorded(ad.upsample2x, Tensor(np.zeros((b, h * w * c // 4)), requires_grad=True), (h // 2, w // 2))
+        for g in (xd, np.asfortranarray(xd)):  # a cotangent that is not C-contiguous goes to np.sum
+            (g_x,) = back(g)
+            assert _same_bytes(g_x, g.reshape(b, h // 2, 2, w // 2, 2, c).sum(axis=(2, 4)).reshape(b, -1))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_conv2d_bias_byte_equal_to_reshape_add_reshape(self, k):
+        rng = np.random.default_rng(50 + k)
+        for _ in range(10):
+            b, cin, cout = (int(v) for v in rng.integers(1, 5, size=3))
+            h, w = (int(2 * v) for v in rng.integers(1, 5, size=2))
+            x = Tensor(rng.standard_normal((b, h * w * cin)), requires_grad=True)
+            kernel = Tensor(rng.standard_normal((k * k * cin, cout)), requires_grad=True)
+            bias = Tensor(rng.standard_normal(cout), requires_grad=True)
+            weights = Tensor(rng.standard_normal((b, h * w * cout)))
+
+            def separate(x, kernel, bias):
+                out = ad.conv2d(x, kernel, (h, w))
+                return (out.reshape(b * h * w, cout) + bias).reshape(b, h * w * cout)
+
+            results = []
+            for conv in (separate, lambda x, kernel, bias: ad.conv2d(x, kernel, (h, w), bias)):
+                with GradTape() as tape:
+                    out = conv(x, kernel, bias)
+                    loss = (out * weights).sum()
+                results.append([out.data, *tape.gradient(loss, [x, kernel, bias])])
+            assert all(_same_bytes(a, b) for a, b in zip(*results))
+
+    def test_one_by_one_conv2d_byte_equal_to_gathered_columns(self):
+        rng = np.random.default_rng(61)
+        b, hw, cin, cout = 3, (4, 6), 5, 2
+        x = Tensor(rng.standard_normal((b, 24 * cin)), requires_grad=True)
+        kernel = Tensor(rng.standard_normal((cin, cout)), requires_grad=True)
+        bias = Tensor(rng.standard_normal(cout), requires_grad=True)
+        g = rng.standard_normal((b, 24 * cout))
+        ref_out, ref_gx, ref_gk = _ref_conv2d(x.data, kernel.data, hw, 1, cin, cout, g)
+        out, back = _recorded(ad.conv2d, x, kernel, hw, bias)
+        g_x, g_kernel, g_bias = back(g)
+        assert _same_bytes(out.data, (ref_out.reshape(-1, cout) + bias.data).reshape(b, -1))
+        assert _same_bytes(g_x, ref_gx) and _same_bytes(g_kernel, ref_gk)
+        assert _same_bytes(g_bias, g.reshape(-1, cout).sum(axis=0))
+
+    def test_conv2d_bias_shape_checked(self):
+        with pytest.raises(ShapeMismatch, match="bias must have shape"):
+            ad.conv2d(Tensor(np.ones((1, 4))), Tensor(np.ones((9, 2))), (2, 2), Tensor(np.ones(3)))
 
 
 def _leaky(z, slope):

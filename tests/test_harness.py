@@ -173,6 +173,7 @@ class TestConfig:
             "ablation.baseline_margin=NaN",
             "ablation.seeds=[]",
             "ablation.seeds=[0, 1]",
+            "ablation.seeds=[0, 0, 0]",
         ],
     )
     def test_training_value_out_of_range_rejected_at_load(self, override):

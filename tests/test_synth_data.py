@@ -14,7 +14,6 @@ from spcl.synth_data import (
     AugmentationPolicy,
     MetaLabelSpec,
     SynthVolume,
-    augment_pair,
     build_pair_batch,
     cos_sin_deg,
     generate_dataset,
@@ -110,32 +109,39 @@ class TestMetaLabels:
             meta_labels_for(self._volume(), 10, spec)
 
 
+def two_views(image, policy, seed):
+    """Two draws of ``policy.apply`` from one generator, as a positive pair is built."""
+    rng = np.random.default_rng(seed)
+    return policy.apply(image, rng), policy.apply(image, rng)
+
+
 class TestAugmentation:
     def test_identity_policy_returns_input(self, rng):
         img = rng.random((16, 16))
-        v1, v2 = augment_pair(img, AugmentationPolicy.identity(), seed=5)
+        v1, v2 = two_views(img, AugmentationPolicy.identity(), seed=5)
         np.testing.assert_array_equal(v1, img)
         np.testing.assert_array_equal(v2, img)
 
     def test_same_seed_same_views(self, rng):
         img = rng.random((16, 16))
         policy = AugmentationPolicy()
-        a = augment_pair(img, policy, seed=42)
-        b = augment_pair(img, policy, seed=42)
+        a = two_views(img, policy, seed=42)
+        b = two_views(img, policy, seed=42)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+        assert not np.array_equal(a[0], a[1])  # the second draw continues the stream
 
     def test_flip_only_policy_enumerable(self, rng):
         img = rng.random((16, 16))
         policy = AugmentationPolicy(flip_prob=0.5, max_rotate_deg=0.0, crop_scale=(1.0, 1.0), gamma_range=(1.0, 1.0), brightness_delta=0.0)
         for seed in range(20):
-            v1, v2 = augment_pair(img, policy, seed)
+            v1, v2 = two_views(img, policy, seed)
             for v in (v1, v2):
                 assert np.array_equal(v, img) or np.array_equal(v, img[:, ::-1])
 
     def test_views_clipped_and_shaped(self, rng):
         img = rng.random((16, 16))
-        v1, v2 = augment_pair(img, AugmentationPolicy(), seed=0)
+        v1, v2 = two_views(img, AugmentationPolicy(), seed=0)
         for v in (v1, v2):
             assert v.shape == img.shape
             assert v.min() >= 0.0 and v.max() <= 1.0

@@ -169,6 +169,20 @@ class DirectionalResult:
     mean_teacher_gain: float
     spl_noise_gain: float
     seconds: float
+    chain_dice: dict[str, tuple[float, ...]]  # per-seed test Dice of each chain row
+    noise_dice: dict[str, tuple[float, ...]]  # per-seed test Dice of the "linear-spl" and "unweighted" noise arms
+
+
+def paired_gains(result: DirectionalResult) -> dict[str, tuple[tuple[float, ...], int]]:
+    """Per chain link, and for the SPL noise gain: the per-seed differences, later minus earlier
+    arm, and the number of seeds whose difference favours the later arm (is positive)."""
+    arms = [(a, b, result.chain_dice) for a, b in zip(CHAIN_VARIANTS, CHAIN_VARIANTS[1:])]
+    arms.append(("unweighted", "linear-spl", result.noise_dice))
+    gains = {}
+    for a, b, dice in arms:
+        diffs = tuple(y - x for x, y in zip(dice[a], dice[b]))
+        gains[f"{a} -> {b}"] = (diffs, sum(d > 0 for d in diffs))
+    return gains
 
 
 def directional_experiment(
@@ -220,4 +234,6 @@ def directional_experiment(
         mean_teacher_gain=float(mt_gain),
         spl_noise_gain=spl_gain,
         seconds=time.time() - t0,
+        chain_dice={r.variant: r.dice for r in rows},
+        noise_dice={"linear-spl": tuple(with_spl), "unweighted": tuple(without)},
     )

@@ -67,6 +67,20 @@ elementwise binary ops, computes an operand's cotangent only when the
 operand is tracked: the image batch of a taped forward is a constant, and
 the gradient walk would drop that cotangent anyway.
 
+``dense_pass`` runs a dense network pass, LeakyReLU layers with an
+optional concatenated skip layer and an affine output, as one node, and
+``l2_normalize_rows`` is one node too. Each forward calls the NumPy
+routines of the op composition it replaces, in its order, and each
+backward repeats the cotangent sequence the tape walk runs over those ops,
+including the order in which it adds the cotangents of an intermediate
+used more than once: a normalized row, divided by its norm and squared as
+a product with itself, takes the division's cotangent, then the product's
+two, one at a time. A node computes a cotangent only where the ops would
+have: for a tracked input, and for an intermediate that a tracked input
+reaches. It lists its LeakyReLU pre-activations as the node's ``kinks``,
+which is what ``min_kink_distance`` reads. The values and cotangents have
+the bits of the ops, and a node costs one dispatch instead of 4 to 16.
+
 ``avg_pool2x``'s forward and ``upsample2x``'s backward sum each 2x2 window
 with four strided adds, (((0.0 + v00) + v01) + v10) + v11 with axis 4
 fastest. That is the order in which ``np.add.reduce`` over axes (2, 4) of
@@ -247,16 +261,17 @@ def _as_tensor(x) -> Tensor:
 
 
 class Node:
-    """One recorded primitive: inputs, output, and its forward/backward rules."""
+    """One recorded primitive: inputs, output, its forward/backward rules and its LeakyReLU pre-activations."""
 
-    __slots__ = ("op", "inputs", "output", "forward_fn", "backward_fn")
+    __slots__ = ("op", "inputs", "output", "forward_fn", "backward_fn", "kinks")
 
-    def __init__(self, op, inputs, output, forward_fn, backward_fn):
+    def __init__(self, op, inputs, output, forward_fn, backward_fn, kinks=()):
         self.op = op
         self.inputs = inputs
         self.output = output
         self.forward_fn = forward_fn
         self.backward_fn = backward_fn
+        self.kinks = kinks
 
 
 class GradTape:
@@ -354,10 +369,13 @@ def _apply(
     inputs: tuple[Tensor, ...],
     forward_fn: Callable[..., np.ndarray],
     backward_fn_factory,
+    kinks=(),
 ) -> Tensor:
     """Run a primitive; record it on the active tape if any input is tracked.
 
     A recorded op's output gets ``requires_grad``; an eager one's does not.
+    ``kinks`` holds the LeakyReLU pre-activations of the op, for
+    ``min_kink_distance``; a forward that computes them fills the sequence.
 
     ``backward_fn_factory(input_datas, out_data)`` must return a closure
     mapping the output cotangent to one cotangent (or None) per input.
@@ -383,7 +401,8 @@ def _apply(
     for t in inputs:
         if t.requires_grad:
             out.requires_grad = True
-            _TAPE_STACK[-1].nodes.append(Node(op, inputs, out, forward_fn, backward_fn_factory(datas, out_data)))
+            node = Node(op, inputs, out, forward_fn, backward_fn_factory(datas, out_data), kinks)
+            _TAPE_STACK[-1].nodes.append(node)
             break
     return out
 
@@ -536,8 +555,8 @@ def power(a: Tensor, exponent: float) -> Tensor:
     return _apply("power", (a,), lambda x: x**exponent, bwd)
 
 
-def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
-    """``x`` where ``x > 0``, else ``slope * x``.
+def _leaky_rule(slope: float):
+    """LeakyReLU's forward and backward factor: ``x`` where ``x > 0``, else ``slope * x``.
 
     For ``+0.0 <= slope <= 1`` (sign bit clear) ``slope * x`` has the sign of
     ``x`` and lies between 0 and ``x``, so the forward is ``np.maximum(x,
@@ -547,31 +566,35 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
     """
     slope = float(slope)
     if 0.0 <= slope <= 1.0 and math.copysign(1.0, slope) > 0.0:
-        fwd = lambda x: np.maximum(x, slope * x)
-        factor = lambda x: np.maximum(x > 0.0, slope)
-    else:
-        fwd = lambda x: np.where(x > 0.0, x, slope * x)
-        factor = lambda x: np.where(x > 0.0, 1.0, slope)
+        return (lambda x: np.maximum(x, slope * x)), (lambda x: np.maximum(x > 0.0, slope))
+    return (lambda x: np.where(x > 0.0, x, slope * x)), (lambda x: np.where(x > 0.0, 1.0, slope))
+
+
+def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
+    """``x`` where ``x > 0``, else ``slope * x`` (see ``_leaky_rule``)."""
+    fwd, factor = _leaky_rule(slope)
 
     def bwd(datas, out):
         (da,) = datas
         return lambda g: (g * factor(da),)
 
-    return _apply("leaky_relu", (a,), fwd, bwd)
+    return _apply("leaky_relu", (a,), fwd, bwd, kinks=(a.data,))
 
 
 def min_kink_distance(f, *args) -> float:
-    """Smallest |pre-activation| of a tracked leaky_relu while evaluating f(*args).
+    """Smallest |pre-activation| of a recorded LeakyReLU while evaluating f(*args).
 
-    ``f`` runs under a ``GradTape``, which records the pre-activations; a
-    leaky_relu on an untracked input is not recorded and not seen. Central
+    ``f`` runs under a ``GradTape``, and each recorded node lists its
+    LeakyReLU pre-activations as its ``kinks``: a ``leaky_relu`` its input,
+    a ``dense_pass`` every hidden and skip layer's. An op that is not
+    recorded (no tracked input) is not seen. Central
     differences are invalid when a perturbation crosses the kink, so
     gradient checks should skip configurations where this distance is within
     a safety factor of the step.
     """
     with GradTape() as tape:
         f(*args)
-    pre = [n.inputs[0].data for n in tape.nodes if n.op == "leaky_relu"]
+    pre = [x for n in tape.nodes for x in n.kinks]
     return min((float(np.min(np.abs(x))) for x in pre if x.size), default=float("inf"))
 
 
@@ -780,6 +803,114 @@ def upsample2x(x: Tensor, image_hw: tuple[int, int]) -> Tensor:
     return _apply("upsample2x", (x,), fwd, lambda datas, out: lambda g: (_window_sums(g, h, w, c),))
 
 
+def dense_pass(
+    x: Tensor,
+    hidden: Sequence[tuple[Tensor, Tensor]],
+    out: tuple[Tensor, Tensor],
+    slope: float,
+    skip: tuple[Tensor, Tensor] | None = None,
+    shape: tuple[int, ...] | None = None,
+) -> Tensor:
+    """A dense network pass as one node: LeakyReLU layers, an optional skip layer, an affine output.
+
+    Each ``(w, b)`` of ``hidden`` maps the activation before it, starting at
+    the (B, D) ``x``, to ``leaky_relu(h @ w + b, slope)``. ``skip`` is one
+    more such layer on the first hidden activation, its output concatenated
+    after the last hidden activation's columns. ``out`` maps that to
+    ``h @ w + b`` with no activation, and ``shape``, when given, reshapes
+    each output row.
+
+    Forward and backward have the bits of the op composition they replace
+    (``matmul``, ``add``, ``leaky_relu``, ``concat``, ``reshape``): the same
+    NumPy calls in the same order, with each product through ``_product``.
+    The first hidden activation, read by the second layer and by the skip
+    layer, takes the skip layer's cotangent plus the second layer's (two
+    terms, so the sum is the tape walk's whichever comes first). A
+    cotangent is computed only where the ops would have computed it: for a
+    tracked input, and for an intermediate that some tracked input reaches.
+    The node's ``kinks`` are all its LeakyReLU pre-activations.
+    """
+    act, factor = _leaky_rule(slope)
+    layers = [*hidden, *([skip] if skip is not None else []), out]
+    inputs = (x, *(t for layer in layers for t in layer))
+    n = len(hidden)
+    tracked = [t.requires_grad for t in inputs]
+    # whether each layer's input, product and pre-activation would be tracked as ops
+    in_tr, m_tr, z_tr = [], [], []
+
+    def track(j, h_tr):
+        in_tr.append(h_tr)
+        m_tr.append(h_tr or tracked[2 * j + 1])
+        z_tr.append(m_tr[-1] or tracked[2 * j + 2])
+        return z_tr[-1]
+
+    h_tr = tracked[0]
+    for j in range(n):
+        h_tr = track(j, h_tr)
+    if skip is not None:
+        h_tr = track(n, z_tr[0]) or h_tr  # the concatenation
+    track(len(layers) - 1, h_tr)
+    ins, zs = [], []  # each layer's input and each LeakyReLU's pre-activation, set by the forward
+
+    def fwd(xd, *wb):
+        ins.clear()
+        zs.clear()
+
+        def affine(j, h):
+            ins.append(h)
+            return _product(h, wb[2 * j]) + wb[2 * j + 1]
+
+        h = xd
+        for j in range(n):
+            zs.append(affine(j, h))
+            h = act(zs[-1])
+            if j == 0:
+                first = h
+        if skip is not None:
+            zs.append(affine(n, first))
+            h = np.concatenate((h, act(zs[-1])), axis=1)
+        y = affine(len(layers) - 1, h)
+        if shape is not None:
+            y.shape = (y.shape[0], *shape)  # in place, so the tensor can own it
+        return y
+
+    def bwd(datas, out_data):
+        rows = (datas[0].shape[0], datas[-1].shape[0])
+
+        def back(g):
+            grads = [None] * len(inputs)
+
+            def affine_back(j, g_z):
+                """Layer j's bias and weight cotangents into ``grads``; returns its input's, or None."""
+                w, b = datas[2 * j + 1], datas[2 * j + 2]
+                if tracked[2 * j + 2]:
+                    grads[2 * j + 2] = _unbroadcast(g_z, b.shape)
+                if not m_tr[j]:
+                    return None
+                if tracked[2 * j + 1]:
+                    grads[2 * j + 1] = _product(ins[j].T, g_z)
+                return _product(g_z, w.T) if in_tr[j] else None
+
+            g_h = affine_back(len(layers) - 1, g.reshape(rows))
+            g_skip = None
+            if skip is not None and g_h is not None:
+                g_h, g_s = (np.ascontiguousarray(p) for p in np.split(g_h, [hidden[-1][0].shape[1]], axis=1))
+                if z_tr[n]:
+                    g_skip = affine_back(n, g_s * factor(zs[n]))
+            for j in reversed(range(n)):
+                if j == 0 and g_skip is not None:
+                    g_h = g_skip if g_h is None else g_skip + g_h
+                if not z_tr[j]:
+                    break
+                g_h = affine_back(j, g_h * factor(zs[j]))
+            grads[0] = g_h
+            return tuple(grads)
+
+        return back
+
+    return _apply("dense_pass", inputs, fwd, bwd, kinks=zs)
+
+
 # ---------------------------------------------------------------------------
 # composites
 # ---------------------------------------------------------------------------
@@ -817,27 +948,48 @@ def l2_normalize(v: Tensor | np.ndarray) -> Tensor:
 
 
 def l2_normalize_rows(m: Tensor | np.ndarray) -> Tensor:
-    """Normalize each row of a 2-D matrix to unit norm (differentiable)."""
+    """Normalize each row of a 2-D matrix to unit norm, as one node.
+
+    Value and cotangent have the bits of ``t / tsum(t * t, axis=1,
+    keepdims=True) ** 0.5``. ``t`` is used three times there: the tape
+    walk gives it the division's cotangent, then adds the product's two,
+    one at a time, and so does this node.
+    """
     t = _as_tensor(m)
     if t.ndim != 2:
         raise ShapeMismatch(f"l2_normalize_rows expects a matrix, got shape {t.shape}")
     norms = _norms(t.data, axis=1)
     if np.any(norms <= EPS_NORM):
         raise NormTooSmall(f"row norm {norms.min():.3e} <= {EPS_NORM:.0e}")
-    return t / tsum(t * t, axis=1, keepdims=True) ** 0.5
+    saved = []
+
+    def fwd(x):
+        ss = row_sums(x * x)
+        n = ss**0.5
+        saved[:] = (ss, n)
+        return x / n
+
+    def bwd(datas, out):
+        (x,) = datas
+        ss, n = saved
+
+        def back(g):
+            p = _unbroadcast(-g * x / (n * n), n.shape) * 0.5 * ss ** (0.5 - 1.0) * x
+            return ((g / n + p) + p,)
+
+        return back
+
+    return _apply("l2_normalize_rows", (t,), fwd, bwd)
 
 
-def masked_logsumexp_rows(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
+def masked_logsumexp_rows(scores: Tensor, mask: np.ndarray) -> Tensor:
     """Per-row log(sum_j mask_ij * exp(scores_ij)), shift-stabilized, shape (R, 1).
 
     The shift is the full-row max taken as a constant; it cancels exactly in
-    both the value and the gradient, and keeps every exponent <= 0. Without
-    a mask every entry counts.
+    both the value and the gradient, and keeps every exponent <= 0.
     """
     shift = detached_max(scores, axis=1, keepdims=True)
-    e = exp(scores - shift)
-    if mask is not None:
-        e = e * Tensor(np.asarray(mask, dtype=np.float64))
+    e = exp(scores - shift) * Tensor(np.asarray(mask, dtype=np.float64))
     return log(tsum(e, axis=1, keepdims=True)) + shift
 
 

@@ -6,6 +6,19 @@ two-layer LeakyReLU head maps it to the embedding space (unit-normalized),
 and a dense decoder with one concatenated skip recovers per-pixel class
 logits. Everything is float64 on the autodiff tape; parameters are plain
 named Tensors so training loops, EMA shadows, and checkpoints stay dumb.
+
+Each run of dense layers is one ``autodiff.dense_pass`` node. On the dense
+arch that is a whole pass: the encoder layers and ``head.0`` up to
+``head.1``'s output for ``embed_batch`` (then one ``l2_normalize_rows``
+node), and the encoder layers and ``dec.0``, with ``dec.skip`` on the first
+encoder activation, up to ``dec.out``'s logits for ``segment_batch``. On
+the conv arch it is the layers from the pooled conv features: ``enc.proj``
+and ``head.0`` up to ``head.1``, or ``enc.proj`` up to ``dec.proj``, whose
+LeakyReLU and the conv decoder are ops. A node's value and cotangents have
+the bits of the ``matmul``/``add``/``leaky_relu``/``concat``/``reshape`` ops
+it replaces, and the first encoder activation's cotangent is the
+``dec.skip`` layer's plus the ``enc.1`` (or ``dec.0``) layer's, as the tape
+walk adds them.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .autodiff import _RAISE_FP, Tensor, avg_pool2x, concat, conv2d, l2_normalize_rows, upsample2x
+from .autodiff import _RAISE_FP, Tensor, avg_pool2x, concat, conv2d, dense_pass, l2_normalize_rows, upsample2x
 from .errors import DataError, InvalidConfig, NonFiniteValue, ShapeMismatch
 from .schema import check_finite, check_value
 
@@ -118,80 +131,66 @@ class ParamModel:
     # -- forward passes (functional over self.params; teacher reuses them) --
 
     def _flatten(self, images) -> Tensor:
-        x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=np.float64))
+        """(B, H*W) pixel rows of an (H, W) image or a (B, H, W) batch; an array is wrapped once, already flat."""
+        x = images if isinstance(images, Tensor) else np.asarray(images, dtype=np.float64)
         h, w = self.config.image_shape
         if x.ndim == 2 and x.shape == (h, w):
-            x = x.reshape(1, h * w)
+            rows = 1
         elif x.ndim == 3 and x.shape[1:] == (h, w):
-            x = x.reshape(x.shape[0], h * w)
+            rows = x.shape[0]
         else:
             raise ShapeMismatch(f"expected (H, W) or (B, H, W) with H,W={self.config.image_shape}, got {x.shape}")
-        return x
+        return x.reshape(rows, h * w) if isinstance(x, Tensor) else Tensor(x.reshape(rows, h * w))
+
+    def _layer(self, name: str) -> tuple[Tensor, Tensor]:
+        return self.params[f"{name}.w"], self.params[f"{name}.b"]
 
     def _conv_block(self, x: Tensor, name: str, hw: tuple[int, int]) -> Tensor:
-        kernel, bias = self.params[f"{name}.w"], self.params[f"{name}.b"]
+        kernel, bias = self._layer(name)
         return conv2d(x, kernel, hw, bias).leaky_relu(self.config.leaky_slope)
 
-    def encode(self, images) -> tuple[Tensor, Tensor]:
-        """Feature vectors and the full-resolution first-block skip activations."""
+    def _encode(self, images) -> tuple[Tensor, list[str], Tensor | None]:
+        """The rows the encoder's dense layers start from, those layers' names, and the conv arch's skip activations.
+
+        The dense arch's dense layers start from the pixel rows; the conv
+        arch's ``enc.proj`` from the pooled output of its two conv blocks,
+        whose first block's full-resolution activations are the skip.
+        """
         x = self._flatten(images)
-        if self.config.arch == "conv":
-            h, w = self.config.image_shape
-            a1 = self._conv_block(x, "enc.c0", (h, w))
-            skip = a1
-            p1 = avg_pool2x(a1, (h, w))
-            a2 = self._conv_block(p1, "enc.c1", (h // 2, w // 2))
-            p2 = avg_pool2x(a2, (h // 2, w // 2))
-            feat = (p2 @ self.params["enc.proj.w"] + self.params["enc.proj.b"]).leaky_relu(
-                self.config.leaky_slope
-            )
-            return feat, skip
-        h = x
-        skip = None
-        for i in range(len(self.config.encoder_widths)):
-            h = (h @ self.params[f"enc.{i}.w"] + self.params[f"enc.{i}.b"]).leaky_relu(
-                self.config.leaky_slope
-            )
-            if i == 0:
-                skip = h
-        return h, skip
+        if self.config.arch == "dense":
+            return x, [f"enc.{i}" for i in range(len(self.config.encoder_widths))], None
+        h, w = self.config.image_shape
+        a1 = self._conv_block(x, "enc.c0", (h, w))
+        a2 = self._conv_block(avg_pool2x(a1, (h, w)), "enc.c1", (h // 2, w // 2))
+        return avg_pool2x(a2, (h // 2, w // 2)), ["enc.proj"], a1
+
+    def _dense_pass(self, x: Tensor, hidden: list[str], out: str, skip: str | None = None, shape=None) -> Tensor:
+        """The LeakyReLU layers named ``hidden``, then the affine layer ``out``, as one node."""
+        layers = [self._layer(name) for name in hidden]
+        skip_layer = self._layer(skip) if skip else None
+        return dense_pass(x, layers, self._layer(out), self.config.leaky_slope, skip=skip_layer, shape=shape)
 
     def embed_batch(self, images) -> Tensor:
         """Unit-norm embeddings z = normalize(g(E(x))), shape (B, embed_dim); one (H, W) image gives B = 1."""
-        feat, _ = self.encode(images)
-        h = (feat @ self.params["head.0.w"] + self.params["head.0.b"]).leaky_relu(
-            self.config.leaky_slope
-        )
-        z = h @ self.params["head.1.w"] + self.params["head.1.b"]
-        return l2_normalize_rows(z)
+        x, encoder, _ = self._encode(images)
+        return l2_normalize_rows(self._dense_pass(x, [*encoder, "head.0"], "head.1"))
 
     def segment_batch(self, images) -> Tensor:
         """Per-pixel class logits, shape (B, H, W, num_classes); one (H, W) image gives B = 1."""
-        feat, skip = self.encode(images)
+        x, encoder, skip = self._encode(images)
         h, w = self.config.image_shape
-        if self.config.arch == "conv":
-            c1, c2 = self.config.conv_channels
-            u = (feat @ self.params["dec.proj.w"] + self.params["dec.proj.b"]).leaky_relu(
-                self.config.leaky_slope
-            )
-            u = upsample2x(u, (h // 4, w // 4))
-            u = self._conv_block(u, "dec.c0", (h // 2, w // 2))
-            u = upsample2x(u, (h // 2, w // 2))
-            b = u.shape[0]
-            cat = concat([u.reshape(b, h * w, c1), skip.reshape(b, h * w, c1)], axis=2)
-            cat = cat.reshape(b, h * w * 2 * c1)
-            logits = conv2d(cat, self.params["dec.out.w"], (h, w), self.params["dec.out.b"])
-        else:
-            u = (feat @ self.params["dec.0.w"] + self.params["dec.0.b"]).leaky_relu(
-                self.config.leaky_slope
-            )
-            if self.config.skip_width > 0:
-                shortcut = (skip @ self.params["dec.skip.w"] + self.params["dec.skip.b"]).leaky_relu(
-                    self.config.leaky_slope
-                )
-                u = concat([u, shortcut], axis=1)
-            logits = u @ self.params["dec.out.w"] + self.params["dec.out.b"]
-        return logits.reshape(logits.shape[0], h, w, self.config.num_classes)
+        if self.config.arch == "dense":
+            skip_layer = "dec.skip" if self.config.skip_width > 0 else None
+            return self._dense_pass(x, [*encoder, "dec.0"], "dec.out", skip_layer, (h, w, self.config.num_classes))
+        c1, c2 = self.config.conv_channels
+        u = self._dense_pass(x, encoder, "dec.proj").leaky_relu(self.config.leaky_slope)
+        u = upsample2x(u, (h // 4, w // 4))
+        u = self._conv_block(u, "dec.c0", (h // 2, w // 2))
+        u = upsample2x(u, (h // 2, w // 2))
+        b = u.shape[0]
+        cat = concat([u.reshape(b, h * w, c1), skip.reshape(b, h * w, c1)], axis=2)
+        logits = conv2d(cat.reshape(b, h * w * 2 * c1), self.params["dec.out.w"], (h, w), self.params["dec.out.b"])
+        return logits.reshape(b, h, w, self.config.num_classes)
 
     # -- parameter bookkeeping --
 

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field, replace
 import numpy as np
 
-from .autodiff import GradTape, Tensor, detached_max, masked_logsumexp_rows, row_maxes, row_sums, tsum
+from .autodiff import GradTape, Tensor, _apply, _unbroadcast, row_maxes, row_sums
 from .contrastive import AugmentedBatch
 from .errors import InvalidConfig, NonFiniteValue, NormTooSmall, ShapeMismatch
 from .models import EmaTeacher, ParamModel, ema_update
@@ -55,53 +55,94 @@ PRETRAIN_MODES = ("unsup", "unsup_sp", "meta", "sp")
 # losses
 # ---------------------------------------------------------------------------
 
-def _softmax_rows(logits: Tensor) -> Tensor:
-    shift = detached_max(logits, axis=1, keepdims=True)
-    e = (logits - shift).exp()
-    return e / tsum(e, axis=1, keepdims=True)
-
-
-def _flatten_logits(logits) -> Tensor:
+def _logit_rows(logits) -> tuple[Tensor, tuple[int, int]]:
+    """``logits`` as a Tensor, and the (pixels, classes) shape of its rows."""
     t = logits if isinstance(logits, Tensor) else Tensor(np.asarray(logits, dtype=np.float64))
     if t.ndim < 2:
         raise ShapeMismatch(f"logits need a trailing class axis, got shape {t.shape}")
-    classes = t.shape[-1]
-    return t.reshape(int(np.prod(t.shape[:-1])), classes)
+    return t, (math.prod(t.shape[:-1]), t.shape[-1])
 
 
 def supervised_loss(logits, target) -> Tensor:
-    """Mean per-pixel cross-entropy under softmax.
+    """Mean per-pixel cross-entropy under softmax, as one tape node.
 
     logits: (..., C); target: integer class indices of shape logits.shape[:-1].
+    Value and cotangent have the bits of the ops ``-sum(onehot * (x -
+    (log(sum(exp(x - m))) + m))) / N`` on the (N, C) logit rows ``x``, with
+    the row max ``m`` a constant: ``x`` takes the cotangent of its use in
+    the log-probabilities, then that of its use under ``exp`` added to it.
     """
-    flat = _flatten_logits(logits)
-    classes = flat.shape[1]
+    x, (rows, classes) = _logit_rows(logits)
     t = np.asarray(target, dtype=np.int64).reshape(-1)
-    if t.size != flat.shape[0]:
-        raise ShapeMismatch(f"target size {t.size} does not match {flat.shape[0]} pixels")
+    if t.size != rows:
+        raise ShapeMismatch(f"target size {t.size} does not match {rows} pixels")
     if t.min() < 0 or t.max() >= classes:
         raise InvalidConfig(f"target labels must lie in [0, {classes})")
-    log_probs = flat - masked_logsumexp_rows(flat)
     onehot = np.zeros((t.size, classes))
     onehot[np.arange(t.size), t] = 1.0
-    return tsum(Tensor(onehot) * log_probs) * (-1.0 / t.size)
+    scale = -1.0 / t.size
+    saved = []
+
+    def fwd(xd, oh):
+        flat = xd.reshape(rows, classes)
+        shift = row_maxes(flat)
+        e = np.exp(flat - shift)
+        total = row_sums(e)
+        saved[:] = (e, total)
+        return np.sum(oh * (flat - (np.log(total) + shift))) * scale
+
+    def bwd(datas, out):
+        xd, oh = datas
+        e, total = saved
+
+        def back(g):
+            g_lp = (g * scale) * oh
+            g_flat = g_lp + (_unbroadcast(-g_lp, total.shape) / total) * e
+            return g_flat.reshape(xd.shape), None
+
+        return back
+
+    return _apply("supervised_loss", (x, Tensor(onehot)), fwd, bwd)
 
 
 def consistency_loss(student_logits, teacher_logits) -> Tensor:
-    """Mean squared difference of softmax probabilities, student vs frozen teacher.
+    """Mean squared difference of softmax probabilities, student vs frozen teacher, as one tape node.
 
     The teacher side is treated as a constant: no gradient flows into it.
+    Value and cotangent have the bits of the ops ``mean((e / sum(e) - p) **
+    2)``, with ``e = exp(x - m)`` on the student's (N, C) logit rows ``x``
+    and ``p`` the teacher's probabilities: the difference, squared as a
+    product with itself, takes its two cotangents added, and ``e`` takes
+    the division's cotangent, then the row sum's added to it.
     """
     t_data = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(teacher_logits, dtype=np.float64)
-    s = student_logits if isinstance(student_logits, Tensor) else Tensor(np.asarray(student_logits, dtype=np.float64))
+    s, (rows, classes) = _logit_rows(student_logits)
     if s.shape != t_data.shape:
         raise ShapeMismatch(f"student {s.shape} vs teacher {t_data.shape}")
-    ps = _softmax_rows(_flatten_logits(s))
-    t_rows = t_data.reshape(ps.shape)
-    e = np.exp(t_rows - row_maxes(t_rows))
-    pt = e / row_sums(e)
-    diff = ps - Tensor(pt)
-    return (diff * diff).mean()
+    t_rows = t_data.reshape(rows, classes)
+    e_t = np.exp(t_rows - row_maxes(t_rows))
+    saved = []
+
+    def fwd(xd, pt):
+        flat = xd.reshape(rows, classes)
+        e = np.exp(flat - row_maxes(flat))
+        total = row_sums(e)
+        diff = e / total - pt
+        saved[:] = (e, total, diff)
+        return np.mean(diff * diff)
+
+    def bwd(datas, out):
+        e, total, diff = saved
+
+        def back(g):
+            q = (np.asarray(g) / float(diff.size)) * diff
+            g_ps = q + q
+            g_e = g_ps / total + _unbroadcast(-g_ps * e / (total * total), total.shape)
+            return (g_e * e).reshape(datas[0].shape), None
+
+        return back
+
+    return _apply("consistency_loss", (s, Tensor(e_t / row_sums(e_t))), fwd, bwd)
 
 
 # ---------------------------------------------------------------------------

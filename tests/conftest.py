@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spcl.autodiff import GradTape, _apply
+from spcl import autodiff as ad
+from spcl.autodiff import GradTape, Tensor, _apply
 from spcl.contrastive import AugmentedBatch
 from spcl.optim import RAdam
 from spcl.self_paced import pace_schedule
@@ -48,6 +49,82 @@ def random_batch(
 def exploding_exp(a):
     """``autodiff.exp`` with the same forward and a backward that overflows: patch it in to fail a training's backward."""
     return _apply("exp", (a,), np.exp, lambda datas, out: lambda g: (g * out * 1e300 * 1e300,))
+
+
+# ---------------------------------------------------------------------------
+# op compositions: the one-node passes and losses written as single ops
+# ---------------------------------------------------------------------------
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def hostile(rng: np.random.Generator, shape, big: float = 1e300) -> np.ndarray:
+    """Standard normal values mixed with signed zeros, subnormals and +-big."""
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, big, -big, 1.0, -3.5])
+    return np.where(rng.random(shape) < 0.4, rng.choice(pool, shape), rng.standard_normal(shape))
+
+
+def op_l2_normalize_rows(t: Tensor) -> Tensor:
+    return t / ad.tsum(t * t, axis=1, keepdims=True) ** 0.5
+
+
+def op_model_pass(model, images, kind: str) -> Tensor:
+    """``segment_batch`` or ``embed_batch`` with every dense layer a matmul, add and leaky_relu op.
+
+    A dense model's skip branch is a concat op and its logits a reshape op;
+    a conv model's conv blocks and decoder are ``ParamModel``'s own ops.
+    """
+    cfg, p = model.config, model.params
+    h, w = cfg.image_shape
+    x, encoder, conv_skip = model._encode(images)
+
+    def layer(a, name, leaky=True):
+        z = a @ p[f"{name}.w"] + p[f"{name}.b"]
+        return z.leaky_relu(cfg.leaky_slope) if leaky else z
+
+    a = x
+    for i, name in enumerate(encoder):
+        a = layer(a, name)
+        if i == 0:
+            first = a
+    if kind == "embed":
+        return op_l2_normalize_rows(layer(layer(a, "head.0"), "head.1", leaky=False))
+    if cfg.arch == "conv":
+        c1 = cfg.conv_channels[0]
+        u = ad.upsample2x(layer(a, "dec.proj"), (h // 4, w // 4))
+        u = ad.upsample2x(model._conv_block(u, "dec.c0", (h // 2, w // 2)), (h // 2, w // 2))
+        b = u.shape[0]
+        cat = ad.concat([u.reshape(b, h * w, c1), conv_skip.reshape(b, h * w, c1)], axis=2)
+        logits = ad.conv2d(cat.reshape(b, h * w * 2 * c1), p["dec.out.w"], (h, w), p["dec.out.b"])
+        return logits.reshape(b, h, w, cfg.num_classes)
+    u = layer(a, "dec.0")
+    if cfg.skip_width > 0:
+        u = ad.concat([u, layer(first, "dec.skip")], axis=1)
+    logits = layer(u, "dec.out", leaky=False)
+    return logits.reshape(logits.shape[0], h, w, cfg.num_classes)
+
+
+def op_supervised_loss(logits: Tensor, target) -> Tensor:
+    classes = logits.shape[-1]
+    flat = logits.reshape(-1, classes)
+    t = np.asarray(target).reshape(-1)
+    shift = ad.detached_max(flat, axis=1, keepdims=True)
+    lse = ad.log(ad.tsum(ad.exp(flat - shift), axis=1, keepdims=True)) + shift
+    onehot = np.zeros((t.size, classes))
+    onehot[np.arange(t.size), t] = 1.0
+    return ad.tsum(Tensor(onehot) * (flat - lse)) * (-1.0 / t.size)
+
+
+def op_consistency_loss(student: Tensor, teacher: np.ndarray) -> Tensor:
+    flat = student.reshape(-1, student.shape[-1])
+    e = (flat - ad.detached_max(flat, axis=1, keepdims=True)).exp()
+    ps = e / ad.tsum(e, axis=1, keepdims=True)
+    t_rows = teacher.reshape(ps.shape)
+    e_t = np.exp(t_rows - ad.row_maxes(t_rows))
+    diff = ps - Tensor(e_t / ad.row_sums(e_t))
+    return (diff * diff).mean()
 
 
 def reference_supervised_history(model, dataset, labeled_patients, config, seed: int) -> list[dict]:

@@ -121,7 +121,7 @@ DIRECTIONAL_CONFIG = config_from_dict(
 
 class TestCriterion6DirectionalExperiment:
     def test_variant_chain_and_noise_comparison(self):
-        from spcl.ablation import CHAIN_VARIANTS, directional_experiment
+        from spcl.ablation import CHAIN_VARIANTS, directional_experiment, paired_gains
 
         result = directional_experiment(
             DIRECTIONAL_CONFIG, seeds=(0, 1, 2, 3, 4), noise_level=0.5, margin=0.05
@@ -142,6 +142,8 @@ class TestCriterion6DirectionalExperiment:
             f"{chain_text}; MT gain {result.mean_teacher_gain:.3f}; "
             f"SPL noise gain {result.spl_noise_gain:.3f}; {result.seconds:.0f}s",
         )
+        for link, (diffs, favour) in paired_gains(result).items():
+            print(f"  {link}: per-seed {' '.join(f'{d:+.4f}' for d in diffs)}; {favour}/{len(diffs)} seeds favour the later")
 
 
 class TestCriterion7Determinism:

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ import pytest
 from spcl import autodiff as ad
 from spcl.autodiff import GradTape, Tensor, finite_diff_check, l2_normalize
 from spcl.errors import DisconnectedParamWarning, NonFiniteValue, NormTooSmall, ShapeMismatch
+from conftest import hostile, op_l2_normalize_rows
 from spcl.models import ModelConfig, ParamModel
+from spcl.semi_supervised import consistency_loss, supervised_loss
 from spcl.verify import _GRADCHECK_MODEL
 
 
@@ -226,6 +229,34 @@ BACKWARD_FAILURES = {
 }
 
 
+
+def _one_layer_pass(x, w):
+    """dense_pass with one hidden layer of weight ``w`` on ``x``, zero biases and an identity output layer."""
+    return ad.dense_pass(x, [(w, Tensor([0.0]))], (Tensor([[1.0]]), Tensor([0.0])), 0.01)
+
+
+# The one-node passes and losses, as FORWARD_FAILURES and BACKWARD_FAILURES
+# have the primitives. l2_normalize_rows has no forward case: its forward
+# cannot overflow once the norm check before it has passed
+# (test_norm_overflow_raises_non_finite_value).
+NODE_FORWARD_FAILURES = {
+    "dense_pass": lambda: _one_layer_pass(Tensor([[1e200]]), Tensor([[1e200]])),
+    "supervised_loss": lambda: supervised_loss(Tensor([[-BIG, BIG]]), [0]),
+    "consistency_loss": lambda: consistency_loss(Tensor([[-BIG, BIG]]), np.zeros((1, 2))),
+}
+NODE_BACKWARD_FAILURES = {
+    "dense_pass": (np.full((1, 1), 1e-200), lambda w: (_one_layer_pass(Tensor([[1e200]]), w) * Tensor([[1e200]])).sum()),
+    "l2_normalize_rows": (np.full((1, 2), 1e-20), lambda x: (ad.l2_normalize_rows(x) * Tensor([[BIG, BIG]])).sum()),
+    "supervised_loss": (
+        np.zeros((1, 2)), lambda x: supervised_loss(x, [0]) * 1e308 + (x * Tensor([[1.7e308, 1.7e308]])).sum()
+    ),
+    "consistency_loss": (
+        np.zeros((1, 2)),
+        lambda x: consistency_loss(x, np.array([[0.0, 5.0]])) * 1e308 + (x * Tensor([[1.7e308, 0.0]])).sum(),
+    ),
+}
+
+
 @pytest.fixture
 def strict_floats():
     """Any warning is an error, and NumPy's error state must be restored afterwards."""
@@ -261,6 +292,23 @@ class TestFloatingPointFlags:
                       "leaky_relu", "sum", "mean", "reshape", "concat", "conv2d", "avg_pool2x", "upsample2x"}
         assert set(BACKWARD_FAILURES) == primitives
         assert set(FORWARD_FAILURES) == primitives - {"neg", "transpose", "reshape", "concat", "upsample2x"}
+
+    @pytest.mark.parametrize("where", ["eager", "tape"])
+    @pytest.mark.parametrize("op", sorted(NODE_FORWARD_FAILURES))
+    def test_node_forward_failure_names_the_node(self, strict_floats, op, where):
+        with pytest.raises(NonFiniteValue, match=f"^op '{op}' produced NaN/Inf$"):
+            with GradTape() if where == "tape" else contextlib.nullcontext():
+                NODE_FORWARD_FAILURES[op]()
+
+    @pytest.mark.parametrize("op", sorted(NODE_BACKWARD_FAILURES))
+    def test_node_backward_failure_names_the_node(self, strict_floats, op):
+        x0, loss = NODE_BACKWARD_FAILURES[op]
+        x = Tensor(x0, requires_grad=True)
+        with GradTape() as tape:
+            out = loss(x)
+        assert op in [n.op for n in tape.nodes]
+        with pytest.raises(NonFiniteValue, match=f"^backward of op '{op}' produced NaN/Inf$"):
+            tape.gradient(out, [x])
 
     @pytest.mark.parametrize("row", [0, -1])
     def test_threaded_product_overflow_names_matmul(self, strict_floats, row):
@@ -355,6 +403,24 @@ class TestL2Normalize:
         z_ = np.array([0.6, 0.8])
         expected = (np.eye(2) - np.outer(z_, z_)).sum(axis=0) / 5.0
         np.testing.assert_allclose(g, expected, atol=1e-12)
+
+
+class TestL2NormalizeRowsNode:
+    @pytest.mark.parametrize("rows, d", [(4, 1), (64, 1), (4, 4), (64, 4), (64, 12)])
+    def test_value_and_cotangent_byte_equal_to_ops(self, rows, d):
+        """Short rows and long, few rows and many, with signed zeros, subnormals and +-1e150."""
+        rng = np.random.default_rng(rows + d)
+        x0 = hostile(rng, (rows, d), 1e150)
+        x0[:, 0] = np.where(rng.random(rows) < 0.2, 1e150, rng.standard_normal(rows))  # no row norm near 0
+        g = Tensor(hostile(rng, (rows, d), 1e100))
+        x = Tensor(x0, requires_grad=True)
+        results = []
+        for fn in (ad.l2_normalize_rows, op_l2_normalize_rows):
+            with GradTape() as tape:
+                out = fn(x * 1.0)
+                loss = (out * g).sum()
+            results.append([out.data, *tape.gradient(loss, [x])])
+        assert all(_same_bytes(a, b) for a, b in zip(*results))
 
 
 class TestGrad:
@@ -764,6 +830,18 @@ def _conv_embed_pre_activations(model, images):
     return pre
 
 
+def _dense_embed_pre_activations(model, images):
+    """Every leaky_relu input of a dense ``embed_batch``, recomputed in NumPy."""
+    p = {k: v.data for k, v in model.params.items()}
+    cfg = model.config
+    h = images.reshape(images.shape[0], -1)
+    pre = []
+    for name in [f"enc.{i}" for i in range(len(cfg.encoder_widths))] + ["head.0"]:
+        pre.append(h @ p[f"{name}.w"] + p[f"{name}.b"])
+        h = _leaky(pre[-1], cfg.leaky_slope)
+    return pre
+
+
 class TestMinKinkDistance:
     def test_gradcheck_dense_model_matches_hand_pre_activations(self):
         model = ParamModel(_GRADCHECK_MODEL)
@@ -775,6 +853,14 @@ class TestMinKinkDistance:
         model = ParamModel(ModelConfig(image_shape=(8, 8), conv_channels=(2, 3), head_hidden=5, embed_dim=4, seed=7))
         images = np.random.default_rng(6).random((3, 8, 8))
         expected = min(float(np.abs(z).min()) for z in _conv_embed_pre_activations(model, images))
+        assert ad.min_kink_distance(lambda: model.embed_batch(images)) == expected
+
+    def test_dense_embed_matches_hand_pre_activations(self):
+        model = ParamModel(replace(_GRADCHECK_MODEL, encoder_widths=(8, 6, 4)))
+        images = np.random.default_rng(7).random((8, 4, 4))
+        pre = _dense_embed_pre_activations(model, images)
+        assert len(pre) == 4
+        expected = min(float(np.abs(z).min()) for z in pre)
         assert ad.min_kink_distance(lambda: model.embed_batch(images)) == expected
 
     def test_no_recorded_leaky_relu_gives_inf(self):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import spcl
-from spcl.ablation import AblationRow, ablation_checks, format_ablation_table
+from spcl.ablation import AblationRow, DirectionalResult, ablation_checks, format_ablation_table, paired_gains
 from spcl.config import (
     ExperimentConfig,
     OUTPUT_ROOT_ENV,
@@ -294,6 +294,29 @@ class TestAblationMachinery:
         ]
         problems = ablation_checks(bad, baseline_margin=0.05)
         assert len(problems) >= 2
+
+    def test_paired_gains_per_link_and_noise_arm(self):
+        chain = {
+            "baseline": (0.50, 0.60, 0.70),
+            "unsup-con": (0.55, 0.55, 0.70),
+            "con(meta)": (0.60, 0.65, 0.75),
+            "sp-con(pretrain)": (0.60, 0.70, 0.80),
+            "sp-con(both)+mean-teacher": (0.75, 0.75, 0.75),
+        }
+        result = DirectionalResult(
+            medians={}, chain_holds=True, mean_teacher_gain=0.1, spl_noise_gain=0.02, seconds=0.0,
+            chain_dice=chain, noise_dice={"linear-spl": (0.5, 0.25, 0.5), "unweighted": (0.25, 0.5, 0.5)},
+        )
+        gains = paired_gains(result)
+        assert list(gains) == [
+            "baseline -> unsup-con", "unsup-con -> con(meta)", "con(meta) -> sp-con(pretrain)",
+            "sp-con(pretrain) -> sp-con(both)+mean-teacher", "unweighted -> linear-spl",
+        ]
+        diffs, favour = gains["baseline -> unsup-con"]
+        assert diffs == pytest.approx((0.05, -0.05, 0.0)) and favour == 1
+        assert gains["unsup-con -> con(meta)"][1] == 3
+        assert gains["sp-con(pretrain) -> sp-con(both)+mean-teacher"][1] == 2
+        assert gains["unweighted -> linear-spl"] == ((0.25, -0.25, 0.0), 1)
 
     def test_table_contains_all_variants(self):
         rows = [AblationRow.from_scores(v, [0.1, 0.2, 0.3]) for v in ("baseline", "full-supervision")]

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import hostile, op_model_pass, same_bytes
 from spcl.autodiff import GradTape, Tensor, finite_diff_check
 from spcl.errors import DataError, NonFiniteValue, ShapeMismatch
 from spcl.models import EmaTeacher, ModelConfig, ParamModel, ema_update
@@ -113,6 +114,86 @@ class TestSegment:
 
         report = finite_diff_check(f, [model.params[n] for n in names], step=1e-5, tolerance=1e-4)
         assert report.passed, report
+
+
+def _value_and_cotangents(fn, tracked, g):
+    """``fn()``'s value and the cotangents of ``tracked`` under the loss sum(fn() * g), from one tape."""
+    with GradTape() as tape:
+        out = fn()
+        loss = (out * Tensor(g)).sum()
+    return [out.data, *tape.gradient(loss, tracked, warn_disconnected=False)]
+
+
+# parameters left untracked, so that the passes skip some cotangents
+UNTRACKED = {
+    "all": (),
+    "image": (),
+    "partial-a": ("enc.0.w", "enc.0.b", "dec.0.b", "head.1.w"),
+    "partial-b": ("enc.0.w", "dec.skip.b", "dec.out.w", "head.0.b"),
+}
+
+
+class TestDensePassOracle:
+    """The dense arch's one-node passes against their op compositions, byte for byte.
+
+    Images and parameters mix ordinary values with signed zeros, subnormals
+    and +-1e20; the cotangent arriving at the pass does too.
+    """
+
+    @pytest.mark.parametrize("tracking", sorted(UNTRACKED))
+    @pytest.mark.parametrize("skip_width", [0, 3])
+    @pytest.mark.parametrize("widths", [(5,), (6, 4), (7, 5, 3)])
+    def test_value_and_cotangents_byte_equal_to_ops(self, widths, skip_width, tracking):
+        rng = np.random.default_rng(len(widths) * 10 + skip_width)
+        for slope in (0.01, 0.0, 1.0, -0.1, 2.0):
+            cfg = ModelConfig(
+                image_shape=(2, 3), num_classes=3, arch="dense", encoder_widths=widths, head_hidden=4,
+                embed_dim=3, decoder_width=4, skip_width=skip_width, leaky_slope=slope,
+            )
+            params = {
+                k: Tensor(hostile(rng, v.shape, 1e20), requires_grad=k not in UNTRACKED[tracking], name=k)
+                for k, v in ParamModel(cfg).params.items()
+            }
+            model = ParamModel(cfg, params)
+            for b in (1, 3):
+                images = Tensor(hostile(rng, (b, 2, 3), 1e20), requires_grad=tracking == "image")
+                tracked = [images] * images.requires_grad + [t for t in params.values() if t.requires_grad]
+                for kind, size in (("segment", (b, 2, 3, 3)), ("embed", (b, 3))):
+                    g = hostile(rng, size, 1e20)
+                    ours = _value_and_cotangents(lambda: getattr(model, f"{kind}_batch")(images), tracked, g)
+                    ops = _value_and_cotangents(lambda: op_model_pass(model, images, kind), tracked, g)
+                    assert all(same_bytes(a, o) for a, o in zip(ours, ops)), (slope, b, kind)
+
+    @pytest.mark.parametrize("tracking", ["all", "image"])
+    def test_conv_arch_dense_layers_byte_equal_to_ops(self, tracking):
+        """The conv arch's dense layers from the pooled features: one node per pass."""
+        rng = np.random.default_rng(9)
+        model = ParamModel(TINY_CONV)
+        for b in (1, 3):
+            images = Tensor(rng.random((b, 8, 8)), requires_grad=tracking == "image")
+            tracked = [images] * images.requires_grad + list(model.params.values())
+            for kind, size in (("segment", (b, 8, 8, 2)), ("embed", (b, 6))):
+                g = rng.standard_normal(size)
+                ours = _value_and_cotangents(lambda: getattr(model, f"{kind}_batch")(images), tracked, g)
+                ops = _value_and_cotangents(lambda: op_model_pass(model, images, kind), tracked, g)
+                assert all(same_bytes(a, o) for a, o in zip(ours, ops)), (b, kind)
+
+    @pytest.mark.parametrize("tracking", ["all", "partial-a", "partial-b"])
+    @pytest.mark.parametrize("kind", ["segment", "embed"])
+    def test_one_node_with_cotangents_only_for_tracked_inputs(self, kind, tracking):
+        cfg = ModelConfig(image_shape=(4, 4), arch="dense", encoder_widths=(8, 4), skip_width=3, seed=2)
+        model = ParamModel(cfg)
+        for name in UNTRACKED[tracking]:
+            model.params[name] = Tensor(model.params[name].data, name=name)
+        images = np.random.default_rng(0).random((2, 4, 4))
+        with GradTape() as tape:
+            model.segment_batch(images) if kind == "segment" else model.embed_batch(images)
+        expected = ["dense_pass"] if kind == "segment" else ["dense_pass", "l2_normalize_rows"]
+        assert [n.op for n in tape.nodes] == expected
+        node = tape.nodes[0]
+        cotangents = node.backward_fn(np.ones(node.output.shape))
+        assert [c is not None for c in cotangents] == [t.requires_grad for t in node.inputs]
+        assert not node.inputs[0].requires_grad  # the image batch
 
 
 class TestParameterAccounting:

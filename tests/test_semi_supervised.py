@@ -8,7 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import exploding_exp, reference_supervised_history
+from conftest import (
+    exploding_exp,
+    hostile,
+    op_consistency_loss,
+    op_supervised_loss,
+    reference_supervised_history,
+    same_bytes,
+)
 from spcl import autodiff as ad, semi_supervised
 from spcl.autodiff import GradTape, Tensor
 from spcl.errors import InvalidConfig, NonFiniteValue, ShapeMismatch
@@ -117,6 +124,33 @@ class TestConsistencyLoss:
             out = consistency_loss(student_raw, teacher)
         (g,) = tape.gradient(out, [student_raw])
         assert np.any(g != 0.0)
+
+
+class TestLossNodesOracle:
+    """The one-node losses against their op compositions, byte for byte.
+
+    Logits and teacher logits mix ordinary values with signed zeros,
+    subnormals and +-1e300. The pixel counts, 4 and 64, lie on either side
+    of the short-row threshold of ``row_sums``/``row_maxes`` for 2 and 3
+    classes, and the loss is scaled before the gradient, so the cotangent
+    arriving at the node is not always 1.
+    """
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (2, 4, 8)])
+    @pytest.mark.parametrize("loss", ["supervised", "consistency"])
+    def test_value_and_cotangent_byte_equal_to_ops(self, loss, shape, classes):
+        rng = np.random.default_rng(classes * 100 + shape[0])
+        for scale in (1.0, -2.5, 1e-310):
+            x = Tensor(hostile(rng, (*shape, classes)), requires_grad=True)
+            other = rng.integers(0, classes, size=shape) if loss == "supervised" else hostile(rng, (*shape, classes))
+            results = []
+            for fn in (supervised_loss, op_supervised_loss) if loss == "supervised" else (consistency_loss, op_consistency_loss):
+                with GradTape() as tape:
+                    out = fn(x * 1.0, other)  # logits that an op made, as a pass's output is
+                    scaled = out * scale
+                results.append([out.data, *tape.gradient(scaled, [x])])
+            assert all(same_bytes(a, b) for a, b in zip(*results)), scale
 
 
 @pytest.fixture

@@ -8,25 +8,27 @@ and candidate j, the per-pair loss is
     l_ij = log sum_{a != i} exp(z_i . z_a / tau)  -  z_i . z_j / tau
 
 computed with a max-shifted log-sum-exp (exponents reach +-2/tau, which
-overflows naively for small temperatures). The unsupervised loss averages
-l over the view pairs only; the meta-label loss averages l over each
-anchor's positive set
+overflows naively for small temperatures). The meta-label loss averages l
+over each anchor's positive set
 
-    P^k(i) = { j | y^k_j = y^k_i, j != i }  union  { j(i) }.
+    P^k(i) = { j | y^k_j = y^k_i, j != i }  union  { j(i) },
 
-Both reduce through the same masked-mean code path, so the meta loss with
-one class per original image equals the unsupervised loss bitwise.
-``masked_mean_sum`` records a weighted sum of K masked means as one tape
-node with the float sequence of K ``masked_mean`` terms added up.
+and the unsupervised loss is the meta-label loss with one class per
+original image, where P(i) = { j(i) }. ``masked_mean_sum`` reduces the
+(2N, 2N) loss matrix under K constant coefficient matrices
+(``mask_coefficients`` of the ``positive_masks`` stack, times any weights)
+as one tape node; ``self_paced.combined_sp_loss`` is its one caller in
+training.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _apply, _as_tensor, masked_logsumexp_rows, tsum
+from .autodiff import Tensor, _apply, _as_tensor, masked_logsumexp_rows
 from .errors import InvalidConfig
 
 
@@ -79,37 +81,19 @@ class AugmentedBatch:
 
 def _check_tau(tau: float) -> float:
     tau = float(tau)
-    if tau <= 0.0:
-        raise InvalidConfig(f"temperature must be positive, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise InvalidConfig(f"temperature must be positive and finite, got {tau}")
     return tau
 
 
-def positive_mask(batch: AugmentedBatch, k: int) -> np.ndarray:
-    """Boolean (2N, 2N) mask with row i True exactly on P^k(i)."""
-    labels = batch.meta_labels[k]
-    mask = labels[:, None] == labels[None, :]
-    idx = np.arange(batch.num_samples)
-    mask[idx, batch.pair_of] = True
-    mask[idx, idx] = False
-    return mask
-
-
 def positive_masks(batch: AugmentedBatch, ks: tuple[int, ...]) -> np.ndarray:
-    """Boolean (K, 2N, 2N) stack of ``positive_mask(batch, k)`` for k in ``ks``, built at once."""
+    """Boolean (K, 2N, 2N) stack: row i of slice k is True exactly on P^{ks[k]}(i)."""
     labels = batch.meta_labels[list(ks)]
     masks = labels[:, :, None] == labels[:, None, :]
     idx = np.arange(batch.num_samples)
     masks[:, idx, batch.pair_of] = True
     masks[:, idx, idx] = False
     return masks
-
-
-def pair_mask(batch: AugmentedBatch) -> np.ndarray:
-    """Boolean (2N, 2N) mask selecting only each anchor's paired view."""
-    n2 = batch.num_samples
-    mask = np.zeros((n2, n2), dtype=bool)
-    mask[np.arange(n2), batch.pair_of] = True
-    return mask
 
 
 def pair_loss_values(batch: AugmentedBatch, tau: float) -> Tensor:
@@ -138,30 +122,14 @@ def mask_coefficients(mask: np.ndarray) -> np.ndarray:
     return mask.astype(np.float64) / counts[..., None]
 
 
-def masked_mean(values, mask: np.ndarray, weights: np.ndarray | None = None):
-    """(1/2N) sum_i (1/|row_i|) sum_{j in row_i} w_ij values_ij, as one masked sum.
-
-    Every mask row must be non-empty. The per-row normalizers, and the
-    optional constant weights w (1 when omitted), fold into one coefficient
-    matrix so a single reduction covers the double sum. A Tensor ``values``
-    gives a Tensor on the tape; an array gives a float.
-    """
-    coef = mask_coefficients(mask)
-    if weights is not None:
-        coef = coef * weights
-    if isinstance(values, Tensor):
-        return tsum(Tensor(coef) * values) * (1.0 / mask.shape[0])
-    return float(np.sum(coef * values) / mask.shape[0])
-
-
 def masked_mean_sum(values: Tensor, coefs: np.ndarray, scales, offsets=None) -> Tensor:
     """sum_k scales[k] * (masked mean of ``values`` under ``coefs[k]`` + offsets[k]), as one tape node.
 
-    ``coefs`` is a (K, 2N, 2N) stack of constant coefficient matrices, as
-    ``masked_mean`` builds them (``mask_coefficients``, times any weights),
-    ``scales`` K floats and ``offsets`` K constant floats or None. The value
-    and the cotangent of ``values`` have the bits of the K-term sum built
-    from ops, ``(masked_mean(values, ...) + offsets[k]) * scales[k]`` added
+    ``coefs`` is a (K, 2N, 2N) stack of constant coefficient matrices
+    (``mask_coefficients``, times any weights), ``scales`` K floats and
+    ``offsets`` K constant floats or None. The value and the cotangent of
+    ``values`` have the bits of the K-term sum built from ops,
+    ``(tsum(coefs[k] * values) * (1/2N) + offsets[k]) * scales[k]`` added
     left to right: each term's reduction runs over one contiguous (2N, 2N)
     product, and the K cotangents add up in reverse order, as the tape walk
     adds them.
@@ -191,15 +159,3 @@ def masked_mean_sum(values: Tensor, coefs: np.ndarray, scales, offsets=None) -> 
         return back
 
     return _apply("masked_mean_sum", (values,), fwd, bwd)
-
-
-def unsup_contrastive_loss(batch: AugmentedBatch, tau: float) -> Tensor:
-    """Average l over the view pairs only: (1/2N) sum_i l_{i, j(i)}."""
-    return masked_mean(pair_loss_values(batch, tau), pair_mask(batch))
-
-
-def meta_contrastive_loss(batch: AugmentedBatch, k: int, tau: float) -> Tensor:
-    """Average l over each anchor's positive set for meta-label k."""
-    if not (0 <= k < batch.num_meta_labels):
-        raise InvalidConfig(f"meta-label index {k} out of range [0, {batch.num_meta_labels})")
-    return masked_mean(pair_loss_values(batch, tau), positive_mask(batch, k))

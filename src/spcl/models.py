@@ -197,9 +197,6 @@ class ParamModel:
     def encoder_head_params(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.params.items() if k.startswith(("enc.", "head."))}
 
-    def decoder_params(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.params.items() if k.startswith("dec.")}
-
     def reset_decoder(self, seed: int | None = None) -> None:
         """Fresh decoder init (used when moving from pre-training to segmentation)."""
         fresh = _init_params(replace(self.config, seed=self.config.seed if seed is None else seed))

@@ -20,12 +20,12 @@ held constant while the encoder takes its gradient step.
 
 ``combined_sp_loss`` is the one training objective, sum_k lambda_k times the
 loss of meta-label k: every pre-training mode, the semi-supervised
-regularizer and the pace report call it. It builds the pair-loss matrix, the
-closed-form weights and the regularizer once per batch for all meta-labels,
-and records the K-label sum as one tape node (``masked_mean_sum``). The
-loss of one meta-label, ``sp_contrastive_loss(batch, k, ...)`` with an int
-k, is built from ops as before and is the oracle the tests hold the K-label
-node to, bit for bit.
+regularizer, the pace report and ``spcl verify`` call it. It builds the
+pair-loss matrix, the closed-form weights and the regularizer once per batch
+for all meta-labels, and records the K-label sum as one tape node
+(``masked_mean_sum``). With ``weighted=False`` it is the plain meta-label
+contrastive loss, and with one class per original image the unsupervised
+one.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ import numpy as np
 from .autodiff import Tensor
 from .contrastive import (
     AugmentedBatch,
+    _check_tau,
     mask_coefficients,
-    masked_mean,
     masked_mean_sum,
     pair_loss_values,
-    positive_mask,
     positive_masks,
 )
 from .errors import InvalidConfig
@@ -76,6 +75,10 @@ class SelfPacedConfig:
             raise InvalidConfig(f"tau must be positive, got {self.tau}")
         if self.p <= 0.0:
             raise InvalidConfig(f"schedule exponent p must be positive, got {self.p}")
+        for name in ("gamma_start", "gamma_end"):
+            value = getattr(self, name)
+            if value is not None and value <= 0.0:
+                raise InvalidConfig(f"{name} must be positive, got {value}")
         if self.gamma_start is not None and self.gamma_end is not None:
             if self.gamma_start > self.gamma_end:
                 raise InvalidConfig("gamma_start must not exceed gamma_end")
@@ -103,8 +106,8 @@ class SelfPacedConfig:
 
 def _check_gamma(gamma: float) -> float:
     gamma = float(gamma)
-    if gamma <= 0.0:
-        raise InvalidConfig(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise InvalidConfig(f"gamma must be positive and finite, got {gamma}")
     return gamma
 
 
@@ -152,8 +155,7 @@ def loss_bounds(batch_originals: int, tau: float) -> tuple[float, float]:
     n = int(batch_originals)
     if n < 2:
         raise InvalidConfig(f"need at least 2 originals, got {n}")
-    if tau <= 0.0:
-        raise InvalidConfig(f"tau must be positive, got {tau}")
+    tau = _check_tau(tau)
     count = 2.0 * (n - 1)
     lo = float(np.log1p(count * np.exp(-2.0 / tau)))
     hi = float(np.logaddexp(0.0, np.log(count) + 2.0 / tau))
@@ -174,41 +176,31 @@ def pace_schedule(config: SelfPacedConfig, cur_epoch: int, max_epoch: int) -> fl
 
 def sp_contrastive_loss(
     batch: AugmentedBatch,
-    k: int | tuple[int, ...],
+    ks: tuple[int, ...],
     gamma: float,
     config: SelfPacedConfig,
     values: Tensor | None = None,
 ) -> tuple[Tensor, np.ndarray]:
-    """Self-paced contrastive loss for meta-label k at pace gamma, and its weights.
+    """Self-paced contrastive loss over meta-labels ``ks`` at pace gamma, and its weights.
 
     Computes l_ij, solves the inner weight problem exactly in closed form,
-    and returns (1/2N) sum_i (1/|P(i)|) sum_j [w_ij l_ij + R_gamma(w_ij)]
-    with the in-mask weights w_ij, flattened row-major over
-    ``positive_mask(batch, k)``. The weights (and the regularizer term) are
-    constants for gradient purposes: only w_ij * grad(l_ij) reaches the
+    and gives each label k the loss (1/2N) sum_i (1/|P^k(i)|) sum_j
+    [w_ij l_ij + R_gamma(w_ij)], with lambda_k from ``config.lambdas``; the
+    sum is one ``masked_mean_sum`` node. The second value concatenates, over
+    ``ks`` in order, the in-mask weights w_ij flattened row-major over
+    ``positive_masks(batch, ks)``. The weights (and the regularizer term)
+    are constants for gradient purposes: only w_ij * grad(l_ij) reaches the
     encoder. ``values`` may pass in ``pair_loss_values(batch, config.tau)``
     already built for this batch.
-
-    A tuple ``k`` of label indices gives sum_k lambda_k * loss_k, with
-    lambda_k from ``config.lambdas``, as one ``masked_mean_sum`` node, and
-    the in-mask weights of each label concatenated in order. An int ``k``
-    builds its loss from ops, the per-label path that node must match.
     """
     gamma = _check_gamma(gamma)
-    single = isinstance(k, (int, np.integer))
-    ks = (k,) if single else tuple(k)
-    for i in ks:
-        if not (0 <= i < batch.num_meta_labels):
-            raise InvalidConfig(f"meta-label index {i} out of range [0, {batch.num_meta_labels})")
+    ks = tuple(ks)
+    for k in ks:
+        if not (0 <= k < batch.num_meta_labels):
+            raise InvalidConfig(f"meta-label index {k} out of range [0, {batch.num_meta_labels})")
     if values is None:
         values = pair_loss_values(batch, config.tau)
     w = optimal_weight(values.data, gamma, config.regularizer)
-    if single:
-        mask = positive_mask(batch, k)
-        w = np.where(mask, w, 0.0)
-        r = np.where(mask, regularizer_value(w, gamma, config.regularizer), 0.0)
-        loss = masked_mean(values, mask, w) + masked_mean(r, mask)
-        return loss, w[mask]
     # the weights are one matrix for every label; inside a mask the masked
     # weights equal it, so R of it, masked, is the per-label R, masked
     masks = positive_masks(batch, ks)
@@ -216,7 +208,7 @@ def sp_contrastive_loss(
     r = coefs * np.where(masks, regularizer_value(w, gamma, config.regularizer), 0.0)
     offsets = [float(np.sum(r_k) / batch.num_samples) for r_k in r]
     w = np.where(masks, w, 0.0)
-    loss = masked_mean_sum(values, coefs * w, [config.lambdas[i] for i in ks], offsets)
+    loss = masked_mean_sum(values, coefs * w, [config.lambdas[k] for k in ks], offsets)
     return loss, w[masks]
 
 

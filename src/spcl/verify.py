@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import GradTape, Tensor, finite_diff_check, l2_normalize, min_kink_distance
-from .contrastive import (
-    AugmentedBatch,
-    masked_mean,
-    meta_contrastive_loss,
-    pair_loss_values,
-    positive_mask,
-    unsup_contrastive_loss,
-)
+from .contrastive import AugmentedBatch, mask_coefficients, masked_mean_sum, pair_loss_values, positive_masks
 from .models import ModelConfig, ParamModel
 from .self_paced import (
     HARD,
@@ -37,7 +30,7 @@ from .self_paced import (
     sp_contrastive_loss,
 )
 from .semi_supervised import consistency_loss, supervised_loss
-from .synth_data import interleaved_pairs
+from .synth_data import interleaved_pairs, per_image_labels
 
 
 @dataclass
@@ -90,10 +83,15 @@ def _random_batch(rng, n, d=8, classes=3):
 
 
 def _dense(mask, weights):
-    """In-mask weights, as sp_contrastive_loss returns them, scattered back to (2N, 2N)."""
+    """In-mask weights, as sp_contrastive_loss returns them, scattered back to the mask's shape."""
     w = np.zeros(mask.shape)
     w[mask] = weights
     return w
+
+
+def _unweighted_loss(batch: AugmentedBatch, config: SelfPacedConfig) -> Tensor:
+    """The plain meta-label contrastive loss: the training objective with every pair weight 1."""
+    return combined_sp_loss(batch, 1.0, config, weighted=False)[0]
 
 
 def check_closed_form_weights(weight_fn=optimal_weight, trials: int = 1000, seed: int = 0) -> FamilyResult:
@@ -199,6 +197,7 @@ def check_gradients(configs: int = 5, seed: int = 33, tolerance: float = 1e-4) -
         teacher_logits = rng.standard_normal((4, 4, 4, 2))
         labels = np.repeat(rng.integers(0, 2, size=4), 2)[None, :]
         pair = interleaved_pairs(8)
+        per_image = per_image_labels(4)
         sp_cfg = SelfPacedConfig(tau=0.5, lambdas=(1.0,)).with_default_pace(4)
         gamma = 0.5 * (sp_cfg.gamma_start + sp_cfg.gamma_end)
         pair_imgs = rng.random((8, 4, 4))
@@ -220,23 +219,24 @@ def check_gradients(configs: int = 5, seed: int = 33, tolerance: float = 1e-4) -
             params.update(zip(eh_names, ts))
             return ParamModel(cfg, params)
 
-        sp_mask = sp_w = None
+        sp_coefs = None
 
         def frozen_sp(*ts):
-            nonlocal sp_mask, sp_w
+            nonlocal sp_coefs
             batch = AugmentedBatch(rebuild_eh(ts).embed_batch(pair_imgs), pair, labels)
-            if sp_w is None:
-                sp_mask = positive_mask(batch, 0)
-                sp_w = _dense(sp_mask, sp_contrastive_loss(batch, 0, gamma, sp_cfg)[1])
-            return masked_mean(pair_loss_values(batch, sp_cfg.tau), sp_mask, sp_w)
+            if sp_coefs is None:
+                masks = positive_masks(batch, (0,))
+                w = _dense(masks, sp_contrastive_loss(batch, (0,), gamma, sp_cfg)[1])
+                sp_coefs = mask_coefficients(masks) * w
+            return masked_mean_sum(pair_loss_values(batch, sp_cfg.tau), sp_coefs, [1.0])
 
         cases = {
-            "unsup_con": lambda *ts: unsup_contrastive_loss(
-                AugmentedBatch(rebuild_eh(ts).embed_batch(pair_imgs), pair, labels), 0.5
-            ),
-            "meta_con": lambda *ts: meta_contrastive_loss(
-                AugmentedBatch(rebuild_eh(ts).embed_batch(pair_imgs), pair, labels), 0, 0.5
-            ),
+            "unsup_con": lambda *ts: combined_sp_loss(
+                AugmentedBatch(rebuild_eh(ts).embed_batch(pair_imgs), pair, per_image), gamma, sp_cfg, weighted=False
+            )[0],
+            "meta_con": lambda *ts: combined_sp_loss(
+                AugmentedBatch(rebuild_eh(ts).embed_batch(pair_imgs), pair, labels), gamma, sp_cfg, weighted=False
+            )[0],
             "sp_con_frozen_w": frozen_sp,
             "cross_entropy": lambda *ts: supervised_loss(rebuild_full(ts).segment_batch(images), target),
             "consistency": lambda *ts: consistency_loss(rebuild_full(ts).segment_batch(images), teacher_logits),
@@ -258,30 +258,28 @@ def check_gradients(configs: int = 5, seed: int = 33, tolerance: float = 1e-4) -
 
 
 def check_equivalences(seed: int = 3) -> FamilyResult:
-    """Degenerate-label identity, hard-mode saturation, lambda dropping."""
+    """Per-image labels against the view-pair mean, hard-mode saturation, lambda dropping."""
     t0 = time.time()
     rng = np.random.default_rng(seed)
     problems = []
     for _ in range(20):
         n = int(rng.integers(2, 8))
         batch = _random_batch(rng, n)
-        degenerate = AugmentedBatch(
-            batch.embeddings, batch.pair_of, np.repeat(np.arange(n), 2)[None, :]
-        )
+        per_image = AugmentedBatch(batch.embeddings, batch.pair_of, per_image_labels(n))
         tau = float(rng.uniform(0.1, 1.0))
-        a = unsup_contrastive_loss(degenerate, tau).item()
-        if a != meta_contrastive_loss(degenerate, 0, tau).item():
-            problems.append("degenerate-label inequality")
+        values = pair_loss_values(batch, tau).data
+        view_pairs = np.mean(values[np.arange(2 * n), batch.pair_of])
+        if abs(_unweighted_loss(per_image, SelfPacedConfig(tau=tau)).item() - view_pairs) > 1e-12:
+            problems.append("per-image-label loss is not the mean view-pair loss")
             break
     cfg = SelfPacedConfig(regularizer=HARD, tau=0.5)
     for _ in range(10):
         n = int(rng.integers(2, 6))
         batch = _random_batch(rng, n)
         _, hi = loss_bounds(n, 0.5)
-        _, weights = sp_contrastive_loss(batch, 0, hi + 1.0, cfg)
-        mask = positive_mask(batch, 0)
-        wl = masked_mean(pair_loss_values(batch, 0.5).data, mask, _dense(mask, weights))
-        if abs(wl - meta_contrastive_loss(batch, 0, 0.5).item()) > 1e-10:
+        gamma = hi + 1.0
+        loss, weights = combined_sp_loss(batch, gamma, cfg)
+        if not np.all(weights == 1.0) or abs(loss.item() - (_unweighted_loss(batch, cfg).item() - gamma)) > 1e-10:
             problems.append("hard-mode saturation mismatch")
             break
     batch = _random_batch(rng, 4, classes=2)
@@ -297,7 +295,7 @@ def check_equivalences(seed: int = 3) -> FamilyResult:
     return FamilyResult(
         "equivalences",
         not problems,
-        "; ".join(problems) if problems else "degenerate-label, hard-saturation, lambda-drop all exact",
+        "; ".join(problems) if problems else "per-image = view-pair mean, hard saturation, lambda-drop all hold",
         time.time() - t0,
     )
 
@@ -394,17 +392,11 @@ def check_permutation_invariance(seed: int = 6) -> FamilyResult:
         perm = rng.permutation(2 * n)
         inv = np.empty(2 * n, dtype=int)
         inv[perm] = np.arange(2 * n)
-        permuted = AugmentedBatch(
-            batch.embeddings.data[perm], inv[batch.pair_of[perm]], batch.meta_labels[:, perm]
-        )
-        tau = float(rng.uniform(0.1, 1.0))
-        a = meta_contrastive_loss(batch, 0, tau)
-        b = meta_contrastive_loss(permuted, 0, tau)
-        worst = max(worst, abs(a.item() - b.item()))
-        worst = max(
-            worst,
-            abs(unsup_contrastive_loss(batch, tau).item() - unsup_contrastive_loss(permuted, tau).item()),
-        )
+        cfg = SelfPacedConfig(tau=float(rng.uniform(0.1, 1.0)))
+        for labels in (batch.meta_labels, per_image_labels(n)):
+            a = AugmentedBatch(batch.embeddings, batch.pair_of, labels)
+            b = AugmentedBatch(batch.embeddings.data[perm], inv[batch.pair_of[perm]], labels[:, perm])
+            worst = max(worst, abs(_unweighted_loss(a, cfg).item() - _unweighted_loss(b, cfg).item()))
     return FamilyResult(
         "permutation_invariance",
         worst <= 1e-12,

@@ -3,9 +3,9 @@ import pytest
 
 from spcl import autodiff as ad
 from spcl.autodiff import GradTape, Tensor, _apply
-from spcl.contrastive import AugmentedBatch
+from spcl.contrastive import AugmentedBatch, mask_coefficients, pair_loss_values
 from spcl.optim import RAdam
-from spcl.self_paced import pace_schedule
+from spcl.self_paced import optimal_weight, pace_schedule, regularizer_value
 from spcl.semi_supervised import labeled_batches, supervised_loss
 
 
@@ -125,6 +125,57 @@ def op_consistency_loss(student: Tensor, teacher: np.ndarray) -> Tensor:
     e_t = np.exp(t_rows - ad.row_maxes(t_rows))
     diff = ps - Tensor(e_t / ad.row_sums(e_t))
     return (diff * diff).mean()
+
+
+# the contrastive objective one meta-label at a time, from ops: the oracle for
+# the one masked_mean_sum node that combined_sp_loss records
+
+def op_positive_mask(batch: AugmentedBatch, k: int) -> np.ndarray:
+    """Boolean (2N, 2N) mask with row i True exactly on P^k(i), one label at a time."""
+    labels = batch.meta_labels[k]
+    mask = labels[:, None] == labels[None, :]
+    idx = np.arange(batch.num_samples)
+    mask[idx, batch.pair_of] = True
+    mask[idx, idx] = False
+    return mask
+
+
+def op_pair_mask(batch: AugmentedBatch) -> np.ndarray:
+    """Boolean (2N, 2N) mask selecting only each anchor's paired view."""
+    n2 = batch.num_samples
+    mask = np.zeros((n2, n2), dtype=bool)
+    mask[np.arange(n2), batch.pair_of] = True
+    return mask
+
+
+def op_masked_mean(values, mask: np.ndarray, weights: np.ndarray | None = None):
+    """(1/2N) sum_i (1/|row_i|) sum_{j in row_i} w_ij values_ij as a tsum op; an array gives a float."""
+    coef = mask_coefficients(mask)
+    if weights is not None:
+        coef = coef * weights
+    if isinstance(values, Tensor):
+        return ad.tsum(Tensor(coef) * values) * (1.0 / mask.shape[0])
+    return float(np.sum(coef * values) / mask.shape[0])
+
+
+def op_unsup_loss(batch: AugmentedBatch, tau: float) -> Tensor:
+    """Average l over the view pairs only, from ops: (1/2N) sum_i l_{i, j(i)}."""
+    return op_masked_mean(pair_loss_values(batch, tau), op_pair_mask(batch))
+
+
+def op_meta_loss(batch: AugmentedBatch, k: int, tau: float) -> Tensor:
+    """Average l over each anchor's positive set for meta-label k, from ops."""
+    return op_masked_mean(pair_loss_values(batch, tau), op_positive_mask(batch, k))
+
+
+def op_sp_loss(batch: AugmentedBatch, k: int, gamma: float, config, values: Tensor | None = None):
+    """Self-paced loss of meta-label k and its in-mask weights, with the w*l and R means as ops."""
+    if values is None:
+        values = pair_loss_values(batch, config.tau)
+    mask = op_positive_mask(batch, k)
+    w = np.where(mask, optimal_weight(values.data, gamma, config.regularizer), 0.0)
+    r = np.where(mask, regularizer_value(w, gamma, config.regularizer), 0.0)
+    return op_masked_mean(values, mask, w) + op_masked_mean(r, mask), w[mask]
 
 
 def reference_supervised_history(model, dataset, labeled_patients, config, seed: int) -> list[dict]:

@@ -1,21 +1,15 @@
-"""Positive sets, per-pair losses, and the two contrastive reductions."""
+"""Positive sets, per-pair losses, and the two contrastive reductions through the training node."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conftest import interleaved_pairs, random_batch, unit_rows
+from conftest import interleaved_pairs, op_positive_mask, op_unsup_loss, random_batch, unit_rows
 from spcl.autodiff import GradTape, Tensor
-from spcl.contrastive import (
-    AugmentedBatch,
-    meta_contrastive_loss,
-    pair_loss_values,
-    positive_mask,
-    positive_masks,
-    unsup_contrastive_loss,
-)
+from spcl.contrastive import AugmentedBatch, pair_loss_values, positive_masks
 from spcl.errors import InvalidConfig
+from spcl.self_paced import SelfPacedConfig, combined_sp_loss
 
 
 def naive_pair_loss(z: np.ndarray, i: int, j: int, tau: float) -> float:
@@ -30,7 +24,19 @@ def naive_positive_set(labels, pair_of, i: int) -> set[int]:
 
 
 def mask_row(batch: AugmentedBatch, k: int, i: int) -> set[int]:
-    return set(int(j) for j in np.flatnonzero(positive_mask(batch, k)[i]))
+    return set(int(j) for j in np.flatnonzero(positive_masks(batch, (k,))[0, i]))
+
+
+def meta_loss(batch: AugmentedBatch, k: int, tau: float):
+    """The training objective, unweighted, with all weight on meta-label k."""
+    lambdas = tuple(float(i == k) for i in range(k + 1))
+    return combined_sp_loss(batch, 1.0, SelfPacedConfig(tau=tau, lambdas=lambdas), weighted=False)[0]
+
+
+def unsup_loss(batch: AugmentedBatch, tau: float):
+    """The training objective, unweighted, with one class per original image (its lower view index)."""
+    per_image = np.minimum(np.arange(batch.num_samples), batch.pair_of)[None, :]
+    return meta_loss(AugmentedBatch(batch.embeddings, batch.pair_of, per_image), 0, tau)
 
 
 def naive_meta_loss(z, pair_of, labels, tau):
@@ -96,14 +102,14 @@ class TestPositiveSet:
 
     def test_mask_matches_per_anchor_sets(self, rng):
         batch = random_batch(rng, 6, num_classes=[3])
-        mask = positive_mask(batch, 0)
+        (mask,) = positive_masks(batch, (0,))
         for i in range(12):
             assert set(np.flatnonzero(mask[i])) == naive_positive_set(batch.meta_labels[0], batch.pair_of, i)
 
     def test_stacked_masks_equal_per_label_masks(self, rng):
         batch = random_batch(rng, 6, num_classes=[3, 6, 1], num_labels=3)
         for ks in [(0,), (2, 0), (0, 1, 2)]:
-            np.testing.assert_array_equal(positive_masks(batch, ks), np.stack([positive_mask(batch, k) for k in ks]))
+            np.testing.assert_array_equal(positive_masks(batch, ks), np.stack([op_positive_mask(batch, k) for k in ks]))
 
 
 class TestPairLoss:
@@ -161,25 +167,30 @@ class TestPairLoss:
         with pytest.raises(InvalidConfig):
             pair_loss_values(batch, tau=0.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_rejects_non_finite_tau(self, rng, tau):
+        with pytest.raises(InvalidConfig, match="temperature must be positive and finite"):
+            pair_loss_values(random_batch(rng, 2), tau=tau)
+
 
 class TestUnsupLoss:
     def test_identical_embeddings(self, rng):
         z = np.tile(unit_rows(rng, 1, 4), (8, 1))
         batch = AugmentedBatch(z, interleaved_pairs(8), np.zeros((1, 8), dtype=int))
-        assert unsup_contrastive_loss(batch, 0.3).item() == pytest.approx(math.log(7), abs=1e-12)
+        assert unsup_loss(batch, 0.3).item() == pytest.approx(math.log(7), abs=1e-12)
 
     def test_matches_naive_reference_100_batches(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 9))
             batch = random_batch(rng, n, dim=16)
             tau = float(rng.choice([0.07, 0.1, 0.5, 1.0]))
-            ours = unsup_contrastive_loss(batch, tau).item()
+            ours = unsup_loss(batch, tau).item()
             ref = naive_unsup_loss(batch.embeddings.data, batch.pair_of, tau)
             assert ours == pytest.approx(ref, abs=1e-10)
 
     def test_random_n8_d16(self, rng):
         batch = random_batch(rng, 8, dim=16)
-        ours = unsup_contrastive_loss(batch, 0.5).item()
+        ours = unsup_loss(batch, 0.5).item()
         ref = naive_unsup_loss(batch.embeddings.data, batch.pair_of, 0.5)
         assert ours == pytest.approx(ref, abs=1e-10)
 
@@ -189,13 +200,13 @@ class TestMetaLoss:
         z = np.tile(unit_rows(rng, 1, 4), (8, 1))
         labels = np.repeat(rng.integers(0, 2, size=4), 2)[None, :]
         batch = AugmentedBatch(z, interleaved_pairs(8), labels)
-        loss = meta_contrastive_loss(batch, 0, 0.3)
+        loss = meta_loss(batch, 0, 0.3)
         assert loss.item() == pytest.approx(math.log(7), abs=1e-12)
 
     def test_single_class_uses_all_candidates(self, rng):
         batch = random_batch(rng, 2, num_classes=[1])
-        loss = meta_contrastive_loss(batch, 0, 0.7)
-        assert positive_mask(batch, 0).sum() == 4 * 3  # every off-diagonal entry is a positive
+        loss = meta_loss(batch, 0, 0.7)
+        assert positive_masks(batch, (0,)).sum() == 4 * 3  # every off-diagonal entry is a positive
         ref = naive_meta_loss(batch.embeddings.data, batch.pair_of, batch.meta_labels[0], 0.7)
         assert loss.item() == pytest.approx(ref, abs=1e-10)
 
@@ -204,7 +215,7 @@ class TestMetaLoss:
             n = int(rng.integers(2, 8))
             batch = random_batch(rng, n, num_classes=[int(rng.integers(1, n + 1))])
             tau = float(rng.choice([0.1, 0.5, 1.0]))
-            ours = meta_contrastive_loss(batch, 0, tau)
+            ours = meta_loss(batch, 0, tau)
             ref = naive_meta_loss(batch.embeddings.data, batch.pair_of, batch.meta_labels[0], tau)
             assert ours.item() == pytest.approx(ref, abs=1e-10)
 
@@ -216,9 +227,9 @@ class TestMetaLoss:
                 batch.embeddings, batch.pair_of, np.repeat(np.arange(n), 2)[None, :]
             )
             tau = float(rng.uniform(0.1, 1.0))
-            a = unsup_contrastive_loss(batch, tau).item()
-            b = meta_contrastive_loss(batch, 0, tau)
-            assert a == b.item()  # bitwise: same masked-mean code path
+            a = op_unsup_loss(batch, tau).item()
+            b = meta_loss(batch, 0, tau)
+            assert a == b.item()  # bitwise: the node has the bits of the view-pair masked mean
 
     def test_permutation_invariance(self, rng):
         for _ in range(20):
@@ -232,16 +243,16 @@ class TestMetaLoss:
                 inv[batch.pair_of[perm]],
                 batch.meta_labels[:, perm],
             )
-            a = meta_contrastive_loss(batch, 0, tau)
-            b = meta_contrastive_loss(permuted, 0, tau)
+            a = meta_loss(batch, 0, tau)
+            b = meta_loss(permuted, 0, tau)
             assert a.item() == pytest.approx(b.item(), abs=1e-12)
-            assert unsup_contrastive_loss(batch, tau).item() == pytest.approx(
-                unsup_contrastive_loss(permuted, tau).item(), abs=1e-12
+            assert unsup_loss(batch, tau).item() == pytest.approx(
+                unsup_loss(permuted, tau).item(), abs=1e-12
             )
 
     def test_loss_matrix_alignment(self, rng):
         batch = random_batch(rng, 4, num_classes=[2])
-        values, mask = pair_loss_values(batch, 0.5).data, positive_mask(batch, 0)
+        values, (mask,) = pair_loss_values(batch, 0.5).data, positive_masks(batch, (0,))
         z = batch.embeddings.data
         for i in range(8):
             for j in naive_positive_set(batch.meta_labels[0], batch.pair_of, i):
@@ -257,7 +268,7 @@ class TestGradientFlow:
         with GradTape() as tape:
             z = l2_normalize_rows(raw)
             batch = AugmentedBatch(z, interleaved_pairs(8), np.repeat(rng.integers(0, 2, 4), 2)[None, :])
-            loss = meta_contrastive_loss(batch, 0, 0.5)
+            loss = meta_loss(batch, 0, 0.5)
         (g,) = tape.gradient(loss, [raw])
         assert g.shape == (8, 6)
         assert np.any(g != 0.0)

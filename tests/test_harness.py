@@ -23,7 +23,7 @@ from spcl.config import (
 )
 from spcl.errors import DataError, InvalidConfig
 from spcl.models import ModelConfig, ParamModel
-from spcl.verify import check_closed_form_weights, run_verification
+from spcl.verify import check_closed_form_weights, check_gradients, run_verification
 
 SMALL = {
     "seed": 1,
@@ -181,6 +181,14 @@ class TestConfig:
             config_from_dict(apply_overrides({}, [override]))
 
     @pytest.mark.parametrize(
+        "override", ["self_paced.gamma_start=0", "self_paced.gamma_start=-1", "self_paced.gamma_end=0"]
+    )
+    def test_nonpositive_pace_endpoint_rejected_at_load_naming_it(self, override):
+        key = override.split("=")[0].split(".")[1]
+        with pytest.raises(InvalidConfig, match=f"{key} must be positive"):
+            config_from_dict(apply_overrides({}, [override]))
+
+    @pytest.mark.parametrize(
         "data",
         [
             {"model": {"arch": "dense", "skip_width": 0}},  # no skip branch
@@ -265,6 +273,22 @@ class TestVerification:
 
         family = check_closed_form_weights(corrupted, trials=100)
         assert not family.passed
+
+    def test_skewed_contrastive_node_backward_fails_gradient_family(self, monkeypatch):
+        """The three contrastive cases run the training node: a 1% error in its backward fails each of them."""
+        real_apply = spcl.contrastive._apply
+
+        def skewed_apply(op, inputs, fwd, bwd):
+            def skewed_bwd(datas, out):
+                back = bwd(datas, out)
+                return lambda g: back(g * 1.01)
+
+            return real_apply(op, inputs, fwd, skewed_bwd if op == "masked_mean_sum" else bwd)
+
+        monkeypatch.setattr(spcl.contrastive, "_apply", skewed_apply)
+        family = check_gradients(configs=1)
+        assert not family.passed
+        assert family.detail.endswith("failed: ['unsup_con@1', 'meta_con@1', 'sp_con_frozen_w@1']"), family.detail
 
     def test_report_is_machine_readable(self):
         report = run_verification(fast=True)

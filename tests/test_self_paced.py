@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import interleaved_pairs, random_batch
-from spcl.autodiff import GradTape, Tensor, l2_normalize_rows
-from spcl.contrastive import (
-    AugmentedBatch,
-    masked_mean,
-    meta_contrastive_loss,
-    pair_loss_values,
-    positive_mask,
-    unsup_contrastive_loss,
+from conftest import (
+    interleaved_pairs,
+    op_masked_mean,
+    op_meta_loss,
+    op_positive_mask,
+    op_sp_loss,
+    op_unsup_loss,
+    random_batch,
 )
+from spcl.autodiff import GradTape, Tensor, l2_normalize_rows
+from spcl.contrastive import AugmentedBatch, mask_coefficients, masked_mean_sum, pair_loss_values, positive_masks
 from spcl.errors import InvalidConfig
 from spcl.self_paced import (
     HARD,
@@ -33,18 +34,18 @@ GRID = np.linspace(0.0, 1.0, 10001)  # step 1e-4
 
 
 def dense_weights(batch: AugmentedBatch, k: int, weights: np.ndarray) -> np.ndarray:
-    """sp_contrastive_loss's in-mask weights scattered back to a (2N, 2N) matrix."""
+    """sp_contrastive_loss's in-mask weights for the one label k scattered back to a (2N, 2N) matrix."""
     w = np.zeros((batch.num_samples, batch.num_samples))
-    w[positive_mask(batch, k)] = weights
+    w[positive_masks(batch, (k,))[0]] = weights
     return w
 
 
 def weighted_loss_terms(batch, k, weights, gamma, config) -> tuple[float, float]:
     """(w*l part, regularizer part) of the self-paced scalar, rebuilt from its weights."""
-    mask = positive_mask(batch, k)
+    mask = op_positive_mask(batch, k)
     w = dense_weights(batch, k, weights)
     r = np.where(mask, regularizer_value(w, gamma, config.regularizer), 0.0)
-    return masked_mean(pair_loss_values(batch, config.tau).data, mask, w), masked_mean(r, mask)
+    return op_masked_mean(pair_loss_values(batch, config.tau).data, mask, w), op_masked_mean(r, mask)
 
 
 def grid_argmin(l: float, gamma: float, regularizer: str) -> float:
@@ -67,6 +68,14 @@ class TestOptimalWeight:
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(InvalidConfig):
             optimal_weight(1.0, 0.0, HARD)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_rejects_non_finite_gamma(self, gamma):
+        for regularizer in (HARD, LINEAR):
+            with pytest.raises(InvalidConfig, match="gamma must be positive and finite"):
+                optimal_weight(1.0, gamma, regularizer)
+            with pytest.raises(InvalidConfig, match="gamma must be positive and finite"):
+                regularizer_value(1.0, gamma, regularizer)
 
     def test_matches_grid_search_1000_random(self, rng):
         lo, hi = loss_bounds(8, 0.1)
@@ -134,6 +143,11 @@ class TestLossBounds:
         lo, hi = loss_bounds(4, 1e-4)
         assert lo == pytest.approx(0.0, abs=1e-12)
         assert hi == pytest.approx(math.log(6) + 2e4, rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0])
+    def test_rejects_bad_tau(self, tau):
+        with pytest.raises(InvalidConfig, match="temperature must be positive and finite"):
+            loss_bounds(4, tau)
 
     def test_containment_on_random_batches(self, rng):
         for _ in range(200):
@@ -206,10 +220,10 @@ class TestSelfPacedLoss:
         batch = random_batch(rng, 4, num_classes=[2])
         cfg = SelfPacedConfig(regularizer=HARD, tau=0.5)
         _, hi = loss_bounds(4, 0.5)
-        loss, weights = sp_contrastive_loss(batch, 0, hi + 1.0, cfg)
+        loss, weights = sp_contrastive_loss(batch, (0,), hi + 1.0, cfg)
         assert np.all(weights == 1.0)
         wl, reg = weighted_loss_terms(batch, 0, weights, hi + 1.0, cfg)
-        meta = meta_contrastive_loss(batch, 0, 0.5)
+        meta = combined_sp_loss(batch, hi + 1.0, cfg, weighted=False)[0]
         assert wl == pytest.approx(meta.item(), abs=1e-10)
         assert loss.item() == pytest.approx(wl + reg, abs=1e-12)
 
@@ -217,7 +231,7 @@ class TestSelfPacedLoss:
         batch = random_batch(rng, 4, num_classes=[2])
         cfg = SelfPacedConfig(regularizer=HARD, tau=0.5)
         lo, _ = loss_bounds(4, 0.5)
-        loss, weights = sp_contrastive_loss(batch, 0, lo * 0.5, cfg)
+        loss, weights = sp_contrastive_loss(batch, (0,), lo * 0.5, cfg)
         assert np.all(weights == 0.0)
         wl, reg = weighted_loss_terms(batch, 0, weights, lo * 0.5, cfg)
         assert wl == 0.0 and reg == 0.0
@@ -230,7 +244,7 @@ class TestSelfPacedLoss:
         with GradTape() as tape:
             z = l2_normalize_rows(raw)
             batch = AugmentedBatch(z, interleaved_pairs(8), np.repeat(rng.integers(0, 2, 4), 2)[None, :])
-            loss, _ = sp_contrastive_loss(batch, 0, lo * 0.5, cfg)
+            loss, _ = sp_contrastive_loss(batch, (0,), lo * 0.5, cfg)
         (g,) = tape.gradient(loss, [raw])
         assert np.all(g == 0.0)
 
@@ -246,16 +260,11 @@ class TestSelfPacedLoss:
             return AugmentedBatch(z, interleaved_pairs(6), labels)
 
         batch0 = batch_of(raw0)
-        _, weights = sp_contrastive_loss(batch0, 0, gamma, cfg)
-        w_frozen = dense_weights(batch0, 0, weights)
-        mask = positive_mask(batch0, 0)
-        coef = mask.astype(float) / mask.sum(axis=1)[:, None]
+        _, weights = sp_contrastive_loss(batch0, (0,), gamma, cfg)
+        coefs = mask_coefficients(positive_masks(batch0, (0,))) * dense_weights(batch0, 0, weights)
 
         def frozen_loss(arr):
-            vals = pair_loss_values(batch_of(arr), cfg.tau)
-            from spcl.autodiff import tsum
-
-            return tsum(Tensor(coef * w_frozen) * vals) * (1.0 / 6)
+            return masked_mean_sum(pair_loss_values(batch_of(arr), cfg.tau), coefs, [1.0])
 
         raw = Tensor(raw0, requires_grad=True)
         with GradTape() as tape:
@@ -289,7 +298,7 @@ class TestSelfPacedLoss:
                 gamma_start=base.gamma_start, gamma_end=base.gamma_end,
             )
             gamma = pace_schedule(cfg, 50, 100)
-            _, weights = sp_contrastive_loss(batch, 0, gamma, cfg)
+            _, weights = sp_contrastive_loss(batch, (0,), gamma, cfg)
             means[p] = weights.mean()
         assert means[0.5] > means[2.0]
 
@@ -299,8 +308,16 @@ class TestCombinedLoss:
         batch = random_batch(rng, 4, num_classes=[2])
         cfg = SelfPacedConfig(tau=0.5, lambdas=(1.0,)).with_default_pace(4)
         gamma = 0.5 * (cfg.gamma_start + cfg.gamma_end)
-        single, _ = sp_contrastive_loss(batch, 0, gamma, cfg)
+        single, _ = op_sp_loss(batch, 0, gamma, cfg)
         assert combined_sp_loss(batch, gamma, cfg)[0].item() == single.item()
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, rng, gamma):
+        batch = random_batch(rng, 4, num_classes=[2])
+        for regularizer in (HARD, LINEAR):
+            cfg = SelfPacedConfig(regularizer=regularizer, tau=0.5)
+            with pytest.raises(InvalidConfig, match="gamma must be positive and finite"):
+                combined_sp_loss(batch, gamma, cfg)
 
     def test_zero_lambda_drops_label(self, rng):
         batch = random_batch(rng, 4, num_classes=[2, 3, 2], num_labels=3)
@@ -331,7 +348,7 @@ class TestCombinedLoss:
         cfg = SelfPacedConfig(regularizer=regularizer, tau=0.5, lambdas=(1.0, 0.0, 0.25)).with_default_pace(5)
         gamma = 0.5 * (cfg.gamma_start + cfg.gamma_end)
         loss, pooled = combined_sp_loss(batch, gamma, cfg)
-        terms = [sp_contrastive_loss(batch, k, gamma, cfg) for k in (0, 2)]
+        terms = [op_sp_loss(batch, k, gamma, cfg) for k in (0, 2)]
         np.testing.assert_array_equal(pooled, np.concatenate([w for _, w in terms]))
         assert loss.item() == (terms[0][0] * 1.0 + terms[1][0] * 0.25).item()
 
@@ -339,15 +356,15 @@ class TestCombinedLoss:
         batch = random_batch(rng, 5, num_classes=[2, 3, 2], num_labels=3)
         cfg = SelfPacedConfig(tau=0.5, lambdas=(1.0, 0.0, 0.25))
         loss, pooled = combined_sp_loss(batch, 1.0, cfg, weighted=False)
-        meta = [meta_contrastive_loss(batch, k, 0.5) for k in (0, 2)]
+        meta = [op_meta_loss(batch, k, 0.5) for k in (0, 2)]
         assert loss.item() == (meta[0] * 1.0 + meta[1] * 0.25).item()
-        assert pooled.size == sum(int(positive_mask(batch, k).sum()) for k in (0, 2)) and np.all(pooled == 1.0)
+        assert pooled.size == sum(int(op_positive_mask(batch, k).sum()) for k in (0, 2)) and np.all(pooled == 1.0)
 
     def test_unweighted_per_image_labels_is_unsup_loss_bitwise(self, rng):
         batch = random_batch(rng, 5)
         per_image = AugmentedBatch(batch.embeddings, batch.pair_of, per_image_labels(5))
         loss, pooled = combined_sp_loss(per_image, 1.0, SelfPacedConfig(tau=0.5), weighted=False)
-        assert loss.item() == unsup_contrastive_loss(batch, 0.5).item()
+        assert loss.item() == op_unsup_loss(batch, 0.5).item()
         np.testing.assert_array_equal(pooled, np.ones(10))
 
     @pytest.mark.parametrize(
@@ -375,9 +392,9 @@ class TestCombinedLoss:
                 if lam == 0.0:
                     continue
                 if weighted:
-                    term = sp_contrastive_loss(batch, k, gamma, cfg, values=values)[0]
+                    term = op_sp_loss(batch, k, gamma, cfg, values=values)[0]
                 else:
-                    term = masked_mean(values, positive_mask(batch, k))
+                    term = op_masked_mean(values, op_positive_mask(batch, k))
                 total = term * lam if total is None else total + term * lam
             return total
 

@@ -9,9 +9,10 @@ file keys: pre-training and the semi-supervised term share the one
 and its seed from the top-level ``seed``. ``data`` and ``ablation`` hold
 values that are absent in the module configs.
 
-Every field has a default. Loading replaces the fields a file gives in the
-default config: unknown keys and wrongly typed values are rejected, and the
-module configs validate themselves, so a bad file fails before anything runs.
+Every field has a default. ``config_from_dict`` reads a file with
+``schema.check_value`` onto the default config: unknown keys and wrongly
+typed values are rejected, and the sections validate themselves, so a bad
+file fails before anything runs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -122,31 +122,14 @@ class ExperimentConfig:
         return Path(root) / self.output_dir if root else Path(self.output_dir)
 
 
-def _from_dict(base, data: dict, path: str = ""):
-    """``base`` with the fields ``data`` gives replaced, each value checked against its field.
-
-    Fields holding a dataclass are sections; derived fields are not file keys.
-    """
-    hints = typing.get_type_hints(type(base))
-    derived = _DERIVED.get(path[:-1], {})
-    unknown = {name for name in data if name not in hints or name in derived}
-    if unknown:
-        raise InvalidConfig(f"unknown config keys at {path or 'top level'}: {sorted(unknown)}")
-    changes = {}
-    for name, value in data.items():
-        if dataclasses.is_dataclass(hints[name]):
-            if not isinstance(value, dict):
-                raise InvalidConfig(f"section {path}{name} must be a mapping")
-            changes[name] = _from_dict(getattr(base, name), value, f"{path}{name}.")
-        else:
-            changes[name] = check_value(value, hints[name], f"{path}{name}")
-    return replace(base, **changes)
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise InvalidConfig("config root must be a mapping")
-    return _from_dict(ExperimentConfig(), data)
+    """The default config with the fields ``data`` gives replaced, each checked against its annotation."""
+    for name, derived in _DERIVED.items():
+        section = data.get(name) if isinstance(data, dict) else None
+        given = sorted(set(section) & set(derived)) if isinstance(section, dict) else []
+        if given:
+            raise InvalidConfig(f"unknown config keys at {name}: {given}")
+    return check_value(data, ExperimentConfig, base=ExperimentConfig())
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

@@ -24,7 +24,6 @@ walk adds them.
 from __future__ import annotations
 
 import json
-import typing
 import zipfile
 from dataclasses import asdict, dataclass, replace
 
@@ -222,10 +221,9 @@ class ParamModel:
         """Read a checkpoint written by ``save``.
 
         A missing or unreadable file, metadata that is not a JSON object or
-        names another format version, config keys other than ModelConfig's
-        fields, a config value of the wrong type or rejected by ModelConfig,
-        or parameter names or shapes other than the config builds are a
-        DataError.
+        names another format version, a config that ``check_value`` does not
+        read as a ModelConfig, or parameter names or shapes other than the
+        config builds are a DataError.
         """
         try:
             data = np.load(path)
@@ -240,18 +238,8 @@ class ParamModel:
             raise DataError(f"checkpoint {path} metadata is not a JSON object")
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise DataError(f"checkpoint {path} has unsupported format: {meta.get('format_version')}")
-        cfg_d = meta.get("config", {})
-        if not isinstance(cfg_d, dict):
-            raise DataError(f"checkpoint {path} config is not a JSON object")
-        hints = typing.get_type_hints(ModelConfig)
-        names = set(hints)
-        if set(cfg_d) != names:
-            raise DataError(
-                f"checkpoint {path} config keys differ from ModelConfig: "
-                f"missing {sorted(names - set(cfg_d))}, unknown {sorted(set(cfg_d) - names)}"
-            )
         try:
-            cfg = ModelConfig(**{k: check_value(v, hints[k], f"config.{k}") for k, v in cfg_d.items()})
+            cfg = check_value(meta.get("config"), ModelConfig, "config")
         except InvalidConfig as exc:
             raise DataError(f"checkpoint {path} has an invalid config: {exc}") from exc
         expected = {k: v.shape for k, v in _init_params(cfg).items()}

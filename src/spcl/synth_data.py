@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,12 +59,18 @@ class MetaLabelSpec:
 
 
 @dataclass
-class SynthVolume:
+class VolumeMeta:
+    """A volume's free labels: its patient, its phase, and the slice shift that misaligns its partitions."""
+
     patient_id: int
     phase: int
+    misalignment_offset: int
+
+
+@dataclass
+class SynthVolume(VolumeMeta):
     slices: np.ndarray  # (S, H, W) float64 in [0, 1]
     masks: np.ndarray  # (S, H, W) int64
-    misalignment_offset: int
 
     @property
     def num_slices(self) -> int:
@@ -73,12 +78,18 @@ class SynthVolume:
 
 
 @dataclass
-class SynthDataset:
-    volumes: list[SynthVolume]
+class DatasetMeta:
+    """What a dataset holds besides its volumes: label counts, patient ids by split, and its generation values."""
+
     spec: MetaLabelSpec
     splits: dict[str, list[int]]  # split name -> patient ids
     seed: int
     noise_level: float
+
+
+@dataclass
+class SynthDataset(DatasetMeta):
+    volumes: list[SynthVolume]
 
     def volumes_in(self, split: str) -> list[SynthVolume]:
         ids = set(self.splits[split])
@@ -525,33 +536,56 @@ def partition_overlap_stats(dataset: SynthDataset, threshold: float = 0.2) -> di
 # persistence
 # ---------------------------------------------------------------------------
 
+@dataclass
+class VolumeFiles(VolumeMeta):
+    """A volume's manifest entry: its labels and its ``.npy`` files, relative to the manifest."""
+
+    images: str
+    masks: str
+
+
+@dataclass
+class Manifest(DatasetMeta):
+    """``manifest.json``: ``save_dataset`` writes this, ``load_dataset`` reads it back through ``check_value``."""
+
+    format_version: int
+    volumes: list[VolumeFiles]
+
+    def __post_init__(self):
+        if self.format_version != DATASET_FORMAT_VERSION:
+            raise InvalidConfig(f"format_version must be {DATASET_FORMAT_VERSION}, got {self.format_version}")
+        volume_of = {v.patient_id for v in self.volumes}
+        if sorted(self.splits) != sorted(SPLITS):
+            raise InvalidConfig(f"splits must name exactly {list(SPLITS)}, got {sorted(self.splits)}")
+        split_of: dict[int, str] = {}
+        for name in SPLITS:
+            for i, pid in enumerate(self.splits[name]):
+                key = f"splits.{name}[{i}]"
+                if pid not in volume_of:
+                    raise InvalidConfig(f"{key} = {pid} names no volume's patient_id")
+                if pid in split_of:
+                    raise InvalidConfig(f"{key}: patient {pid} is already in split {split_of[pid]!r}")
+                split_of[pid] = name
+
+
+def _fields(obj, cls) -> dict:
+    """``obj``'s values of the fields of ``cls``, a dataclass base it shares them through."""
+    return {f.name: getattr(obj, f.name) for f in fields(cls)}
+
+
 def save_dataset(dataset: SynthDataset, path) -> None:
     """Directory layout: manifest.json + one images/masks .npy pair per volume."""
+    entries = [
+        VolumeFiles(**_fields(vol, VolumeMeta), images=f"vol_{i:03d}_images.npy", masks=f"vol_{i:03d}_masks.npy")
+        for i, vol in enumerate(dataset.volumes)
+    ]
+    manifest = Manifest(**_fields(dataset, DatasetMeta), format_version=DATASET_FORMAT_VERSION, volumes=entries)
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for i, vol in enumerate(dataset.volumes):
-        img_name, mask_name = f"vol_{i:03d}_images.npy", f"vol_{i:03d}_masks.npy"
-        np.save(root / img_name, vol.slices)
-        np.save(root / mask_name, vol.masks)
-        entries.append(
-            {
-                "patient_id": vol.patient_id,
-                "phase": vol.phase,
-                "misalignment_offset": vol.misalignment_offset,
-                "images": img_name,
-                "masks": mask_name,
-            }
-        )
-    manifest = {
-        "format_version": DATASET_FORMAT_VERSION,
-        "seed": dataset.seed,
-        "noise_level": dataset.noise_level,
-        "spec": asdict(dataset.spec),
-        "splits": dataset.splits,
-        "volumes": entries,
-    }
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    for vol, entry in zip(dataset.volumes, entries):
+        np.save(root / entry.images, vol.slices)
+        np.save(root / entry.masks, vol.masks)
+    (root / "manifest.json").write_text(json.dumps(asdict(manifest), indent=2))
 
 
 def load_dataset(path) -> SynthDataset:
@@ -561,73 +595,33 @@ def load_dataset(path) -> SynthDataset:
     if not manifest_path.exists():
         raise DataError(f"no manifest.json under {root}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"corrupt manifest: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DataError(f"{manifest_path} is not a JSON object")
-    if manifest.get("format_version") != DATASET_FORMAT_VERSION:
-        raise DataError(f"unsupported dataset format: {manifest.get('format_version')}")
-    try:
-        spec = MetaLabelSpec(**manifest["spec"])
-        volumes = []
-        for entry in manifest["volumes"]:
-            try:
-                slices = np.load(root / entry["images"])
-                masks = np.load(root / entry["masks"])
-            except (OSError, EOFError, ValueError) as exc:
-                raise DataError(f"cannot read volume arrays named in {manifest_path}: {exc}") from exc
-            volumes.append(
-                SynthVolume(
-                    patient_id=entry["patient_id"],
-                    phase=entry["phase"],
-                    slices=slices,
-                    masks=masks,
-                    misalignment_offset=entry["misalignment_offset"],
-                )
-            )
-        splits = {k: list(v) for k, v in manifest["splits"].items()}
-        seed, noise_level = manifest["seed"], manifest["noise_level"]
-    except KeyError as exc:
-        raise DataError(f"{manifest_path} lacks the key {exc}") from exc
-    except (TypeError, AttributeError) as exc:
-        raise DataError(f"malformed {manifest_path}: {exc}") from exc
-    dataset = SynthDataset(volumes=volumes, spec=spec, splits=splits, seed=seed, noise_level=noise_level)
-    try:
-        _check_types(spec, [f.name for f in fields(spec)], "spec.")
-        for i, v in enumerate(volumes):
-            _check_types(v, ("patient_id", "phase", "misalignment_offset"), f"volumes[{i}].")
-        _check_types(dataset, ("seed", "noise_level"), "")
-        _check_splits(splits, [v.patient_id for v in volumes])
+        manifest = check_value(json.loads(manifest_path.read_text()), Manifest)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read {manifest_path}: {exc}") from exc
     except InvalidConfig as exc:
         raise DataError(f"malformed {manifest_path}: {exc}") from exc
+    volumes = [
+        SynthVolume(
+            **_fields(entry, VolumeMeta),
+            slices=_read_array(manifest_path, f"volumes[{i}].images", entry.images),
+            masks=_read_array(manifest_path, f"volumes[{i}].masks", entry.masks),
+        )
+        for i, entry in enumerate(manifest.volumes)
+    ]
     shapes = [v.slices.shape for v in volumes]
     if len({s[1:] for s in shapes}) != 1 or any(len(s) != 3 or v.masks.shape != s for s, v in zip(shapes, volumes)):
         raise DataError(
             f"{manifest_path} must name (S, H, W) slices of one (H, W) with masks of their shape, got {shapes}"
         )
-    return dataset
+    return SynthDataset(**_fields(manifest, DatasetMeta), volumes=volumes)
 
 
-def _check_splits(splits: dict, patient_ids: list[int]) -> None:
-    """InvalidConfig unless ``splits`` names exactly ``SPLITS``, each a list of distinct volumes' patient ids."""
-    if sorted(splits) != sorted(SPLITS):
-        raise InvalidConfig(f"splits must name exactly {list(SPLITS)}, got {sorted(splits)}")
-    known = set(patient_ids)
-    owner: dict[int, str] = {}
-    for name in SPLITS:
-        for i, pid in enumerate(splits[name]):
-            key = f"splits.{name}[{i}]"
-            check_value(pid, int, key)
-            if pid not in known:
-                raise InvalidConfig(f"{key} = {pid} names no volume's patient_id")
-            if pid in owner:
-                raise InvalidConfig(f"{key}: patient {pid} is already in split {owner[pid]!r}")
-            owner[pid] = name
-
-
-def _check_types(obj, names, prefix: str) -> None:
-    """InvalidConfig naming ``prefix + name`` unless each named field of the dataclass ``obj`` fits its annotation."""
-    hints = typing.get_type_hints(type(obj))
-    for name in names:
-        check_value(getattr(obj, name), hints[name], prefix + name)
+def _read_array(manifest_path: Path, key: str, name: str) -> np.ndarray:
+    """The ``.npy`` array ``name`` beside a manifest, or a DataError naming ``key``."""
+    try:
+        array = np.load(manifest_path.parent / name)
+        if not isinstance(array, np.ndarray):
+            raise ValueError("not an .npy array")
+    except (OSError, EOFError, ValueError) as exc:
+        raise DataError(f"{manifest_path}: {key} = {name!r} cannot be read: {exc}") from exc
+    return array

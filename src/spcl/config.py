@@ -11,22 +11,24 @@ values that are absent in the module configs.
 
 Every field has a default. ``config_from_dict`` reads a file with
 ``schema.check_value`` onto the default config: unknown keys and wrongly
-typed values are rejected, and the sections validate themselves, so a bad
-file fails before anything runs.
+typed values are rejected, and the sections and ExperimentConfig validate
+themselves (seeds, and each pace endpoint against the loss bound the other
+defaults to), so a bad file fails before anything runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import InvalidConfig
 from .models import ModelConfig
-from .schema import check_finite, check_value
-from .self_paced import SelfPacedConfig
+from .schema import check_at_least, check_finite, check_value
+from .self_paced import SelfPacedConfig, loss_bounds
 from .semi_supervised import PretrainConfig, SemiSupConfig
 from .synth_data import SPLITS, TEST_FRACTION, VAL_FRACTION, AugmentationPolicy, check_generation
 
@@ -44,6 +46,7 @@ class DataSection:
     seed: int = 7
 
     def __post_init__(self):
+        check_at_least(self, seed=0)
         check_generation(
             self.num_patients,
             self.slices_per_volume,
@@ -64,11 +67,10 @@ class AblationSection:
 
     def __post_init__(self):
         if len(self.seeds) < 3:
-            raise InvalidConfig(f"ablation needs at least 3 seeds for a standard deviation, got {len(self.seeds)}")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise InvalidConfig(f"ablation.seeds must be distinct, got {list(self.seeds)}")
-        if self.num_labeled < 1:
-            raise InvalidConfig(f"num_labeled must be >= 1, got {self.num_labeled}")
+            raise InvalidConfig(f"seeds must number at least 3 for a standard deviation, got {len(self.seeds)}")
+        if len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
+            raise InvalidConfig(f"seeds must be distinct and >= 0, got {list(self.seeds)}")
+        check_at_least(self, num_labeled=1)
         check_finite(self, "baseline_margin")
         if self.eval_split not in SPLITS:
             raise InvalidConfig(f"eval_split must be one of {SPLITS}, got {self.eval_split!r}")
@@ -100,9 +102,38 @@ class ExperimentConfig:
     ablation: AblationSection = field(default_factory=AblationSection)
 
     def __post_init__(self):
+        check_at_least(self, seed=0)
         for name, derived in _DERIVED.items():
             values = {key: value(self) for key, value in derived.items()}
             object.__setattr__(self, name, replace(getattr(self, name), **values))
+        self._check_pace()
+
+    def _check_pace(self) -> None:
+        """InvalidConfig if a pace endpoint is set beyond the loss bound the other one defaults to.
+
+        ``with_default_pace`` fills an unset endpoint from ``loss_bounds`` at
+        each phase's batch size; SelfPacedConfig checks the two endpoints
+        against each other only when both are set.
+        """
+        sp = self.self_paced
+        for key, n in (
+            ("pretrain.batch_originals", self.pretrain.batch_originals),
+            ("semisup.unlabeled_batch_originals", self.semisup.unlabeled_batch_originals),
+        ):
+            lo, hi = loss_bounds(n, sp.tau)
+            at = f"at tau = {sp.tau} and {key} = {n}"
+            if not math.isfinite(hi):
+                raise InvalidConfig(f"self_paced.tau = {sp.tau} is so small that the upper loss bound overflows")
+            if sp.gamma_start is None and sp.gamma_end is not None and sp.gamma_end < lo:
+                raise InvalidConfig(
+                    f"self_paced.gamma_end = {sp.gamma_end} is below {lo:.6g}, the lower loss bound "
+                    f"that gamma_start defaults to {at}"
+                )
+            if sp.gamma_end is None and sp.gamma_start is not None and sp.gamma_start > hi:
+                raise InvalidConfig(
+                    f"self_paced.gamma_start = {sp.gamma_start} is above {hi:.6g}, the upper loss bound "
+                    f"that gamma_end defaults to {at}"
+                )
 
     # -- values derived from several sections --
 
@@ -145,7 +176,7 @@ def _parse_override(text: str) -> tuple[list[str], object]:
     key, raw = text.split("=", 1)
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer of more digits than Python converts
         value = raw
     return key.strip().split("."), value
 
@@ -172,7 +203,7 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
             raise InvalidConfig(f"config file not found: {p}")
         try:
             data = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InvalidConfig(f"config is not valid JSON: {exc}") from exc
     data = apply_overrides(data, overrides or [])
     return config_from_dict(data)

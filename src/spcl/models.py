@@ -31,7 +31,7 @@ import numpy as np
 
 from .autodiff import _RAISE_FP, Tensor, avg_pool2x, concat, conv2d, dense_pass, l2_normalize_rows, upsample2x
 from .errors import DataError, InvalidConfig, NonFiniteValue, ShapeMismatch
-from .schema import check_finite, check_value
+from .schema import check_at_least, check_finite, check_value
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -56,8 +56,9 @@ class ModelConfig:
         if self.arch not in ("conv", "dense"):
             raise InvalidConfig(f"arch must be 'conv' or 'dense', got {self.arch!r}")
         check_finite(self, "leaky_slope")
+        check_at_least(self, seed=0)
         if len(self.encoder_widths) < 1:
-            raise InvalidConfig("need at least one encoder block")
+            raise InvalidConfig("encoder_widths must have at least one entry")
         positive = dict(image_shape=self.image_shape, head_hidden=(self.head_hidden,), embed_dim=(self.embed_dim,))
         if self.arch == "conv":
             if len(self.conv_channels) != 2:
@@ -65,15 +66,14 @@ class ModelConfig:
             positive["conv_channels"] = self.conv_channels
         else:
             positive.update(encoder_widths=self.encoder_widths, decoder_width=(self.decoder_width,))
-            if self.skip_width < 0:  # 0 drops the skip branch
-                raise InvalidConfig(f"skip_width must be >= 0, got {self.skip_width}")
+            check_at_least(self, skip_width=0)  # 0 drops the skip branch
         for name, sizes in positive.items():
             if any(v < 1 for v in sizes):
                 raise InvalidConfig(f"{name} must be positive, got {getattr(self, name)!r}")
-        if self.num_classes < 2:
-            raise InvalidConfig("need at least two classes")
+        check_at_least(self, num_classes=2)
         if self.arch == "conv" and any(s % 4 for s in self.image_shape):
-            raise InvalidConfig("conv arch downsamples twice; image dims must be divisible by 4")
+            raise InvalidConfig(f"image_shape must be divisible by 4 for the conv arch, which downsamples twice, "
+                                f"got {self.image_shape}")
 
     @property
     def num_pixels(self) -> int:
@@ -222,8 +222,9 @@ class ParamModel:
 
         A missing or unreadable file, metadata that is not a JSON object or
         names another format version, a config that ``check_value`` does not
-        read as a ModelConfig, or parameter names or shapes other than the
-        config builds are a DataError.
+        read as a ModelConfig, parameter names or shapes other than the
+        config builds, or a parameter that is not finite floats are a
+        DataError.
         """
         try:
             data = np.load(path)
@@ -232,12 +233,16 @@ class ParamModel:
             with data:
                 meta = json.loads(bytes(data["__meta__"]).decode())
                 arrays = {k: data[k] for k in data.files if k != "__meta__"}
-        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        except (OSError, EOFError, ValueError, KeyError, RecursionError, zipfile.BadZipFile) as exc:
             raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
         if not isinstance(meta, dict):
             raise DataError(f"checkpoint {path} metadata is not a JSON object")
-        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise DataError(f"checkpoint {path} has unsupported format: {meta.get('format_version')}")
+        version = meta.get("format_version")
+        if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
+            raise DataError(
+                f"checkpoint {path} has unsupported format: {version!r}; format_version must be "
+                f"{CHECKPOINT_FORMAT_VERSION}"
+            )
         try:
             cfg = check_value(meta.get("config"), ModelConfig, "config")
         except InvalidConfig as exc:
@@ -250,6 +255,9 @@ class ParamModel:
                 f"missing {sorted(set(expected) - set(found))}, unknown {sorted(set(found) - set(expected))}, "
                 f"wrong shape {sorted(k for k in set(found) & set(expected) if found[k] != expected[k])}"
             )
+        bad = sorted(k for k, a in arrays.items() if a.dtype.kind != "f" or not np.isfinite(a).all())
+        if bad:
+            raise DataError(f"checkpoint {path} parameters {bad} must hold finite floats")
         params = {k: Tensor(a, requires_grad=True, name=k) for k, a in arrays.items()}
         return cls(cfg, params)
 

@@ -5,14 +5,15 @@ InvalidConfig naming its dotted key. A dataclass hint takes an object with
 exactly the dataclass's fields as keys (with a ``base`` instance, a key left
 out keeps the base's value) and constructs it, so its own rules run, their
 messages prefixed with its key. JSON reads ``Infinity`` and ``NaN`` as
-numbers: ``check_finite`` is the range check the config classes run on
-their float fields.
+numbers: ``check_finite`` and ``check_at_least`` are the range checks the
+dataclasses run, each naming the field.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import types
 import typing
 
@@ -48,6 +49,9 @@ def check_value(value, hint, key: str = "", base=None):
     accepted, name = _ACCEPTS[hint]
     if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
         raise InvalidConfig(f"{key} must be {name}, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:  # JSON integers have no bound; floats overflow
+        limit = sys.float_info.max
+        raise InvalidConfig(f"{key} must be at most {limit:.4g} in magnitude, got {value.bit_length()} bits")
     return value
 
 
@@ -71,9 +75,20 @@ def _check_dataclass(value, cls, key: str, base):
 
 
 def check_finite(owner, *names: str) -> None:
-    """InvalidConfig naming the first of ``owner``'s fields ``names`` that is NaN or infinite (None passes)."""
+    """InvalidConfig naming the first of ``owner``'s fields ``names`` that is (or holds) NaN or infinity.
+
+    A field may hold a number, a tuple of numbers or None (which passes).
+    """
     for name in names:
         value = getattr(owner, name)
-        if value is not None and not math.isfinite(value):
+        values = value if isinstance(value, tuple) else (value,)
+        if any(v is not None and not math.isfinite(v) for v in values):
             raise InvalidConfig(f"{name} must be finite, got {value}")
 
+
+def check_at_least(owner, **lows) -> None:
+    """InvalidConfig naming the first of ``owner``'s fields that is below its lower bound in ``lows``."""
+    for name, low in lows.items():
+        value = getattr(owner, name)
+        if value < low:
+            raise InvalidConfig(f"{name} must be >= {low}, got {value}")

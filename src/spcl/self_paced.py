@@ -81,7 +81,7 @@ class SelfPacedConfig:
                 raise InvalidConfig(f"{name} must be positive, got {value}")
         if self.gamma_start is not None and self.gamma_end is not None:
             if self.gamma_start > self.gamma_end:
-                raise InvalidConfig("gamma_start must not exceed gamma_end")
+                raise InvalidConfig(f"gamma_start {self.gamma_start} must not exceed gamma_end {self.gamma_end}")
         lam = tuple(float(v) for v in self.lambdas)
         if not all(math.isfinite(v) for v in lam):
             raise InvalidConfig(f"lambdas must be finite, got {lam}")

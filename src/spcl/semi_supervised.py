@@ -36,7 +36,7 @@ from .contrastive import AugmentedBatch
 from .errors import InvalidConfig, NonFiniteValue, NormTooSmall, ShapeMismatch
 from .models import EmaTeacher, ParamModel, ema_update
 from .optim import RAdam
-from .schema import check_finite
+from .schema import check_at_least, check_finite
 from .self_paced import SelfPacedConfig, combined_sp_loss, pace_schedule, weight_stats
 from .synth_data import (
     AugmentationPolicy,
@@ -160,8 +160,7 @@ class PretrainConfig:
     def __post_init__(self):
         if self.loss_mode not in PRETRAIN_MODES:
             raise InvalidConfig(f"loss_mode must be one of {PRETRAIN_MODES}, got {self.loss_mode!r}")
-        if self.epochs < 1 or self.batch_originals < 2:
-            raise InvalidConfig("need epochs >= 1 and batch_originals >= 2")
+        check_at_least(self, epochs=1, batch_originals=2)
         check_finite(self, "lr")
         if self.lr <= 0.0:
             raise InvalidConfig(f"lr must be positive, got {self.lr}")
@@ -183,17 +182,13 @@ class SemiSupConfig:
     self_paced: SelfPacedConfig = field(default_factory=lambda: SelfPacedConfig(lambdas=(1.0, 0.5, 0.5)))
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.unlabeled_batch_originals < 2:
-            raise InvalidConfig("need epochs >= 1, batch_size >= 1 and unlabeled_batch_originals >= 2")
+        check_at_least(self, epochs=1, batch_size=1, unlabeled_batch_originals=2)
         check_finite(self, "lr", "lambda_reg", "lambda_sp", "ema_decay", "consistency_noise", "encoder_lr_scale")
         if self.lr <= 0.0:
             raise InvalidConfig(f"lr must be positive, got {self.lr}")
-        if self.lambda_reg < 0 or self.lambda_sp < 0:
-            raise InvalidConfig("loss weights must be non-negative")
+        check_at_least(self, lambda_reg=0.0, lambda_sp=0.0, consistency_noise=0.0, encoder_lr_scale=0.0)
         if not (0.0 <= self.ema_decay < 1.0):
             raise InvalidConfig(f"ema_decay must be in [0, 1), got {self.ema_decay}")
-        if self.consistency_noise < 0.0 or self.encoder_lr_scale < 0.0:
-            raise InvalidConfig("consistency_noise and encoder_lr_scale must be non-negative")
 
 
 @dataclass

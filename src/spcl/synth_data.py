@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, InvalidConfig
-from .schema import check_value
+from .schema import check_at_least, check_finite, check_value
 
 DATASET_FORMAT_VERSION = 1
 SPLITS = ("train", "val", "test")
@@ -56,6 +56,9 @@ class MetaLabelSpec:
     num_partitions: int = 4
     num_patients: int = 10
     num_phases: int = 2
+
+    def __post_init__(self):
+        check_at_least(self, num_partitions=1, num_patients=1, num_phases=1)
 
 
 @dataclass
@@ -168,20 +171,20 @@ def check_generation(
 ) -> tuple[int, int]:
     """Reject arguments ``generate_dataset`` cannot honour; return (val, test) patient counts."""
     if num_patients < 2:
-        raise InvalidConfig(f"need at least 2 patients, got {num_patients}")
+        raise InvalidConfig(f"num_patients must be >= 2, got {num_patients}")
     if slices_per_volume < 4:
-        raise InvalidConfig(f"need at least 4 slices per volume, got {slices_per_volume}")
+        raise InvalidConfig(f"slices_per_volume must be >= 4, got {slices_per_volume}")
     if not (1 <= num_partitions <= slices_per_volume):
         raise InvalidConfig(f"num_partitions must be in [1, slices_per_volume], got {num_partitions}")
     if min(shape) < 2:
         # augmentation crops windows of at least 2x2 pixels
-        raise InvalidConfig(f"slices must be at least 2x2 pixels, got {tuple(shape)}")
+        raise InvalidConfig(f"slices (height, width) must be at least 2x2 pixels, got {tuple(shape)}")
     if not (0.0 <= noise_level <= 1.0):
         raise InvalidConfig(f"noise_level must be in [0, 1], got {noise_level}")
     n_test = max(1, int(round(test_fraction * num_patients)))
     n_val = max(1, int(round(val_fraction * num_patients)))
     if n_test + n_val >= num_patients:
-        raise InvalidConfig("splits leave no training patients")
+        raise InvalidConfig(f"num_patients = {num_patients} leaves no training patients after the val and test splits")
     return n_val, n_test
 
 
@@ -370,21 +373,16 @@ class AugmentationPolicy:
     brightness_delta: float = 0.1
 
     def __post_init__(self):
+        check_finite(self, "flip_prob", "max_rotate_deg", "crop_scale", "gamma_range", "brightness_delta")
+        check_at_least(self, max_rotate_deg=0.0, brightness_delta=0.0)
         lo, hi = self.crop_scale
         g_lo, g_hi = self.gamma_range
-        values = (self.flip_prob, self.max_rotate_deg, lo, hi, g_lo, g_hi, self.brightness_delta)
-        if not all(math.isfinite(v) for v in values):
-            raise InvalidConfig(f"augmentation values must be finite, got {self}")
         if not (0.0 <= self.flip_prob <= 1.0):
             raise InvalidConfig(f"flip_prob must be in [0, 1], got {self.flip_prob}")
-        if self.max_rotate_deg < 0.0:
-            raise InvalidConfig(f"max_rotate_deg must be >= 0, got {self.max_rotate_deg}")
         if not (0.0 < lo <= hi <= 1.0):
             raise InvalidConfig(f"crop_scale must satisfy 0 < low <= high <= 1, got {self.crop_scale}")
         if not (0.0 < g_lo <= g_hi):
             raise InvalidConfig(f"gamma_range must satisfy 0 < low <= high, got {self.gamma_range}")
-        if self.brightness_delta < 0.0:
-            raise InvalidConfig(f"brightness_delta must be >= 0, got {self.brightness_delta}")
 
     @classmethod
     def identity(cls) -> "AugmentationPolicy":
@@ -546,7 +544,13 @@ class VolumeFiles(VolumeMeta):
 
 @dataclass
 class Manifest(DatasetMeta):
-    """``manifest.json``: ``save_dataset`` writes this, ``load_dataset`` reads it back through ``check_value``."""
+    """``manifest.json``: ``save_dataset`` writes this, ``load_dataset`` reads it back through ``check_value``.
+
+    Beyond the types, a manifest holds what ``generate_dataset`` writes: a
+    non-negative seed, a noise level in [0, 1], one volume per patient with
+    its patient id and phase below the spec's counts, and non-empty
+    ``SPLITS`` that name each patient of a volume at most once.
+    """
 
     format_version: int
     volumes: list[VolumeFiles]
@@ -554,11 +558,25 @@ class Manifest(DatasetMeta):
     def __post_init__(self):
         if self.format_version != DATASET_FORMAT_VERSION:
             raise InvalidConfig(f"format_version must be {DATASET_FORMAT_VERSION}, got {self.format_version}")
-        volume_of = {v.patient_id for v in self.volumes}
+        check_at_least(self, seed=0)
+        if not 0.0 <= self.noise_level <= 1.0:
+            raise InvalidConfig(f"noise_level must be in [0, 1], got {self.noise_level}")
+        volume_of: dict[int, str] = {}  # patient id -> the key of its volume
+        for i, v in enumerate(self.volumes):
+            key = f"volumes[{i}]"
+            if not 0 <= v.patient_id < self.spec.num_patients:
+                raise InvalidConfig(f"{key}.patient_id = {v.patient_id} is outside [0, spec.num_patients)")
+            if not 0 <= v.phase < self.spec.num_phases:
+                raise InvalidConfig(f"{key}.phase = {v.phase} is outside [0, spec.num_phases)")
+            if v.patient_id in volume_of:
+                raise InvalidConfig(f"{key}.patient_id = {v.patient_id} repeats {volume_of[v.patient_id]}'s")
+            volume_of[v.patient_id] = key
         if sorted(self.splits) != sorted(SPLITS):
             raise InvalidConfig(f"splits must name exactly {list(SPLITS)}, got {sorted(self.splits)}")
         split_of: dict[int, str] = {}
         for name in SPLITS:
+            if not self.splits[name]:
+                raise InvalidConfig(f"splits.{name} must not be empty")
             for i, pid in enumerate(self.splits[name]):
                 key = f"splits.{name}[{i}]"
                 if pid not in volume_of:
@@ -596,15 +614,15 @@ def load_dataset(path) -> SynthDataset:
         raise DataError(f"no manifest.json under {root}")
     try:
         manifest = check_value(json.loads(manifest_path.read_text()), Manifest)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DataError(f"cannot read {manifest_path}: {exc}") from exc
     except InvalidConfig as exc:
         raise DataError(f"malformed {manifest_path}: {exc}") from exc
     volumes = [
         SynthVolume(
             **_fields(entry, VolumeMeta),
-            slices=_read_array(manifest_path, f"volumes[{i}].images", entry.images),
-            masks=_read_array(manifest_path, f"volumes[{i}].masks", entry.masks),
+            slices=_read_array(manifest_path, f"volumes[{i}].images", entry.images, "f", "floats in [0, 1]"),
+            masks=_read_array(manifest_path, f"volumes[{i}].masks", entry.masks, "biu", "integer labels 0 or 1"),
         )
         for i, entry in enumerate(manifest.volumes)
     ]
@@ -616,12 +634,17 @@ def load_dataset(path) -> SynthDataset:
     return SynthDataset(**_fields(manifest, DatasetMeta), volumes=volumes)
 
 
-def _read_array(manifest_path: Path, key: str, name: str) -> np.ndarray:
-    """The ``.npy`` array ``name`` beside a manifest, or a DataError naming ``key``."""
+def _read_array(manifest_path: Path, key: str, name: str, kinds: str, holds: str) -> np.ndarray:
+    """The ``.npy`` array ``name`` beside a manifest, or a DataError naming ``key``.
+
+    Its dtype kind must be in ``kinds`` and its values in [0, 1], as ``holds`` says in words.
+    """
     try:
         array = np.load(manifest_path.parent / name)
         if not isinstance(array, np.ndarray):
             raise ValueError("not an .npy array")
     except (OSError, EOFError, ValueError) as exc:
         raise DataError(f"{manifest_path}: {key} = {name!r} cannot be read: {exc}") from exc
+    if array.dtype.kind not in kinds or not ((array >= 0) & (array <= 1)).all():
+        raise DataError(f"{manifest_path}: {key} = {name!r} must hold {holds}")
     return array

@@ -189,6 +189,42 @@ class TestConfig:
             config_from_dict(apply_overrides({}, [override]))
 
     @pytest.mark.parametrize(
+        "data, message",
+        [
+            # gamma_start defaults to the lower loss bound, 0.228 at tau 0.5 and N 8
+            ({"self_paced": {"gamma_end": 0.1}}, "self_paced.gamma_end = 0.1 is below 0.228266"),
+            # gamma_end defaults to the upper loss bound, 6.64 at tau 0.5 and N 8
+            ({"self_paced": {"gamma_start": 7.0}}, "self_paced.gamma_start = 7.0 is above 6.64036"),
+            # the bound at the semi-supervised batch size is checked too
+            ({"self_paced": {"gamma_end": 0.2}, "pretrain": {"batch_originals": 2}},
+             "semisup.unlabeled_batch_originals = 8"),
+            ({"self_paced": {"gamma_start": 3.0, "gamma_end": 2.0}}, "gamma_start 3.0 must not exceed gamma_end 2.0"),
+            # 2 / tau overflows: the default gamma_end would be inf
+            ({"self_paced": {"tau": 5e-324}}, "self_paced.tau = 5e-324 is so small"),
+        ],
+    )
+    def test_pace_endpoint_crossing_the_other_rejected_at_load_naming_it(self, data, message):
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"self_paced": {"gamma_end": 0.3}}, {"self_paced": {"gamma_start": 6.0}},
+         {"self_paced": {"gamma_start": 0.1, "gamma_end": 0.1}}],
+    )
+    def test_pace_endpoint_within_the_other_default_loads(self, data):
+        config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [({"seed": -1}, "seed"), ({"data": {"seed": -1}}, "data: seed"),
+         ({"ablation": {"seeds": [0, 1, -1]}}, "ablation: seeds")],
+    )
+    def test_negative_seed_rejected_at_load_naming_it(self, data, key):
+        with pytest.raises(InvalidConfig, match=f"^{key} must be"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize(
         "data",
         [
             {"model": {"arch": "dense", "skip_width": 0}},  # no skip branch
@@ -240,6 +276,15 @@ class TestConfig:
     def test_override_parsing(self):
         data = apply_overrides({}, ["a.b=3", "a.c=true", "a.d=hello", "e=[1,2]"])
         assert data == {"a": {"b": 3, "c": True, "d": "hello"}, "e": [1, 2]}
+
+    def test_json_too_deep_to_parse_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)  # used to raise RecursionError
+        with pytest.raises(InvalidConfig, match="config is not valid JSON"):
+            load_config(str(path))
+        # an integer literal of more digits than Python converts is read as a string
+        with pytest.raises(InvalidConfig, match="^seed must be an integer"):
+            load_config(None, ["seed=" + "9" * 5000])
 
     def test_missing_file(self):
         with pytest.raises(InvalidConfig):
@@ -442,6 +487,43 @@ class TestCliProcess:
         assert "Traceback" not in r.stderr
         assert "pretrain.epochs" in r.stderr
         assert not (workdir / "runs" / "bad" / "config.json").exists()
+
+    def test_negative_seed_and_crossing_pace_exit_2_before_any_data(self, workdir):
+        # each used to generate its data first: the seeds then failed in NumPy with a traceback, the pace with exit 2
+        for args in (["generate-data", "--set", "data.seed=-1", "--out", "ds"],
+                     ["pretrain", "--set", "seed=-1", "--data", "missing"],
+                     ["pretrain", "--set", "self_paced.gamma_end=0.1", "--data", "missing"]):
+            r = run_cli([*args, "--config", "small.json"], workdir)
+            assert r.returncode == 2, r.stderr
+            assert "seed" in r.stderr or "self_paced.gamma_end" in r.stderr
+            assert "Traceback" not in r.stderr
+            assert not (workdir / "ds").exists() and not (workdir / "runs").exists()
+
+    def test_arrays_no_generator_writes_exit_3_naming_the_file(self, workdir):
+        r = run_cli(["generate-data", "--config", "small.json", "--out", "ds"], workdir)
+        assert r.returncode == 0, r.stderr
+        images, masks = workdir / "ds" / "vol_001_images.npy", workdir / "ds" / "vol_001_masks.npy"
+        good_images, good_masks = np.load(images), np.load(masks)
+        np.save(images, np.where(good_images == good_images.max(), np.nan, good_images))  # used to exit 1
+        r = run_cli(["train", "--config", "small.json", "--data", "ds", "--name", "bad"], workdir)
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.startswith("data error: ") and "manifest.json" in r.stderr and "volumes[1].images" in r.stderr
+        np.save(images, good_images)
+        np.save(masks, np.where(good_masks == 1, 5, 0))  # used to exit 2
+        r = run_cli(["train", "--config", "small.json", "--data", "ds", "--name", "bad"], workdir)
+        assert r.returncode == 3, r.stderr
+        assert "manifest.json" in r.stderr and "volumes[1].masks" in r.stderr and "Traceback" not in r.stderr
+        assert not (workdir / "runs" / "bad").exists()
+        np.save(masks, good_masks)
+        cfg = ModelConfig(image_shape=(8, 8), conv_channels=(3, 4), head_hidden=8, embed_dim=6)
+        ParamModel(cfg).save(workdir / "nan.npz")
+        with np.load(workdir / "nan.npz") as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["enc.c0.b"] = np.full(3, np.nan)
+        np.savez(workdir / "nan.npz", **arrays)
+        r = run_cli(["eval", "--config", "small.json", "--model", "nan.npz", "--data", "ds"], workdir)  # used to exit 1
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.startswith("data error: checkpoint nan.npz ") and "enc.c0.b" in r.stderr
 
     def test_init_checkpoint_must_match_config_model(self, workdir):
         r = run_cli(["pretrain", "--config", "small.json", "--name", "pre"], workdir)

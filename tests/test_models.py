@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -426,6 +427,30 @@ class TestCheckpoint:
             path.write_bytes(content)
         with pytest.raises(DataError):
             ParamModel.load(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda meta, arrays: meta.update(format_version=True), "unsupported format: True"),  # True == 1
+            (lambda meta, arrays: meta["config"].update(seed=-1), "config: seed must be >= 0"),
+            (lambda meta, arrays: arrays["enc.0.b"].fill(np.nan), "['enc.0.b'] must hold finite floats"),
+            (lambda meta, arrays: arrays.update({"dec.out.b": np.zeros(32, dtype=np.int64)}),
+             "['dec.out.b'] must hold finite floats"),
+        ],
+        ids=["version-true", "seed-negative", "nan-weight", "int-weight"],
+    )
+    def test_values_save_never_writes_are_data_errors(self, tmp_path, edit, message):
+        path = tmp_path / "model.npz"
+        ParamModel(TINY).save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k != "__meta__"}
+            meta = json.loads(bytes(data["__meta__"]).decode())
+        edit(meta, arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+        with pytest.raises(DataError, match=re.escape(f"checkpoint {path} ")) as info:
+            ParamModel.load(path)
+        assert message in str(info.value)
 
     @pytest.mark.parametrize(
         "edit",

@@ -1,6 +1,7 @@
 """Synthetic volume generation, meta-labels, augmentation, persistence."""
 
 import hashlib
+import io
 import json
 import re
 
@@ -24,6 +25,12 @@ from spcl.synth_data import (
     rotate,
     save_dataset,
 )
+
+
+def npz_bytes() -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, np.zeros((4, 8, 8), dtype=np.int64))
+    return buf.getvalue()
 
 
 class TestGenerate:
@@ -303,6 +310,62 @@ class TestPersistence:
         path.write_text(json.dumps(manifest))
         with pytest.raises(DataError, match=re.escape(str(path))):
             load_dataset(tmp_path / "data")
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda m, root: m.update(format_version=True), "format_version"),  # True == 1 used to load
+            (lambda m, root: m.update(seed=-1), "seed"),
+            (lambda m, root: m.update(noise_level=float("nan")), "noise_level"),
+            (lambda m, root: m.update(noise_level=float("inf")), "noise_level"),
+            (lambda m, root: m.update(noise_level=-1), "noise_level"),
+            (lambda m, root: m.update(noise_level=1e300), "noise_level"),
+            (lambda m, root: m["spec"].update(num_partitions=0), "spec: num_partitions"),
+            (lambda m, root: m["spec"].update(num_patients=-1), "spec: num_patients"),
+            (lambda m, root: m["spec"].update(num_phases=0), "spec: num_phases"),
+            (lambda m, root: m["splits"].update(train=[]), "splits.train"),
+            (lambda m, root: m["splits"].update(test=[]), "splits.test"),
+            (lambda m, root: m["volumes"][1].update(patient_id=4), "volumes[1].patient_id"),
+            (lambda m, root: m["volumes"][2].update(patient_id=0), "volumes[2].patient_id"),
+            (lambda m, root: m["volumes"][0].update(phase=2), "volumes[0].phase"),
+            (lambda m, root: np.save(root / "vol_001_images.npy", np.full((4, 8, 8), np.nan)), "volumes[1].images"),
+            (lambda m, root: np.save(root / "vol_001_images.npy", np.full((4, 8, 8), 1.5)), "volumes[1].images"),
+            (lambda m, root: np.save(root / "vol_001_images.npy", np.zeros((4, 8, 8), dtype=np.int64)),
+             "volumes[1].images"),
+            (lambda m, root: np.save(root / "vol_002_masks.npy", np.full((4, 8, 8), 5)), "volumes[2].masks"),
+            (lambda m, root: np.save(root / "vol_002_masks.npy", np.full((4, 8, 8), 0.5)), "volumes[2].masks"),
+            (lambda m, root: (root / "vol_002_masks.npy").write_bytes(npz_bytes()), "volumes[2].masks"),
+        ],
+        ids=["version-true", "seed-negative", "noise-nan", "noise-inf", "noise-negative", "noise-huge",
+             "spec-partitions-0", "spec-patients-negative", "spec-phases-0", "train-empty", "test-empty",
+             "patient-id-beyond-spec", "patient-id-repeated", "phase-beyond-spec", "images-nan", "images-above-1",
+             "images-int", "masks-5", "masks-float", "masks-npz"],
+    )
+    def test_values_no_generator_writes_are_data_errors_naming_file_and_key(self, tmp_path, edit, key):
+        ds = generate_dataset(4, 4, (8, 8), seed=0)
+        save_dataset(ds, tmp_path / "data")
+        path = tmp_path / "data" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest, tmp_path / "data")
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=re.escape(str(path))) as info:
+            load_dataset(tmp_path / "data")
+        assert key in str(info.value)
+
+    def test_manifest_keys_are_format_1(self, tmp_path):
+        """The manifest a save writes has the keys format 1 has always had."""
+        save_dataset(generate_dataset(4, 4, (8, 8), seed=0), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert sorted(manifest) == ["format_version", "noise_level", "seed", "spec", "splits", "volumes"]
+        assert sorted(manifest["spec"]) == ["num_partitions", "num_patients", "num_phases"]
+        assert sorted(manifest["splits"]) == ["test", "train", "val"]
+        assert manifest["volumes"][1] == {"patient_id": 1, "phase": 1, "misalignment_offset": 0,
+                                          "images": "vol_001_images.npy", "masks": "vol_001_masks.npy"}
+
+    def test_manifest_too_deep_to_parse(self, tmp_path):
+        (tmp_path / "manifest.json").write_text('{"x": ' * 100_000)  # used to raise RecursionError
+        with pytest.raises(DataError, match="manifest.json"):
+            load_dataset(tmp_path)
 
     def test_manifest_not_an_object(self, tmp_path):
         (tmp_path / "manifest.json").write_text("[1, 2]")

@@ -79,7 +79,9 @@ two, one at a time. A node computes a cotangent only where the ops would
 have: for a tracked input, and for an intermediate that a tracked input
 reaches. It lists its LeakyReLU pre-activations as the node's ``kinks``,
 which is what ``min_kink_distance`` reads. The values and cotangents have
-the bits of the ops, and a node costs one dispatch instead of 4 to 16.
+the bits of the ops, and a node costs one dispatch instead of 4 to 16. A
+node builds its backward-only bookkeeping in its backward factory, which
+``_apply`` calls only when it records the node.
 
 ``avg_pool2x``'s forward and ``upsample2x``'s backward sum each 2x2 window
 with four strided adds, (((0.0 + v00) + v01) + v10) + v11 with axis 4
@@ -834,22 +836,6 @@ def dense_pass(
     layers = [*hidden, *([skip] if skip is not None else []), out]
     inputs = (x, *(t for layer in layers for t in layer))
     n = len(hidden)
-    tracked = [t.requires_grad for t in inputs]
-    # whether each layer's input, product and pre-activation would be tracked as ops
-    in_tr, m_tr, z_tr = [], [], []
-
-    def track(j, h_tr):
-        in_tr.append(h_tr)
-        m_tr.append(h_tr or tracked[2 * j + 1])
-        z_tr.append(m_tr[-1] or tracked[2 * j + 2])
-        return z_tr[-1]
-
-    h_tr = tracked[0]
-    for j in range(n):
-        h_tr = track(j, h_tr)
-    if skip is not None:
-        h_tr = track(n, z_tr[0]) or h_tr  # the concatenation
-    track(len(layers) - 1, h_tr)
     ins, zs = [], []  # each layer's input and each LeakyReLU's pre-activation, set by the forward
 
     def fwd(xd, *wb):
@@ -876,6 +862,22 @@ def dense_pass(
 
     def bwd(datas, out_data):
         rows = (datas[0].shape[0], datas[-1].shape[0])
+        tracked = [t.requires_grad for t in inputs]
+        # whether each layer's input, product and pre-activation would be tracked as ops
+        in_tr, m_tr, z_tr = [], [], []
+
+        def track(j, h_tr):
+            in_tr.append(h_tr)
+            m_tr.append(h_tr or tracked[2 * j + 1])
+            z_tr.append(m_tr[-1] or tracked[2 * j + 2])
+            return z_tr[-1]
+
+        h_tr = tracked[0]
+        for j in range(n):
+            h_tr = track(j, h_tr)
+        if skip is not None:
+            h_tr = track(n, z_tr[0]) or h_tr  # the concatenation
+        track(len(layers) - 1, h_tr)
 
         def back(g):
             grads = [None] * len(inputs)
@@ -980,17 +982,6 @@ def l2_normalize_rows(m: Tensor | np.ndarray) -> Tensor:
         return back
 
     return _apply("l2_normalize_rows", (t,), fwd, bwd)
-
-
-def masked_logsumexp_rows(scores: Tensor, mask: np.ndarray) -> Tensor:
-    """Per-row log(sum_j mask_ij * exp(scores_ij)), shift-stabilized, shape (R, 1).
-
-    The shift is the full-row max taken as a constant; it cancels exactly in
-    both the value and the gradient, and keeps every exponent <= 0.
-    """
-    shift = detached_max(scores, axis=1, keepdims=True)
-    e = exp(scores - shift) * Tensor(np.asarray(mask, dtype=np.float64))
-    return log(tsum(e, axis=1, keepdims=True)) + shift
 
 
 def finite_diff_check(

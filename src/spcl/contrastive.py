@@ -8,8 +8,9 @@ and candidate j, the per-pair loss is
     l_ij = log sum_{a != i} exp(z_i . z_a / tau)  -  z_i . z_j / tau
 
 computed with a max-shifted log-sum-exp (exponents reach +-2/tau, which
-overflows naively for small temperatures). The meta-label loss averages l
-over each anchor's positive set
+overflows naively for small temperatures): ``pair_loss_values`` is the Gram
+``matmul`` followed by one node. The meta-label loss averages l over each
+anchor's positive set
 
     P^k(i) = { j | y^k_j = y^k_i, j != i }  union  { j(i) },
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _apply, _as_tensor, masked_logsumexp_rows
+from .autodiff import Tensor, _apply, _as_tensor, row_maxes, row_sums
 from .errors import InvalidConfig
 
 
@@ -100,15 +101,29 @@ def pair_loss_values(batch: AugmentedBatch, tau: float) -> Tensor:
     """All l_ij as a (2N, 2N) Tensor (diagonal entries are meaningless).
 
     l_ij = logsumexp_{a != i}(z_i . z_a / tau) - z_i . z_j / tau, with the
-    row max as a constant shift so no exponent exceeds zero.
+    row max as a constant shift so no exponent exceeds zero. After the
+    ``matmul`` op ``z @ z.T``, one node has the bits of the ops ``s = G *
+    (1/tau)``, ``log(tsum(exp(s - max) * offdiag, axis=1, keepdims=True)) +
+    max - s``: ``s`` takes the cotangent of ``- s``, then adds that under ``exp``.
     """
-    tau = _check_tau(tau)
+    inv_tau = np.asarray(1.0 / _check_tau(tau))
+    offdiag = 1.0 - np.eye(batch.num_samples)
+    saved = []
+
+    def fwd(gram):
+        s = gram * inv_tau
+        shift = row_maxes(s)
+        e = np.exp(s - shift)
+        total = row_sums(e * offdiag)
+        saved[:] = (e, total)
+        return (np.log(total) + shift) - s
+
+    def back(g):
+        e, total = saved
+        return ((-g + ((row_sums(g) / total) * offdiag) * e) * inv_tau,)
+
     z = batch.embeddings
-    n2 = batch.num_samples
-    scores = (z @ z.T) * (1.0 / tau)
-    offdiag = 1.0 - np.eye(n2)
-    lse = masked_logsumexp_rows(scores, offdiag)  # (2N, 1)
-    return lse - scores
+    return _apply("pair_loss_values", (z @ z.T,), fwd, lambda datas, out: back)
 
 
 def mask_coefficients(mask: np.ndarray) -> np.ndarray:

@@ -102,7 +102,7 @@ def supervised_loss(logits, target) -> Tensor:
 
         return back
 
-    return _apply("supervised_loss", (x, Tensor(onehot)), fwd, bwd)
+    return _apply("supervised_loss", (x, Tensor(onehot, _fresh=True)), fwd, bwd)
 
 
 def consistency_loss(student_logits, teacher_logits) -> Tensor:

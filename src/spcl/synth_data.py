@@ -626,8 +626,12 @@ def load_dataset(path) -> SynthDataset:
         )
         for i, entry in enumerate(manifest.volumes)
     ]
+    for i, v in enumerate(volumes):
+        if v.slices.ndim != 3 or v.num_slices < 1 or min(v.slices.shape[1:]) < 2:
+            raise DataError(f"{manifest_path}: volumes[{i}].images must hold (S, H, W) slices with S >= 1 and"
+                            f" H, W >= 2, got shape {v.slices.shape}")
     shapes = [v.slices.shape for v in volumes]
-    if len({s[1:] for s in shapes}) != 1 or any(len(s) != 3 or v.masks.shape != s for s, v in zip(shapes, volumes)):
+    if len({s[1:] for s in shapes}) != 1 or any(v.masks.shape != s for s, v in zip(shapes, volumes)):
         raise DataError(
             f"{manifest_path} must name (S, H, W) slices of one (H, W) with masks of their shape, got {shapes}"
         )

@@ -46,9 +46,13 @@ def random_batch(
     )
 
 
-def exploding_exp(a):
-    """``autodiff.exp`` with the same forward and a backward that overflows: patch it in to fail a training's backward."""
-    return _apply("exp", (a,), np.exp, lambda datas, out: lambda g: (g * out * 1e300 * 1e300,))
+def exploding_matmul(a, b):
+    """``autodiff.matmul`` with the same forward and a backward that overflows: patch it in to fail a training's backward.
+
+    The contrastive loss's Gram product ``z @ z.T`` is a ``matmul`` op, so every pre-training step records one.
+    """
+    return _apply("matmul", (a, b), ad._product,
+                  lambda datas, out: lambda g: (g @ datas[1].T * 1e300 * 1e300, datas[0].T @ g * 1e300 * 1e300))
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +129,15 @@ def op_consistency_loss(student: Tensor, teacher: np.ndarray) -> Tensor:
     e_t = np.exp(t_rows - ad.row_maxes(t_rows))
     diff = ps - Tensor(e_t / ad.row_sums(e_t))
     return (diff * diff).mean()
+
+
+def op_pair_loss_values(batch: AugmentedBatch, tau: float) -> Tensor:
+    """``pair_loss_values`` with everything after the Gram product as ops, the row max a constant shift."""
+    z = batch.embeddings
+    scores = (z @ z.T) * (1.0 / tau)
+    shift = ad.detached_max(scores, axis=1, keepdims=True)
+    e = ad.exp(scores - shift) * Tensor(1.0 - np.eye(batch.num_samples))
+    return (ad.log(ad.tsum(e, axis=1, keepdims=True)) + shift) - scores
 
 
 # the contrastive objective one meta-label at a time, from ops: the oracle for

@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import interleaved_pairs, op_positive_mask, op_unsup_loss, random_batch, unit_rows
+from conftest import (
+    hostile,
+    interleaved_pairs,
+    op_pair_loss_values,
+    op_positive_mask,
+    op_unsup_loss,
+    random_batch,
+    same_bytes,
+    unit_rows,
+)
 from spcl.autodiff import GradTape, Tensor
 from spcl.contrastive import AugmentedBatch, pair_loss_values, positive_masks
 from spcl.errors import InvalidConfig
@@ -171,6 +180,57 @@ class TestPairLoss:
     def test_rejects_non_finite_tau(self, rng, tau):
         with pytest.raises(InvalidConfig, match="temperature must be positive and finite"):
             pair_loss_values(random_batch(rng, 2), tau=tau)
+
+
+def awkward_unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """Unit rows whose entries past the first mix in signed zeros and subnormals."""
+    z = unit_rows(rng, n, dim)
+    awkward = rng.random(z.shape) < 0.3
+    awkward[:, 0] = False
+    z[awkward] = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.5e-310], z.shape)[awkward]
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _node_value_and_cotangent(loss_values, z: np.ndarray, tau: float, g: np.ndarray):
+    """``loss_values(batch, tau)``'s value and the cotangent of the embeddings under sum(value * g)."""
+    emb = Tensor(z, requires_grad=True)
+    batch = AugmentedBatch(emb, interleaved_pairs(len(z)), np.zeros((1, len(z)), dtype=np.int64))
+    with GradTape() as tape:
+        out = loss_values(batch, tau)
+        loss = (out * Tensor(g)).sum()
+    return out.data, tape.gradient(loss, [emb])[0]
+
+
+class TestPairLossNode:
+    """After the Gram product, ``pair_loss_values`` is one node with the bits of ``op_pair_loss_values``.
+
+    Rows hold signed zeros and subnormals, and one row repeats or negates
+    another; the cotangent arriving at the node mixes in signed zeros,
+    subnormals and +-1e100.
+    """
+
+    @pytest.mark.parametrize("tau", [0.01, 0.07, 0.5, 1e6])
+    @pytest.mark.parametrize("n2", [2, 8, 16])
+    def test_value_and_cotangent_byte_equal_to_ops(self, n2, tau):
+        rng = np.random.default_rng(n2)
+        for dim in (1, 3, 8):
+            for twin in ("none", "duplicate", "antipodal"):
+                z = awkward_unit_rows(rng, n2, dim)
+                if twin != "none":
+                    z[-1] = z[0] if twin == "duplicate" else -z[0]
+                g = hostile(rng, (n2, n2), 1e100)
+                ours = _node_value_and_cotangent(pair_loss_values, z, tau, g)
+                ops = _node_value_and_cotangent(op_pair_loss_values, z, tau, g)
+                assert all(same_bytes(a, b) for a, b in zip(ours, ops)), (dim, twin)
+
+    def test_gram_product_then_one_node_and_eager_bytes(self, rng):
+        batch = AugmentedBatch(Tensor(unit_rows(rng, 8, 4), requires_grad=True), interleaved_pairs(8), [[0] * 8])
+        with GradTape() as tape:
+            taped = pair_loss_values(batch, 0.5)
+        assert [n.op for n in tape.nodes] == ["transpose", "matmul", "pair_loss_values"]
+        eager = pair_loss_values(batch, 0.5)
+        assert taped.requires_grad and not eager.requires_grad
+        assert same_bytes(eager.data, taped.data)
 
 
 class TestUnsupLoss:

@@ -335,6 +335,22 @@ class TestVerification:
         assert not family.passed
         assert family.detail.endswith("failed: ['unsup_con@1', 'meta_con@1', 'sp_con_frozen_w@1']"), family.detail
 
+    def test_skewed_pair_loss_node_backward_fails_gradient_family(self, monkeypatch):
+        """The three contrastive cases differentiate through the pair-loss node: a 1% error in its backward fails each."""
+        real_apply = spcl.contrastive._apply
+
+        def skewed_apply(op, inputs, fwd, bwd):
+            def skewed_bwd(datas, out):
+                back = bwd(datas, out)
+                return lambda g: back(g * 1.01)
+
+            return real_apply(op, inputs, fwd, skewed_bwd if op == "pair_loss_values" else bwd)
+
+        monkeypatch.setattr(spcl.contrastive, "_apply", skewed_apply)
+        family = check_gradients(configs=1)
+        assert not family.passed
+        assert family.detail.endswith("failed: ['unsup_con@1', 'meta_con@1', 'sp_con_frozen_w@1']"), family.detail
+
     def test_report_is_machine_readable(self):
         report = run_verification(fast=True)
         parsed = json.loads(report.to_json())
@@ -469,17 +485,17 @@ class TestCliProcess:
         assert r.stderr.startswith("training failed: semisup epoch 0 step 1: op 'conv2d' produced NaN/Inf")
 
     def test_backward_failure_exits_1_naming_the_op(self, workdir):
-        # the CLI in a process whose exp backward overflows
+        # the CLI in a process whose matmul backward overflows
         script = (
             "import sys; sys.path.insert(0, sys.argv[1]); "
-            "from conftest import exploding_exp; import spcl.autodiff, spcl.cli; "
-            "spcl.autodiff.exp = exploding_exp; sys.exit(spcl.cli.main(sys.argv[2:]))"
+            "from conftest import exploding_matmul; import spcl.autodiff, spcl.cli; "
+            "spcl.autodiff.matmul = exploding_matmul; sys.exit(spcl.cli.main(sys.argv[2:]))"
         )
         tests_dir = str(Path(__file__).resolve().parent)
         r = run_python(["-c", script, tests_dir, "pretrain", "--config", "small.json", "--name", "bad"], workdir)
         assert r.returncode == 1, r.stderr
         assert "Traceback" not in r.stderr
-        assert re.match(r"training failed: pretrain epoch \d+ step \d+: backward of op 'exp' produced NaN/Inf$", r.stderr)
+        assert re.match(r"training failed: pretrain epoch \d+ step \d+: backward of op 'matmul' produced NaN/Inf$", r.stderr)
 
     def test_wrongly_typed_value_exits_2_before_any_output(self, workdir):
         r = run_cli(["train", "--config", "small.json", "--set", "pretrain.epochs=abc", "--name", "bad"], workdir)
@@ -554,6 +570,18 @@ class TestCliProcess:
         assert r.returncode == 3, r.stderr
         assert r.stderr.startswith("data error: ") and "manifest.json" in r.stderr
         assert "Traceback" not in r.stderr
+
+    def test_volume_with_zero_slices_exits_3_naming_it(self, workdir):
+        # such a volume used to load, and training exited 0
+        r = run_cli(["generate-data", "--config", "small.json", "--out", "ds"], workdir)
+        assert r.returncode == 0, r.stderr
+        np.save(workdir / "ds" / "vol_001_images.npy", np.zeros((0, 8, 8)))
+        np.save(workdir / "ds" / "vol_001_masks.npy", np.zeros((0, 8, 8), dtype=np.int64))
+        r = run_cli(["train", "--config", "small.json", "--data", "ds", "--name", "bad"], workdir)
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.startswith("data error: ") and "manifest.json" in r.stderr and "volumes[1].images" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workdir / "runs" / "bad").exists()
 
     def test_manifest_split_ids_that_name_no_patient_exit_3(self, workdir):
         r = run_cli(["generate-data", "--config", "small.json", "--out", "ds"], workdir)

@@ -196,6 +196,20 @@ class TestDensePassOracle:
         assert [c is not None for c in cotangents] == [t.requires_grad for t in node.inputs]
         assert not node.inputs[0].requires_grad  # the image batch
 
+    @pytest.mark.parametrize("tracking", ["all", "partial-b"])
+    def test_eager_pass_gives_taped_bytes(self, tracking):
+        """Outside a tape the pass records nothing and gives the taped pass's output bytes."""
+        model = ParamModel(ModelConfig(image_shape=(4, 4), arch="dense", encoder_widths=(8, 4), skip_width=3, seed=2))
+        for name in UNTRACKED[tracking]:
+            model.params[name] = Tensor(model.params[name].data, name=name)
+        images = np.random.default_rng(1).random((3, 4, 4))
+        for kind in ("segment", "embed"):
+            eager = getattr(model, f"{kind}_batch")(images)
+            with GradTape() as tape:
+                taped = getattr(model, f"{kind}_batch")(images)
+            assert tape.nodes and taped.requires_grad and not eager.requires_grad
+            assert same_bytes(eager.data, taped.data), kind
+
 
 class TestParameterAccounting:
     def test_all_params_alive_in_combined_loss(self, rng):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
-    exploding_exp,
+    exploding_matmul,
     hostile,
     op_consistency_loss,
     op_supervised_loss,
@@ -239,11 +239,11 @@ class TestPretraining:
             run_pretraining(small_model(), small_dataset(), cfg, seed=0, policy=FAST_POLICY)
 
     def test_backward_failure_names_the_op(self, monkeypatch):
-        monkeypatch.setattr(ad, "exp", exploding_exp)
+        monkeypatch.setattr(ad, "matmul", exploding_matmul)
         cfg = PretrainConfig(epochs=2, batch_originals=4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteValue, match=r"^pretrain epoch \d+ step \d+: backward of op 'exp' produced NaN/Inf$"):
+            with pytest.raises(NonFiniteValue, match=r"^pretrain epoch \d+ step \d+: backward of op 'matmul' produced NaN/Inf$"):
                 run_pretraining(small_model(), small_dataset(), cfg, seed=0, policy=FAST_POLICY)
 
     def test_unflagged_non_finite_loss_is_caught(self, monkeypatch):

@@ -311,6 +311,18 @@ class TestPersistence:
         with pytest.raises(DataError, match=re.escape(str(path))):
             load_dataset(tmp_path / "data")
 
+    @pytest.mark.parametrize("shape", [(0, 8, 8), (4, 1, 8), (4, 8, 1), (4, 1, 1)])
+    def test_volume_without_slices_or_below_2x2_is_data_error_naming_it(self, tmp_path, shape):
+        # a zero-slice volume used to load, and training then ran on it
+        ds = generate_dataset(4, 4, (8, 8), seed=0)
+        save_dataset(ds, tmp_path / "data")
+        root = tmp_path / "data"
+        manifest = json.loads((root / "manifest.json").read_text())
+        np.save(root / manifest["volumes"][1]["images"], np.zeros(shape))
+        np.save(root / manifest["volumes"][1]["masks"], np.zeros(shape, dtype=np.int64))
+        with pytest.raises(DataError, match=r"volumes\[1\]\.images .* got shape " + re.escape(str(shape))):
+            load_dataset(root)
+
     @pytest.mark.parametrize(
         "edit, key",
         [

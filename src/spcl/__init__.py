@@ -5,7 +5,7 @@ with an EMA teacher, and the semi-supervised training objective.
 """
 
 from .autodiff import GradTape, Tensor, finite_diff_check, l2_normalize
-from .contrastive import AugmentedBatch
+from .contrastive import AugmentedBatch, PairStructure
 from .models import EmaTeacher, ModelConfig, ParamModel, ema_update
 from .self_paced import (
     SelfPacedConfig,

@@ -47,9 +47,9 @@ adds the n columns one by one onto 0.0, and ``np.maximum.reduce`` takes them
 in order, so ``row_sums`` and ``row_maxes`` compute exactly that, a column
 at a time, with the same bits and a fraction of the per-row overhead: the
 (2048, 2) logits of a 16x16 segmentation batch reduce 6-30x faster. They
-serve ``tsum`` and ``detached_max`` over ``axis=1`` with ``keepdims``,
-``_unbroadcast`` onto an (R, 1) operand and the teacher softmax of
-``consistency_loss``. Rows of 8 or more, where NumPy sums pairwise in
+serve ``tsum`` over ``axis=1`` with ``keepdims``, ``_unbroadcast`` onto an
+(R, 1) operand, and the row-max shifts and row sums of the pair-loss and
+segmentation-loss nodes. Rows of 8 or more, where NumPy sums pairwise in
 blocks, and arrays with fewer than 16 rows per column, where one call per
 column costs more than NumPy's loop, go to ``np.sum``/``np.max``. A test
 holds both paths against NumPy.
@@ -916,13 +916,6 @@ def dense_pass(
 # ---------------------------------------------------------------------------
 # composites
 # ---------------------------------------------------------------------------
-
-def detached_max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Row/array max as a constant (no gradient flows through the shift)."""
-    if axis == 1 and keepdims and a.ndim == 2:
-        return Tensor(row_maxes(a.data), _fresh=True)
-    return Tensor(np.max(a.data, axis=axis, keepdims=keepdims))
-
 
 def _norms(data: np.ndarray, axis=None):
     """``np.linalg.norm``, whose overflow raises ``NonFiniteValue`` instead of a warning or a raw error."""

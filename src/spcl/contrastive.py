@@ -20,6 +20,18 @@ original image, where P(i) = { j(i) }. ``masked_mean_sum`` reduces the
 (``mask_coefficients`` of the ``positive_masks`` stack, times any weights)
 as one tape node; ``self_paced.combined_sp_loss`` is its one caller in
 training.
+
+The positive sets depend on the pairing and the meta-labels, never on the
+embeddings, so a ``PairStructure`` checks ``(pair_of, meta_labels)`` once
+and holds read-only copies of them, the off-diagonal mask, and the
+``positive_masks`` / ``mask_coefficients`` stacks of all K labels, with each
+``ks`` selection cached. ``AugmentedBatch(z, pair_of, meta_labels)`` builds
+its own structure and makes every check; ``AugmentedBatch.from_structure``
+checks only the embeddings. The losses read their masks, coefficients and
+off-diagonal from ``batch.structure``. Training builds one structure where
+each pair batch is drawn (unsupervised pre-training one per run: its
+pairing and per-image labels never change), and ``check_gradients`` one per
+configuration and label set.
 """
 
 from __future__ import annotations
@@ -33,42 +45,141 @@ from .autodiff import Tensor, _apply, _as_tensor, row_maxes, row_sums
 from .errors import InvalidConfig
 
 
-@dataclass(frozen=True)
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` as a new int64 array; any value that is not an integer is rejected, naming ``name``."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "bi" or arr.dtype.kind == "u" and arr.dtype.itemsize < 8:
+        return arr.astype(np.int64)
+    if arr.dtype.kind not in "uf":
+        raise InvalidConfig(f"{name} must hold integers, got {arr.dtype} values")
+    with np.errstate(invalid="ignore"):
+        ints = arr.astype(np.int64)
+    inexact = ints != arr
+    if np.any(inexact):
+        raise InvalidConfig(f"{name} must hold integers, got {arr[inexact][0]}")
+    return ints
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class PairStructure:
+    """The embedding-free part of a batch of 2N samples, checked once.
+
+    pair_of:     (2N,) int64, an involution with no fixed point.
+    meta_labels: (K, 2N) int64; the two views of an original share labels.
+    offdiag:     (2N, 2N) float, 1 off the diagonal and 0 on it.
+    masks:       (K, 2N, 2N) bool, ``positive_masks`` of every label.
+    coefs:       (K, 2N, 2N) float, ``mask_coefficients(masks)``.
+
+    Every array is a read-only copy; ``select`` caches its result per ``ks``.
+    """
+
+    pair_of: np.ndarray
+    meta_labels: np.ndarray
+    offdiag: np.ndarray
+    masks: np.ndarray
+    coefs: np.ndarray
+
+    def __init__(self, pair_of, meta_labels):
+        pair = _read_only(_integers(pair_of, "pair_of"))
+        labels = _read_only(np.atleast_2d(_integers(meta_labels, "meta_labels")))
+        if pair.ndim != 1:
+            raise InvalidConfig(f"pair_of must be 1-D, got shape {pair.shape}")
+        n2 = pair.shape[0]
+        if n2 < 2 or n2 % 2:
+            raise InvalidConfig(f"batch must hold 2N >= 2 samples, got {n2}")
+        idx = np.arange(n2)
+        # an index outside [0, 2N) clipped to c cannot be mapped back: pair_of[pair_of[c]] is that index
+        if ((pair == idx) | (pair.take(pair, mode="clip") != idx)).any():
+            raise InvalidConfig("pair_of must be a fixed-point-free involution")
+        if labels.ndim != 2 or labels.shape[1] != n2:
+            raise InvalidConfig("each meta-label vector must cover all 2N samples")
+        if (labels != labels.take(pair, axis=1)).any():
+            raise InvalidConfig("paired views must carry identical meta-labels")
+        object.__setattr__(self, "pair_of", pair)
+        object.__setattr__(self, "meta_labels", labels)
+        object.__setattr__(self, "offdiag", _read_only(1.0 - np.eye(n2)))
+        masks = positive_masks(self, range(labels.shape[0]))
+        object.__setattr__(self, "masks", _read_only(masks))
+        object.__setattr__(self, "coefs", _read_only(mask_coefficients(masks)))
+        object.__setattr__(self, "_selected", {})
+
+    @property
+    def num_samples(self) -> int:
+        return self.pair_of.shape[0]
+
+    @property
+    def num_meta_labels(self) -> int:
+        return self.meta_labels.shape[0]
+
+    def select(self, ks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The masks and coefficients of meta-labels ``ks``, in that order, as (len(ks), 2N, 2N) stacks."""
+        key = tuple(ks)
+        picked = self._selected.get(key)
+        if picked is None:
+            if key == tuple(range(self.num_meta_labels)):
+                picked = (self.masks, self.coefs)
+            else:
+                rows = list(key)
+                picked = (_read_only(self.masks[rows]), _read_only(self.coefs[rows]))
+            self._selected[key] = picked
+        return picked
+
+
+def _shaped_embeddings(embeddings, pair_shape: tuple) -> Tensor:
+    """``embeddings`` as a Tensor of 2N >= 2 rows, one per ``pair_of`` entry."""
+    z = _as_tensor(embeddings)
+    if z.ndim != 2:
+        raise InvalidConfig(f"embeddings must be 2-D, got shape {z.shape}")
+    n2 = z.shape[0]
+    if n2 < 2 or n2 % 2:
+        raise InvalidConfig(f"batch must hold 2N >= 2 samples, got {n2}")
+    if pair_shape != (n2,):
+        raise InvalidConfig("pair_of length must match the number of samples")
+    return z
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class AugmentedBatch:
-    """2N embedded samples: unit-row embeddings, pairing map, K meta-label vectors.
+    """2N embedded samples: unit-row embeddings and the ``PairStructure`` of their pairing and labels.
 
     embeddings: (2N, d) Tensor (or array, wrapped), rows unit-norm within 1e-10.
-    pair_of:    (2N,) int array, an involution with no fixed point.
-    meta_labels:(K, 2N) int array; the two views of an original share labels.
+    pair_of:    (2N,) integers, an involution with no fixed point.
+    meta_labels:(K, 2N) integers; the two views of an original share labels.
     """
 
     embeddings: Tensor
-    pair_of: np.ndarray
-    meta_labels: np.ndarray
+    structure: PairStructure
 
-    def __post_init__(self):
-        object.__setattr__(self, "embeddings", _as_tensor(self.embeddings))
-        object.__setattr__(self, "pair_of", np.asarray(self.pair_of, dtype=np.int64))
-        labels = np.atleast_2d(np.asarray(self.meta_labels, dtype=np.int64))
-        object.__setattr__(self, "meta_labels", labels)
-        z, pair = self.embeddings, self.pair_of
-        if z.ndim != 2:
-            raise InvalidConfig(f"embeddings must be 2-D, got shape {z.shape}")
-        n2 = z.shape[0]
-        if n2 < 2 or n2 % 2:
-            raise InvalidConfig(f"batch must hold 2N >= 2 samples, got {n2}")
-        if pair.shape != (n2,):
-            raise InvalidConfig("pair_of length must match the number of samples")
-        idx = np.arange(n2)
-        if np.any(pair == idx) or np.any(pair[pair] != idx):
-            raise InvalidConfig("pair_of must be a fixed-point-free involution")
-        if labels.shape[1] != n2:
-            raise InvalidConfig("each meta-label vector must cover all 2N samples")
-        if np.any(labels != labels[:, pair]):
-            raise InvalidConfig("paired views must carry identical meta-labels")
-        norms = np.linalg.norm(z.data, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-10):
+    def __init__(self, embeddings, pair_of, meta_labels):
+        z = _shaped_embeddings(embeddings, np.shape(pair_of))
+        self._fill(z, PairStructure(pair_of, meta_labels))
+
+    @classmethod
+    def from_structure(cls, embeddings, structure: PairStructure) -> "AugmentedBatch":
+        """A batch on an already checked structure: only the embeddings' shape and norms are checked."""
+        batch = object.__new__(cls)
+        batch._fill(_shaped_embeddings(embeddings, structure.pair_of.shape), structure)
+        return batch
+
+    def _fill(self, z: Tensor, structure: PairStructure) -> None:
+        norms = np.sqrt(np.add.reduce(z.data * z.data, axis=1))  # np.linalg.norm's bits
+        if (np.abs(norms - 1.0) > 1e-10).any():
             raise InvalidConfig(f"embedding rows must be unit norm, worst |1-||z||| = {np.abs(norms - 1.0).max():.2e}")
+        object.__setattr__(self, "embeddings", z)
+        object.__setattr__(self, "structure", structure)
+
+    @property
+    def pair_of(self) -> np.ndarray:
+        return self.structure.pair_of
+
+    @property
+    def meta_labels(self) -> np.ndarray:
+        return self.structure.meta_labels
 
     @property
     def num_samples(self) -> int:
@@ -77,7 +188,7 @@ class AugmentedBatch:
 
     @property
     def num_meta_labels(self) -> int:
-        return self.meta_labels.shape[0]
+        return self.structure.num_meta_labels
 
 
 def _check_tau(tau: float) -> float:
@@ -87,7 +198,7 @@ def _check_tau(tau: float) -> float:
     return tau
 
 
-def positive_masks(batch: AugmentedBatch, ks: tuple[int, ...]) -> np.ndarray:
+def positive_masks(batch: AugmentedBatch | PairStructure, ks: tuple[int, ...]) -> np.ndarray:
     """Boolean (K, 2N, 2N) stack: row i of slice k is True exactly on P^{ks[k]}(i)."""
     labels = batch.meta_labels[list(ks)]
     masks = labels[:, :, None] == labels[:, None, :]
@@ -107,7 +218,7 @@ def pair_loss_values(batch: AugmentedBatch, tau: float) -> Tensor:
     max - s``: ``s`` takes the cotangent of ``- s``, then adds that under ``exp``.
     """
     inv_tau = np.asarray(1.0 / _check_tau(tau))
-    offdiag = 1.0 - np.eye(batch.num_samples)
+    offdiag = batch.structure.offdiag
     saved = []
 
     def fwd(gram):

@@ -25,7 +25,12 @@ pair-loss matrix, the closed-form weights and the regularizer once per batch
 for all meta-labels, and records the K-label sum as one tape node
 (``masked_mean_sum``). With ``weighted=False`` it is the plain meta-label
 contrastive loss, and with one class per original image the unsupervised
-one.
+one. Nothing that depends only on the pairing and the labels is built
+here: the positive masks, their ``1/|P^k(i)|`` coefficients and the
+off-diagonal mask come from the batch's ``PairStructure``, which training
+builds where it draws each pair batch (once per run for unsupervised
+pre-training) and ``check_gradients`` once per configuration, and which
+caches the masks and coefficients of each selection of labels.
 """
 
 from __future__ import annotations
@@ -36,14 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Tensor
-from .contrastive import (
-    AugmentedBatch,
-    _check_tau,
-    mask_coefficients,
-    masked_mean_sum,
-    pair_loss_values,
-    positive_masks,
-)
+from .contrastive import AugmentedBatch, _check_tau, masked_mean_sum, pair_loss_values
 from .errors import InvalidConfig
 from .schema import check_finite
 
@@ -188,8 +186,9 @@ def sp_contrastive_loss(
     [w_ij l_ij + R_gamma(w_ij)], with lambda_k from ``config.lambdas``; the
     sum is one ``masked_mean_sum`` node. The second value concatenates, over
     ``ks`` in order, the in-mask weights w_ij flattened row-major over
-    ``positive_masks(batch, ks)``. The weights (and the regularizer term)
-    are constants for gradient purposes: only w_ij * grad(l_ij) reaches the
+    ``positive_masks(batch, ks)``; the masks and their coefficients come
+    from ``batch.structure``. The weights (and the regularizer term) are
+    constants for gradient purposes: only w_ij * grad(l_ij) reaches the
     encoder. ``values`` may pass in ``pair_loss_values(batch, config.tau)``
     already built for this batch.
     """
@@ -203,8 +202,7 @@ def sp_contrastive_loss(
     w = optimal_weight(values.data, gamma, config.regularizer)
     # the weights are one matrix for every label; inside a mask the masked
     # weights equal it, so R of it, masked, is the per-label R, masked
-    masks = positive_masks(batch, ks)
-    coefs = mask_coefficients(masks)
+    masks, coefs = batch.structure.select(ks)
     r = coefs * np.where(masks, regularizer_value(w, gamma, config.regularizer), 0.0)
     offsets = [float(np.sum(r_k) / batch.num_samples) for r_k in r]
     w = np.where(masks, w, 0.0)
@@ -235,8 +233,8 @@ def combined_sp_loss(
     ks = tuple(k for k, lam in enumerate(config.lambdas) if lam != 0.0)
     if weighted:
         return sp_contrastive_loss(batch, ks, gamma, config, values=values)
-    masks = positive_masks(batch, ks)
-    loss = masked_mean_sum(values, mask_coefficients(masks), [config.lambdas[k] for k in ks])
+    masks, coefs = batch.structure.select(ks)
+    loss = masked_mean_sum(values, coefs, [config.lambdas[k] for k in ks])
     return loss, np.ones(int(masks.sum()))
 
 

@@ -14,7 +14,11 @@ Semi-supervised training optimizes
 
 Both take their contrastive term, and the pair-weight statistics they log,
 from ``self_paced.combined_sp_loss``: one call per batch, in every
-pre-training mode and with or without self-paced weighting. With both
+pre-training mode and with or without self-paced weighting. A pair batch
+whose contrastive term is taken is drawn with its ``PairStructure``
+(pairing, meta-labels, positive masks and coefficients, checked once);
+unsupervised pre-training builds one per-image structure for the whole run
+instead. With both
 lambdas zero semi-supervised training degenerates to plain supervised
 training (and is the supervised baseline, bit for bit: the unlabeled stream
 is never touched).
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import GradTape, Tensor, _apply, _unbroadcast, row_maxes, row_sums
-from .contrastive import AugmentedBatch
+from .contrastive import AugmentedBatch, PairStructure
 from .errors import InvalidConfig, NonFiniteValue, NormTooSmall, ShapeMismatch
 from .models import EmaTeacher, ParamModel, ema_update
 from .optim import RAdam
@@ -43,6 +47,7 @@ from .synth_data import (
     PairBatch,
     SynthDataset,
     build_pair_batch,
+    interleaved_pairs,
     per_image_labels,
 )
 
@@ -232,6 +237,7 @@ class UnlabeledBatch:
     pair: PairBatch
     clean_images: np.ndarray
     student_view: np.ndarray
+    structure: PairStructure | None = None  # of ``pair``'s pairing and meta-labels, when asked for
 
 
 def unlabeled_batches(
@@ -241,6 +247,7 @@ def unlabeled_batches(
     policy: AugmentationPolicy,
     rng: np.random.Generator,
     noise_sigma: float = 0.0,
+    structures: bool = False,
 ):
     order = rng.permutation(len(refs))
     usable = (len(refs) // batch_originals) * batch_originals
@@ -249,7 +256,8 @@ def unlabeled_batches(
         pair = build_pair_batch(dataset, take, policy, rng)
         clean = np.stack([dataset.volumes[vi].slices[si] for vi, si in take])
         student = np.clip(clean + rng.normal(0.0, noise_sigma, size=clean.shape), 0.0, 1.0) if noise_sigma > 0 else clean
-        yield UnlabeledBatch(pair=pair, clean_images=clean, student_view=student)
+        structure = PairStructure(pair.pair_of, pair.meta_labels) if structures else None
+        yield UnlabeledBatch(pair=pair, clean_images=clean, student_view=student, structure=structure)
 
 
 def _require_full_batch(num_slices: int, batch_originals: int, field: str) -> None:
@@ -303,9 +311,9 @@ def _fit(
     return state
 
 
-def _sp_term(model: ParamModel, pair: PairBatch, labels, gamma: float, cfg: SelfPacedConfig, weighted: bool):
-    """Embed a pair batch; return its self-paced contrastive loss and pair-weight stats."""
-    aug = AugmentedBatch(model.embed_batch(pair.images), pair.pair_of, labels)
+def _sp_term(model: ParamModel, images, structure: PairStructure, gamma: float, cfg: SelfPacedConfig, weighted: bool):
+    """Embed a pair batch's images; return its self-paced contrastive loss and pair-weight stats."""
+    aug = AugmentedBatch.from_structure(model.embed_batch(images), structure)
     loss, w = combined_sp_loss(aug, gamma, cfg, weighted=weighted)
     return loss, weight_stats(w)
 
@@ -325,14 +333,17 @@ def run_pretraining(
     unsup = config.loss_mode in ("unsup", "unsup_sp")
     sp_cfg = replace(config.self_paced, lambdas=(1.0,)) if unsup else config.self_paced
     weighted = config.loss_mode in ("sp", "unsup_sp")
+    # build_pair_batch pairs views as interleaved_pairs, so the per-image structure never changes
+    n = config.batch_originals
+    per_image = PairStructure(interleaved_pairs(2 * n), per_image_labels(n)) if unsup else None
 
     def batches(epoch):
         rng = np.random.default_rng([seed, epoch, 1])
-        return (b.pair for b in unlabeled_batches(dataset, refs, config.batch_originals, policy, rng))
+        stream = unlabeled_batches(dataset, refs, n, policy, rng, structures=not unsup)
+        return ((b.pair.images, b.structure if per_image is None else per_image) for b in stream)
 
-    def loss(pair: PairBatch, gamma: float):
-        labels = per_image_labels(pair.images.shape[0] // 2) if unsup else pair.meta_labels
-        sp, w_stats = _sp_term(model, pair, labels, gamma, sp_cfg, weighted)
+    def loss(batch, gamma: float):
+        sp, w_stats = _sp_term(model, *batch, gamma, sp_cfg, weighted)
         return sp, (0.0, 0.0, sp.item()), w_stats
 
     state = TrainingState(model=model, teacher=None, optimizer=RAdam(lr=config.lr))
@@ -388,7 +399,7 @@ def run_semisup(
         unl_rng = np.random.default_rng([seed, epoch, 1])
         unl = unlabeled_batches(
             dataset, unlabeled_refs, config.unlabeled_batch_originals, policy, unl_rng,
-            noise_sigma=config.consistency_noise,
+            noise_sigma=config.consistency_noise, structures=config.lambda_sp > 0,
         )
         return zip(itertools.cycle(list(lab)), unl)
 
@@ -405,8 +416,9 @@ def run_semisup(
             reg_value = reg.item()
             total = total + reg * config.lambda_reg
         if config.lambda_sp > 0:
-            pair = unlabeled.pair
-            sp, w_stats = _sp_term(model, pair, pair.meta_labels, gamma, config.self_paced, config.sp_weighting)
+            sp, w_stats = _sp_term(
+                model, unlabeled.pair.images, unlabeled.structure, gamma, config.self_paced, config.sp_weighting
+            )
             sp_value = sp.item()
             total = total + sp * config.lambda_sp
         return total, (sup.item(), reg_value, sp_value), w_stats

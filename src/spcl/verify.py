@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import GradTape, Tensor, finite_diff_check, l2_normalize, min_kink_distance
-from .contrastive import AugmentedBatch, mask_coefficients, masked_mean_sum, pair_loss_values, positive_masks
+from .contrastive import AugmentedBatch, PairStructure, masked_mean_sum, pair_loss_values
 from .models import ModelConfig, ParamModel
 from .self_paced import (
     HARD,
@@ -210,6 +210,9 @@ def check_gradients(configs: int = 5, seed: int = 33, tolerance: float = 1e-4) -
         trial += 1
         names = sorted(model.params)
         eh_names = [n for n in names if n.startswith(("enc.", "head."))]
+        # the pairing and both label sets are fixed for the configuration
+        unsup = PairStructure(pair, per_image)
+        meta = PairStructure(pair, labels)
 
         def rebuild_full(ts):
             return ParamModel(cfg, dict(zip(names, ts)))
@@ -223,19 +226,21 @@ def check_gradients(configs: int = 5, seed: int = 33, tolerance: float = 1e-4) -
 
         def frozen_sp(*ts):
             nonlocal sp_coefs
-            batch = AugmentedBatch(rebuild_eh(ts).embed_batch(pair_imgs), pair, labels)
+            batch = AugmentedBatch.from_structure(rebuild_eh(ts).embed_batch(pair_imgs), meta)
             if sp_coefs is None:
-                masks = positive_masks(batch, (0,))
+                masks, coefs = meta.select((0,))
                 w = _dense(masks, sp_contrastive_loss(batch, (0,), gamma, sp_cfg)[1])
-                sp_coefs = mask_coefficients(masks) * w
+                sp_coefs = coefs * w
             return masked_mean_sum(pair_loss_values(batch, sp_cfg.tau), sp_coefs, [1.0])
 
         cases = {
             "unsup_con": lambda *ts: combined_sp_loss(
-                AugmentedBatch(rebuild_eh(ts).embed_batch(pair_imgs), pair, per_image), gamma, sp_cfg, weighted=False
+                AugmentedBatch.from_structure(rebuild_eh(ts).embed_batch(pair_imgs), unsup), gamma, sp_cfg,
+                weighted=False,
             )[0],
             "meta_con": lambda *ts: combined_sp_loss(
-                AugmentedBatch(rebuild_eh(ts).embed_batch(pair_imgs), pair, labels), gamma, sp_cfg, weighted=False
+                AugmentedBatch.from_structure(rebuild_eh(ts).embed_batch(pair_imgs), meta), gamma, sp_cfg,
+                weighted=False,
             )[0],
             "sp_con_frozen_w": frozen_sp,
             "cross_entropy": lambda *ts: supervised_loss(rebuild_full(ts).segment_batch(images), target),

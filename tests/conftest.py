@@ -70,6 +70,13 @@ def hostile(rng: np.random.Generator, shape, big: float = 1e300) -> np.ndarray:
     return np.where(rng.random(shape) < 0.4, rng.choice(pool, shape), rng.standard_normal(shape))
 
 
+def detached_max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """Row/array max as a constant (no gradient flows through the shift)."""
+    if axis == 1 and keepdims and a.ndim == 2:
+        return Tensor(ad.row_maxes(a.data), _fresh=True)
+    return Tensor(np.max(a.data, axis=axis, keepdims=keepdims))
+
+
 def op_l2_normalize_rows(t: Tensor) -> Tensor:
     return t / ad.tsum(t * t, axis=1, keepdims=True) ** 0.5
 
@@ -114,7 +121,7 @@ def op_supervised_loss(logits: Tensor, target) -> Tensor:
     classes = logits.shape[-1]
     flat = logits.reshape(-1, classes)
     t = np.asarray(target).reshape(-1)
-    shift = ad.detached_max(flat, axis=1, keepdims=True)
+    shift = detached_max(flat, axis=1, keepdims=True)
     lse = ad.log(ad.tsum(ad.exp(flat - shift), axis=1, keepdims=True)) + shift
     onehot = np.zeros((t.size, classes))
     onehot[np.arange(t.size), t] = 1.0
@@ -123,7 +130,7 @@ def op_supervised_loss(logits: Tensor, target) -> Tensor:
 
 def op_consistency_loss(student: Tensor, teacher: np.ndarray) -> Tensor:
     flat = student.reshape(-1, student.shape[-1])
-    e = (flat - ad.detached_max(flat, axis=1, keepdims=True)).exp()
+    e = (flat - detached_max(flat, axis=1, keepdims=True)).exp()
     ps = e / ad.tsum(e, axis=1, keepdims=True)
     t_rows = teacher.reshape(ps.shape)
     e_t = np.exp(t_rows - ad.row_maxes(t_rows))
@@ -135,7 +142,7 @@ def op_pair_loss_values(batch: AugmentedBatch, tau: float) -> Tensor:
     """``pair_loss_values`` with everything after the Gram product as ops, the row max a constant shift."""
     z = batch.embeddings
     scores = (z @ z.T) * (1.0 / tau)
-    shift = ad.detached_max(scores, axis=1, keepdims=True)
+    shift = detached_max(scores, axis=1, keepdims=True)
     e = ad.exp(scores - shift) * Tensor(1.0 - np.eye(batch.num_samples))
     return (ad.log(ad.tsum(e, axis=1, keepdims=True)) + shift) - scores
 

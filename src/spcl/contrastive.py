@@ -24,14 +24,14 @@ training.
 The positive sets depend on the pairing and the meta-labels, never on the
 embeddings, so a ``PairStructure`` checks ``(pair_of, meta_labels)`` once
 and holds read-only copies of them, the off-diagonal mask, and the
-``positive_masks`` / ``mask_coefficients`` stacks of all K labels, with each
-``ks`` selection cached. ``AugmentedBatch(z, pair_of, meta_labels)`` builds
+``positive_masks`` / ``mask_coefficients`` stacks of all K labels.
+``AugmentedBatch(z, pair_of, meta_labels)`` builds
 its own structure and makes every check; ``AugmentedBatch.from_structure``
 checks only the embeddings. The losses read their masks, coefficients and
-off-diagonal from ``batch.structure``. Training builds one structure where
-each pair batch is drawn (unsupervised pre-training one per run: its
-pairing and per-image labels never change), and ``check_gradients`` one per
-configuration and label set.
+off-diagonal from ``batch.structure``. Training builds one structure for
+each pair batch whose contrastive loss it takes (unsupervised pre-training
+one per run, rebuilt only if a batch's pairing differs: its per-image labels
+never change), and ``check_gradients`` one per configuration and label set.
 """
 
 from __future__ import annotations
@@ -52,9 +52,13 @@ def _integers(values, name: str) -> np.ndarray:
         return arr.astype(np.int64)
     if arr.dtype.kind not in "uf":
         raise InvalidConfig(f"{name} must hold integers, got {arr.dtype} values")
-    with np.errstate(invalid="ignore"):
-        ints = arr.astype(np.int64)
-    inexact = ints != arr
+    # a value outside int64's [-2**63, 2**63) casts to whatever the CPU gives, so it is rejected before the cast
+    if arr.dtype.kind == "u":
+        in_range = arr <= np.iinfo(np.int64).max
+    else:
+        in_range = (arr >= -(2.0**63)) & (arr < 2.0**63)
+    ints = np.where(in_range, arr, 0).astype(np.int64)
+    inexact = ~in_range | (ints != arr)
     if np.any(inexact):
         raise InvalidConfig(f"{name} must hold integers, got {arr[inexact][0]}")
     return ints
@@ -75,7 +79,7 @@ class PairStructure:
     masks:       (K, 2N, 2N) bool, ``positive_masks`` of every label.
     coefs:       (K, 2N, 2N) float, ``mask_coefficients(masks)``.
 
-    Every array is a read-only copy; ``select`` caches its result per ``ks``.
+    Every array is a read-only copy.
     """
 
     pair_of: np.ndarray
@@ -106,7 +110,6 @@ class PairStructure:
         masks = positive_masks(self, range(labels.shape[0]))
         object.__setattr__(self, "masks", _read_only(masks))
         object.__setattr__(self, "coefs", _read_only(mask_coefficients(masks)))
-        object.__setattr__(self, "_selected", {})
 
     @property
     def num_samples(self) -> int:
@@ -118,16 +121,10 @@ class PairStructure:
 
     def select(self, ks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """The masks and coefficients of meta-labels ``ks``, in that order, as (len(ks), 2N, 2N) stacks."""
-        key = tuple(ks)
-        picked = self._selected.get(key)
-        if picked is None:
-            if key == tuple(range(self.num_meta_labels)):
-                picked = (self.masks, self.coefs)
-            else:
-                rows = list(key)
-                picked = (_read_only(self.masks[rows]), _read_only(self.coefs[rows]))
-            self._selected[key] = picked
-        return picked
+        if tuple(ks) == tuple(range(self.num_meta_labels)):
+            return self.masks, self.coefs
+        rows = list(ks)
+        return self.masks[rows], self.coefs[rows]
 
 
 def _shaped_embeddings(embeddings, pair_shape: tuple) -> Tensor:

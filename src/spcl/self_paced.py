@@ -28,9 +28,8 @@ contrastive loss, and with one class per original image the unsupervised
 one. Nothing that depends only on the pairing and the labels is built
 here: the positive masks, their ``1/|P^k(i)|`` coefficients and the
 off-diagonal mask come from the batch's ``PairStructure``, which training
-builds where it draws each pair batch (once per run for unsupervised
-pre-training) and ``check_gradients`` once per configuration, and which
-caches the masks and coefficients of each selection of labels.
+builds for each pair batch (once per run for unsupervised pre-training)
+and ``check_gradients`` once per configuration and label set.
 """
 
 from __future__ import annotations

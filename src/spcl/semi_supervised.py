@@ -14,14 +14,14 @@ Semi-supervised training optimizes
 
 Both take their contrastive term, and the pair-weight statistics they log,
 from ``self_paced.combined_sp_loss``: one call per batch, in every
-pre-training mode and with or without self-paced weighting. A pair batch
-whose contrastive term is taken is drawn with its ``PairStructure``
-(pairing, meta-labels, positive masks and coefficients, checked once);
-unsupervised pre-training builds one per-image structure for the whole run
-instead. With both
-lambdas zero semi-supervised training degenerates to plain supervised
-training (and is the supervised baseline, bit for bit: the unlabeled stream
-is never touched).
+pre-training mode and with or without self-paced weighting. Each pair
+batch whose contrastive term is taken gets its ``PairStructure`` (pairing,
+meta-labels, positive masks and coefficients, checked once); unsupervised
+pre-training keeps one per-image structure for the whole run, rebuilt only
+if a batch's pairing differs from it. With both lambdas zero
+semi-supervised training degenerates to plain supervised training (and is
+the supervised baseline, bit for bit: the unlabeled stream is never
+touched).
 
 All stochastic draws flow through per-epoch seeded generators, so two runs
 with the same config and seed produce identical loss histories.
@@ -47,7 +47,6 @@ from .synth_data import (
     PairBatch,
     SynthDataset,
     build_pair_batch,
-    interleaved_pairs,
     per_image_labels,
 )
 
@@ -237,7 +236,6 @@ class UnlabeledBatch:
     pair: PairBatch
     clean_images: np.ndarray
     student_view: np.ndarray
-    structure: PairStructure | None = None  # of ``pair``'s pairing and meta-labels, when asked for
 
 
 def unlabeled_batches(
@@ -247,7 +245,6 @@ def unlabeled_batches(
     policy: AugmentationPolicy,
     rng: np.random.Generator,
     noise_sigma: float = 0.0,
-    structures: bool = False,
 ):
     order = rng.permutation(len(refs))
     usable = (len(refs) // batch_originals) * batch_originals
@@ -256,8 +253,7 @@ def unlabeled_batches(
         pair = build_pair_batch(dataset, take, policy, rng)
         clean = np.stack([dataset.volumes[vi].slices[si] for vi, si in take])
         student = np.clip(clean + rng.normal(0.0, noise_sigma, size=clean.shape), 0.0, 1.0) if noise_sigma > 0 else clean
-        structure = PairStructure(pair.pair_of, pair.meta_labels) if structures else None
-        yield UnlabeledBatch(pair=pair, clean_images=clean, student_view=student, structure=structure)
+        yield UnlabeledBatch(pair=pair, clean_images=clean, student_view=student)
 
 
 def _require_full_batch(num_slices: int, batch_originals: int, field: str) -> None:
@@ -333,17 +329,21 @@ def run_pretraining(
     unsup = config.loss_mode in ("unsup", "unsup_sp")
     sp_cfg = replace(config.self_paced, lambdas=(1.0,)) if unsup else config.self_paced
     weighted = config.loss_mode in ("sp", "unsup_sp")
-    # build_pair_batch pairs views as interleaved_pairs, so the per-image structure never changes
-    n = config.batch_originals
-    per_image = PairStructure(interleaved_pairs(2 * n), per_image_labels(n)) if unsup else None
+    per_image = None  # reused while batches pair their views alike: per_image_labels depend only on the size
 
     def batches(epoch):
         rng = np.random.default_rng([seed, epoch, 1])
-        stream = unlabeled_batches(dataset, refs, n, policy, rng, structures=not unsup)
-        return ((b.pair.images, b.structure if per_image is None else per_image) for b in stream)
+        return (b.pair for b in unlabeled_batches(dataset, refs, config.batch_originals, policy, rng))
 
-    def loss(batch, gamma: float):
-        sp, w_stats = _sp_term(model, *batch, gamma, sp_cfg, weighted)
+    def loss(pair: PairBatch, gamma: float):
+        nonlocal per_image
+        if not unsup:
+            structure = PairStructure(pair.pair_of, pair.meta_labels)
+        else:
+            if per_image is None or not np.array_equal(per_image.pair_of, pair.pair_of):
+                per_image = PairStructure(pair.pair_of, per_image_labels(pair.images.shape[0] // 2))
+            structure = per_image
+        sp, w_stats = _sp_term(model, pair.images, structure, gamma, sp_cfg, weighted)
         return sp, (0.0, 0.0, sp.item()), w_stats
 
     state = TrainingState(model=model, teacher=None, optimizer=RAdam(lr=config.lr))
@@ -399,7 +399,7 @@ def run_semisup(
         unl_rng = np.random.default_rng([seed, epoch, 1])
         unl = unlabeled_batches(
             dataset, unlabeled_refs, config.unlabeled_batch_originals, policy, unl_rng,
-            noise_sigma=config.consistency_noise, structures=config.lambda_sp > 0,
+            noise_sigma=config.consistency_noise,
         )
         return zip(itertools.cycle(list(lab)), unl)
 
@@ -416,9 +416,9 @@ def run_semisup(
             reg_value = reg.item()
             total = total + reg * config.lambda_reg
         if config.lambda_sp > 0:
-            sp, w_stats = _sp_term(
-                model, unlabeled.pair.images, unlabeled.structure, gamma, config.self_paced, config.sp_weighting
-            )
+            pair = unlabeled.pair
+            structure = PairStructure(pair.pair_of, pair.meta_labels)
+            sp, w_stats = _sp_term(model, pair.images, structure, gamma, config.self_paced, config.sp_weighting)
             sp_value = sp.item()
             total = total + sp * config.lambda_sp
         return total, (sup.item(), reg_value, sp_value), w_stats

@@ -142,6 +142,9 @@ class TestImmutable:
             assert same_bytes(got.coefs, want.coefs)
         assert same_bytes(PairStructure(pair.tolist(), labels[0].tolist()).meta_labels, labels[:1])
         assert same_bytes(PairStructure(pair, np.zeros((1, 8), dtype=bool)).meta_labels, np.zeros((1, 8), np.int64))
+        for edge, dtype in [(2**63 - 1, np.uint64), (-(2.0**63), np.float64)]:
+            got = PairStructure(pair, np.full((1, 8), edge, dtype=dtype)).meta_labels
+            assert same_bytes(got, np.full((1, 8), int(edge), np.int64))
 
 
 # (pair_of, meta_labels, message) for 2N = 4; each is rejected by both constructors
@@ -160,6 +163,7 @@ STRUCTURAL_FAULTS = [
     ([1, 0, 3, 2], [[0, 0, np.inf, np.inf]], "meta_labels must hold integers, got inf"),
     ([1, 0, 3, 2], [[0, 0, -np.inf, -np.inf]], "meta_labels must hold integers, got -inf"),
     ([1, 0, 3, 2], [[0, 0, 2.0**63, 2.0**63]], "meta_labels must hold integers"),
+    ([1, 0, 3, 2], [[0, 0, -(2.0**64), -(2.0**64)]], "meta_labels must hold integers"),
     ([1, 0, 3, 2], np.array([[0, 0, 2**63, 2**63]], dtype=np.uint64), "meta_labels must hold integers"),
     (["1", "0", "3", "2"], [[0, 0, 1, 1]], "pair_of must hold integers, got <U1 values"),
     ([1, 0, 3, 2], [[0, 0, 1j, 1j]], "meta_labels must hold integers, got complex128 values"),

@@ -229,6 +229,27 @@ class TestPretraining:
         assert len(state.history) > 0
         assert len(pair_loss_calls) == len(state.history)
 
+    @pytest.mark.parametrize("mode", ["unsup", "unsup_sp"])
+    def test_unsup_checks_every_batch_pairing(self, monkeypatch, mode):
+        """The per-image structure is reused only while batches pair views alike; a third batch pairing
+        2t with 2t+2 meets per-image labels that differ across the pair, which is rejected."""
+        draws = []
+
+        def regrouped(*args):
+            pair = build_pair_batch(*args)
+            draws.append(pair)
+            if len(draws) < 3:
+                return pair
+            idx = np.arange(len(pair.pair_of))
+            return replace(pair, pair_of=np.where(idx % 4 < 2, idx + 2, idx - 2))
+
+        build_pair_batch = semi_supervised.build_pair_batch
+        monkeypatch.setattr(semi_supervised, "build_pair_batch", regrouped)
+        cfg = PretrainConfig(epochs=1, batch_originals=4, loss_mode=mode)
+        with pytest.raises(InvalidConfig, match="^paired views must carry identical meta-labels$"):
+            run_pretraining(small_model(), small_dataset(), cfg, seed=0, policy=FAST_POLICY)
+        assert len(draws) == 3
+
     def test_unsup_modes_reject_bad_config(self):
         with pytest.raises(InvalidConfig):
             PretrainConfig(loss_mode="bogus")

@@ -4,7 +4,7 @@ closed-form pair weighting with a pace schedule, a toy encoder/decoder stack
 with an EMA teacher, and the semi-supervised training objective.
 """
 
-from .autodiff import GradTape, Tensor, finite_diff_check, l2_normalize
+from .autodiff import GradTape, Tensor, finite_diff_check
 from .contrastive import AugmentedBatch, PairStructure
 from .models import EmaTeacher, ModelConfig, ParamModel, ema_update
 from .self_paced import (

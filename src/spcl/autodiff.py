@@ -47,9 +47,9 @@ adds the n columns one by one onto 0.0, and ``np.maximum.reduce`` takes them
 in order, so ``row_sums`` and ``row_maxes`` compute exactly that, a column
 at a time, with the same bits and a fraction of the per-row overhead: the
 (2048, 2) logits of a 16x16 segmentation batch reduce 6-30x faster. They
-serve ``tsum`` over ``axis=1`` with ``keepdims``, ``_unbroadcast`` onto an
-(R, 1) operand, and the row-max shifts and row sums of the pair-loss and
-segmentation-loss nodes. Rows of 8 or more, where NumPy sums pairwise in
+serve ``_unbroadcast`` onto an (R, 1) operand, ``l2_normalize_rows``, and
+the row-max shifts and row sums of the pair-loss and segmentation-loss
+nodes. Rows of 8 or more, where NumPy sums pairwise in
 blocks, and arrays with fewer than 16 rows per column, where one call per
 column costs more than NumPy's loop, go to ``np.sum``/``np.max``. A test
 holds both paths against NumPy.
@@ -206,48 +206,18 @@ class Tensor:
     def __radd__(self, other):
         return add(_as_tensor(other), self)
 
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
     def __rmul__(self, other):
         return mul(_as_tensor(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     @property
     def T(self):
         return transpose(self)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -467,7 +437,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # primitives
 # ---------------------------------------------------------------------------
 
-# add, sub, mul, div and matmul, like conv2d, skip the cotangent of an
+# add, mul and matmul, like conv2d, skip the cotangent of an
 # untracked operand (a constant mask, shift or target, the image batch of
 # the first dense layer): the gradient walk would drop it anyway. The flags
 # are bound as default arguments, which an eager call pays less for than
@@ -481,18 +451,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _apply("add", (a, b), np.add, bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(datas, out, na=a.requires_grad, nb=b.requires_grad):
-        sa, sb = datas[0].shape, datas[1].shape
-        return lambda g: (_unbroadcast(g, sa) if na else None, _unbroadcast(-g, sb) if nb else None)
-
-    return _apply("sub", (a, b), np.subtract, bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _apply("neg", (a,), np.negative, lambda datas, out: lambda g: (-g,))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(datas, out, na=a.requires_grad, nb=b.requires_grad):
         da, db = datas
@@ -502,17 +460,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     return _apply("mul", (a, b), np.multiply, bwd)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(datas, out, na=a.requires_grad, nb=b.requires_grad):
-        da, db = datas
-        return lambda g: (
-            _unbroadcast(g / db, da.shape) if na else None,
-            _unbroadcast(-g * da / (db * db), db.shape) if nb else None,
-        )
-
-    return _apply("div", (a, b), np.divide, bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -533,28 +480,6 @@ def transpose(a: Tensor) -> Tensor:
         lambda x: np.ascontiguousarray(x.T),
         lambda datas, out: lambda g: (g.T,),
     )
-
-
-def exp(a: Tensor) -> Tensor:
-    return _apply("exp", (a,), np.exp, lambda datas, out: lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    def bwd(datas, out):
-        (da,) = datas
-        return lambda g: (g / da,)
-
-    return _apply("log", (a,), np.log, bwd)
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    exponent = float(exponent)
-
-    def bwd(datas, out):
-        (da,) = datas
-        return lambda g: (g * exponent * da ** (exponent - 1.0),)
-
-    return _apply("power", (a,), lambda x: x**exponent, bwd)
 
 
 def _leaky_rule(slope: float):
@@ -598,45 +523,6 @@ def min_kink_distance(f, *args) -> float:
         f(*args)
     pre = [x for n in tape.nodes for x in n.kinks]
     return min((float(np.min(np.abs(x))) for x in pre if x.size), default=float("inf"))
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    def fwd(x):
-        if axis == 1 and keepdims and x.ndim == 2:
-            return row_sums(x)
-        return np.sum(x, axis=axis, keepdims=keepdims)
-
-    def bwd(datas, out):
-        shape = datas[0].shape
-
-        def back(g):
-            g = np.asarray(g)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, shape).copy(),)
-
-        return back
-
-    return _apply("sum", (a,), fwd, bwd)
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    def fwd(x):
-        return np.mean(x, axis=axis, keepdims=keepdims)
-
-    def bwd(datas, out):
-        shape = datas[0].shape
-        n = datas[0].size if axis is None else np.prod([shape[i] for i in np.atleast_1d(axis)])
-
-        def back(g):
-            g = np.asarray(g) / float(n)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, shape).copy(),)
-
-        return back
-
-    return _apply("mean", (a,), fwd, bwd)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -917,43 +803,28 @@ def dense_pass(
 # composites
 # ---------------------------------------------------------------------------
 
-def _norms(data: np.ndarray, axis=None):
-    """``np.linalg.norm``, whose overflow raises ``NonFiniteValue`` instead of a warning or a raw error."""
+def _row_norms(data: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row, whose overflow raises ``NonFiniteValue`` instead of a warning or a raw error."""
     try:
         with np.errstate(**_RAISE_FP):
-            return np.linalg.norm(data, axis=axis)
+            return np.linalg.norm(data, axis=1)
     except FloatingPointError:
-        raise NonFiniteValue("norm overflowed: the vector holds values too large to normalize") from None
-
-
-def l2_normalize(v: Tensor | np.ndarray) -> Tensor:
-    """Scale a 1-D vector to unit Euclidean norm.
-
-    Raises NormTooSmall when the norm is at or below 1e-30: a representation
-    that tiny means a dead network upstream, and dividing by it would just
-    manufacture noise.
-    """
-    t = _as_tensor(v)
-    if t.ndim != 1:
-        raise ShapeMismatch(f"l2_normalize expects a 1-D vector, got shape {t.shape}")
-    norm = float(_norms(t.data))
-    if norm <= EPS_NORM:
-        raise NormTooSmall(f"vector norm {norm:.3e} <= {EPS_NORM:.0e}")
-    return t / tsum(t * t) ** 0.5
+        raise NonFiniteValue("norm overflowed: a row holds values too large to normalize") from None
 
 
 def l2_normalize_rows(m: Tensor | np.ndarray) -> Tensor:
     """Normalize each row of a 2-D matrix to unit norm, as one node.
 
-    Value and cotangent have the bits of ``t / tsum(t * t, axis=1,
-    keepdims=True) ** 0.5``. ``t`` is used three times there: the tape
+    Value and cotangent have the bits of the op composition ``t / tsum(t *
+    t, axis=1, keepdims=True) ** 0.5``, the oracle ``op_l2_normalize_rows``
+    in ``tests/conftest.py``. ``t`` is used three times there: the tape
     walk gives it the division's cotangent, then adds the product's two,
     one at a time, and so does this node.
     """
     t = _as_tensor(m)
     if t.ndim != 2:
         raise ShapeMismatch(f"l2_normalize_rows expects a matrix, got shape {t.shape}")
-    norms = _norms(t.data, axis=1)
+    norms = _row_norms(t.data)
     if np.any(norms <= EPS_NORM):
         raise NormTooSmall(f"row norm {norms.min():.3e} <= {EPS_NORM:.0e}")
     saved = []

@@ -109,7 +109,7 @@ class ExperimentConfig:
         self._check_pace()
 
     def _check_pace(self) -> None:
-        """InvalidConfig if a pace endpoint is set beyond the loss bound the other one defaults to.
+        """InvalidConfig if a pace endpoint is set beyond the loss bound the other one defaults to, or defaults to 0.0.
 
         ``with_default_pace`` fills an unset endpoint from ``loss_bounds`` at
         each phase's batch size; SelfPacedConfig checks the two endpoints
@@ -124,6 +124,11 @@ class ExperimentConfig:
             at = f"at tau = {sp.tau} and {key} = {n}"
             if not math.isfinite(hi):
                 raise InvalidConfig(f"self_paced.tau = {sp.tau} is so small that the upper loss bound overflows")
+            if sp.gamma_start is None and lo == 0.0:
+                raise InvalidConfig(
+                    f"self_paced.tau = {sp.tau} is so small that the lower loss bound at {key} = {n} "
+                    "underflows to 0.0, and gamma_start, which defaults to that bound, must be positive"
+                )
             if sp.gamma_start is None and sp.gamma_end is not None and sp.gamma_end < lo:
                 raise InvalidConfig(
                     f"self_paced.gamma_end = {sp.gamma_end} is below {lo:.6g}, the lower loss bound "

@@ -45,9 +45,17 @@ from .autodiff import Tensor, _apply, _as_tensor, row_maxes, row_sums
 from .errors import InvalidConfig
 
 
+def _array(values, name: str) -> np.ndarray:
+    """``np.asarray(values)``; a ragged nesting, which NumPy cannot shape, is rejected naming ``name``."""
+    try:
+        return np.asarray(values)
+    except ValueError:
+        raise InvalidConfig(f"{name} must be a rectangular array, got a ragged sequence") from None
+
+
 def _integers(values, name: str) -> np.ndarray:
     """``values`` as a new int64 array; any value that is not an integer is rejected, naming ``name``."""
-    arr = np.asarray(values)
+    arr = _array(values, name)
     if arr.dtype.kind in "bi" or arr.dtype.kind == "u" and arr.dtype.itemsize < 8:
         return arr.astype(np.int64)
     if arr.dtype.kind not in "uf":
@@ -153,8 +161,8 @@ class AugmentedBatch:
     structure: PairStructure
 
     def __init__(self, embeddings, pair_of, meta_labels):
-        z = _shaped_embeddings(embeddings, np.shape(pair_of))
-        self._fill(z, PairStructure(pair_of, meta_labels))
+        pair = _array(pair_of, "pair_of")
+        self._fill(_shaped_embeddings(embeddings, pair.shape), PairStructure(pair, meta_labels))
 
     @classmethod
     def from_structure(cls, embeddings, structure: PairStructure) -> "AugmentedBatch":
@@ -199,8 +207,9 @@ def positive_masks(batch: AugmentedBatch | PairStructure, ks: tuple[int, ...]) -
     """Boolean (K, 2N, 2N) stack: row i of slice k is True exactly on P^{ks[k]}(i)."""
     labels = batch.meta_labels[list(ks)]
     masks = labels[:, :, None] == labels[:, None, :]
+    # no "| {j(i)}" step: a PairStructure has rejected twins whose labels
+    # differ, so the label match already holds every j(i)
     idx = np.arange(batch.num_samples)
-    masks[:, idx, batch.pair_of] = True
     masks[:, idx, idx] = False
     return masks
 

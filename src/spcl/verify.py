@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import GradTape, Tensor, finite_diff_check, l2_normalize, min_kink_distance
+from .autodiff import GradTape, Tensor, finite_diff_check, l2_normalize_rows, min_kink_distance
 from .contrastive import AugmentedBatch, PairStructure, masked_mean_sum, pair_loss_values
 from .models import ModelConfig, ParamModel
 from .self_paced import (
@@ -359,14 +359,18 @@ def check_normalization_and_tape(seed: int = 5) -> FamilyResult:
     rng = np.random.default_rng(seed)
     problems = []
     for _ in range(50):
-        v = rng.standard_normal(8)
+        v = rng.standard_normal((1, 8))
         s = float(rng.uniform(1e-6, 1e6))
-        if not np.allclose(l2_normalize(Tensor(v)).data, l2_normalize(Tensor(s * v)).data, atol=1e-12):
+        if not np.allclose(l2_normalize_rows(v).data, l2_normalize_rows(s * v).data, atol=1e-12):
             problems.append("scale invariance")
             break
-    x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+    # the training forward: an embedding pass fed into the contrastive objective
+    model = ParamModel(_GRADCHECK_MODEL)
+    images = rng.random((8, 4, 4))
+    labels = np.repeat(rng.integers(0, 3, size=4), 2)[None, :]
     with GradTape() as tape:
-        out = ((x @ x.T).exp().sum(axis=1) + 1.0).log().mean()
+        batch = AugmentedBatch(model.embed_batch(images), interleaved_pairs(8), labels)
+        out = combined_sp_loss(batch, 1.0, SelfPacedConfig(tau=0.5, lambdas=(1.0,)))[0]
     if tape.replay() != out.data:
         problems.append("tape replay not bit-identical")
     c = Tensor(3.0)
@@ -375,7 +379,7 @@ def check_normalization_and_tape(seed: int = 5) -> FamilyResult:
         z = y * y + c * c
     (gy,) = tape2.gradient(z, [y])
     with GradTape() as tape3:
-        z2 = c * c + Tensor(1.0) * y - y
+        z2 = c * c + Tensor(1.0) * y + Tensor(-1.0) * y
     (gy2,) = tape3.gradient(z2, [y], warn_disconnected=False)
     if gy != 4.0 or gy2 != 0.0:
         problems.append("constant gradient not zero")

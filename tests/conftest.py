@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spcl import autodiff as ad
-from spcl.autodiff import GradTape, Tensor, _apply
+from spcl.autodiff import GradTape, Tensor, _apply, _unbroadcast, row_sums
 from spcl.contrastive import AugmentedBatch, mask_coefficients, pair_loss_values
 from spcl.optim import RAdam
 from spcl.self_paced import optimal_weight, pace_schedule, regularizer_value
@@ -56,6 +56,90 @@ def exploding_matmul(a, b):
 
 
 # ---------------------------------------------------------------------------
+# ops that no training path records: the building blocks of the oracles below
+# ---------------------------------------------------------------------------
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    def bwd(datas, out, na=a.requires_grad, nb=b.requires_grad):
+        sa, sb = datas[0].shape, datas[1].shape
+        return lambda g: (_unbroadcast(g, sa) if na else None, _unbroadcast(-g, sb) if nb else None)
+
+    return _apply("sub", (a, b), np.subtract, bwd)
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    def bwd(datas, out, na=a.requires_grad, nb=b.requires_grad):
+        da, db = datas
+        return lambda g: (
+            _unbroadcast(g / db, da.shape) if na else None,
+            _unbroadcast(-g * da / (db * db), db.shape) if nb else None,
+        )
+
+    return _apply("div", (a, b), np.divide, bwd)
+
+
+def exp(a: Tensor) -> Tensor:
+    return _apply("exp", (a,), np.exp, lambda datas, out: lambda g: (g * out,))
+
+
+def log(a: Tensor) -> Tensor:
+    def bwd(datas, out):
+        (da,) = datas
+        return lambda g: (g / da,)
+
+    return _apply("log", (a,), np.log, bwd)
+
+
+def power(a: Tensor, exponent: float) -> Tensor:
+    exponent = float(exponent)
+
+    def bwd(datas, out):
+        (da,) = datas
+        return lambda g: (g * exponent * da ** (exponent - 1.0),)
+
+    return _apply("power", (a,), lambda x: x**exponent, bwd)
+
+
+def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    def fwd(x):
+        if axis == 1 and keepdims and x.ndim == 2:
+            return row_sums(x)
+        return np.sum(x, axis=axis, keepdims=keepdims)
+
+    def bwd(datas, out):
+        shape = datas[0].shape
+
+        def back(g):
+            g = np.asarray(g)
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, shape).copy(),)
+
+        return back
+
+    return _apply("sum", (a,), fwd, bwd)
+
+
+def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    def fwd(x):
+        return np.mean(x, axis=axis, keepdims=keepdims)
+
+    def bwd(datas, out):
+        shape = datas[0].shape
+        n = datas[0].size if axis is None else np.prod([shape[i] for i in np.atleast_1d(axis)])
+
+        def back(g):
+            g = np.asarray(g) / float(n)
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, shape).copy(),)
+
+        return back
+
+    return _apply("mean", (a,), fwd, bwd)
+
+
+# ---------------------------------------------------------------------------
 # op compositions: the one-node passes and losses written as single ops
 # ---------------------------------------------------------------------------
 
@@ -78,7 +162,7 @@ def detached_max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def op_l2_normalize_rows(t: Tensor) -> Tensor:
-    return t / ad.tsum(t * t, axis=1, keepdims=True) ** 0.5
+    return div(t, power(tsum(t * t, axis=1, keepdims=True), 0.5))
 
 
 def op_model_pass(model, images, kind: str) -> Tensor:
@@ -122,20 +206,20 @@ def op_supervised_loss(logits: Tensor, target) -> Tensor:
     flat = logits.reshape(-1, classes)
     t = np.asarray(target).reshape(-1)
     shift = detached_max(flat, axis=1, keepdims=True)
-    lse = ad.log(ad.tsum(ad.exp(flat - shift), axis=1, keepdims=True)) + shift
+    lse = log(tsum(exp(sub(flat, shift)), axis=1, keepdims=True)) + shift
     onehot = np.zeros((t.size, classes))
     onehot[np.arange(t.size), t] = 1.0
-    return ad.tsum(Tensor(onehot) * (flat - lse)) * (-1.0 / t.size)
+    return tsum(Tensor(onehot) * sub(flat, lse)) * (-1.0 / t.size)
 
 
 def op_consistency_loss(student: Tensor, teacher: np.ndarray) -> Tensor:
     flat = student.reshape(-1, student.shape[-1])
-    e = (flat - detached_max(flat, axis=1, keepdims=True)).exp()
-    ps = e / ad.tsum(e, axis=1, keepdims=True)
+    e = exp(sub(flat, detached_max(flat, axis=1, keepdims=True)))
+    ps = div(e, tsum(e, axis=1, keepdims=True))
     t_rows = teacher.reshape(ps.shape)
     e_t = np.exp(t_rows - ad.row_maxes(t_rows))
-    diff = ps - Tensor(e_t / ad.row_sums(e_t))
-    return (diff * diff).mean()
+    diff = sub(ps, Tensor(e_t / ad.row_sums(e_t)))
+    return tmean(diff * diff)
 
 
 def op_pair_loss_values(batch: AugmentedBatch, tau: float) -> Tensor:
@@ -143,8 +227,8 @@ def op_pair_loss_values(batch: AugmentedBatch, tau: float) -> Tensor:
     z = batch.embeddings
     scores = (z @ z.T) * (1.0 / tau)
     shift = detached_max(scores, axis=1, keepdims=True)
-    e = ad.exp(scores - shift) * Tensor(1.0 - np.eye(batch.num_samples))
-    return (ad.log(ad.tsum(e, axis=1, keepdims=True)) + shift) - scores
+    e = exp(sub(scores, shift)) * Tensor(1.0 - np.eye(batch.num_samples))
+    return sub(log(tsum(e, axis=1, keepdims=True)) + shift, scores)
 
 
 # the contrastive objective one meta-label at a time, from ops: the oracle for
@@ -174,7 +258,7 @@ def op_masked_mean(values, mask: np.ndarray, weights: np.ndarray | None = None):
     if weights is not None:
         coef = coef * weights
     if isinstance(values, Tensor):
-        return ad.tsum(Tensor(coef) * values) * (1.0 / mask.shape[0])
+        return tsum(Tensor(coef) * values) * (1.0 / mask.shape[0])
     return float(np.sum(coef * values) / mask.shape[0])
 
 

@@ -13,6 +13,7 @@ from conftest import (
     op_unsup_loss,
     random_batch,
     same_bytes,
+    tsum,
     unit_rows,
 )
 from spcl.autodiff import GradTape, Tensor
@@ -197,7 +198,7 @@ def _node_value_and_cotangent(loss_values, z: np.ndarray, tau: float, g: np.ndar
     batch = AugmentedBatch(emb, interleaved_pairs(len(z)), np.zeros((1, len(z)), dtype=np.int64))
     with GradTape() as tape:
         out = loss_values(batch, tau)
-        loss = (out * Tensor(g)).sum()
+        loss = tsum(out * Tensor(g))
     return out.data, tape.gradient(loss, [emb])[0]
 
 

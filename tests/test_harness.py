@@ -201,6 +201,9 @@ class TestConfig:
             ({"self_paced": {"gamma_start": 3.0, "gamma_end": 2.0}}, "gamma_start 3.0 must not exceed gamma_end 2.0"),
             # 2 / tau overflows: the default gamma_end would be inf
             ({"self_paced": {"tau": 5e-324}}, "self_paced.tau = 5e-324 is so small"),
+            # exp(-2 / tau) underflows: the default gamma_start would be 0.0
+            ({"self_paced": {"tau": 0.002}},
+             "self_paced.tau = 0.002 is so small that the lower loss bound at pretrain.batch_originals = 8 underflows"),
         ],
     )
     def test_pace_endpoint_crossing_the_other_rejected_at_load_naming_it(self, data, message):

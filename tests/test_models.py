@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import hostile, op_model_pass, same_bytes
+from conftest import hostile, op_model_pass, same_bytes, tsum
 from spcl.autodiff import GradTape, Tensor, finite_diff_check
 from spcl.errors import DataError, NonFiniteValue, ShapeMismatch
 from spcl.models import EmaTeacher, ModelConfig, ParamModel, ema_update
@@ -121,7 +121,7 @@ def _value_and_cotangents(fn, tracked, g):
     """``fn()``'s value and the cotangents of ``tracked`` under the loss sum(fn() * g), from one tape."""
     with GradTape() as tape:
         out = fn()
-        loss = (out * Tensor(g)).sum()
+        loss = tsum(out * Tensor(g))
     return [out.data, *tape.gradient(loss, tracked, warn_disconnected=False)]
 
 
@@ -285,7 +285,7 @@ class TestEmaTeacher:
         teacher = EmaTeacher(model)
         x = rng.random((2, 4, 4))
         with GradTape() as tape:
-            out = teacher.as_model().segment_batch(x).sum()
+            out = tsum(teacher.as_model().segment_batch(x))
         assert not tape.nodes  # nothing tracked
 
     def test_as_model_wraps_shadows_without_copy_or_scan(self, monkeypatch):

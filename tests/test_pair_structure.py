@@ -167,6 +167,8 @@ STRUCTURAL_FAULTS = [
     ([1, 0, 3, 2], np.array([[0, 0, 2**63, 2**63]], dtype=np.uint64), "meta_labels must hold integers"),
     (["1", "0", "3", "2"], [[0, 0, 1, 1]], "pair_of must hold integers, got <U1 values"),
     ([1, 0, 3, 2], [[0, 0, 1j, 1j]], "meta_labels must hold integers, got complex128 values"),
+    ([[1, 0], [3]], [[0, 0, 1, 1]], "pair_of must be a rectangular array, got a ragged sequence"),
+    ([1, 0, 3, 2], [[0, 0], [1, 1, 1, 1]], "meta_labels must be a rectangular array, got a ragged sequence"),
 ]
 
 

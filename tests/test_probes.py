@@ -17,6 +17,7 @@ import spcl.ablation
 import spcl.optim
 from spcl.autodiff import Tensor
 from spcl.config import config_from_dict
+from conftest import tsum
 
 PROBES_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
 
@@ -69,7 +70,7 @@ def test_probe_points_resolve_fire_and_restore():
         dataset = spcl.synth_data.generate_dataset(**config.data_kwargs())
         dice = spcl.ablation.run_variant("sp-con(both)+mean-teacher", dataset, config, seed=0)
         x = Tensor(np.array([0.3, -0.2]), requires_grad=True)
-        spcl.autodiff.finite_diff_check(lambda t: (t * t).sum(), [x])
+        spcl.autodiff.finite_diff_check(lambda t: tsum(t * t), [x])
     finally:
         patches.restore()
 

@@ -364,12 +364,23 @@ class TestSemiSupLoop:
         state = run_semisup(small_model(), ds, labeled, replace(cfg, lambda_reg=0.1), seed=0, policy=FAST_POLICY)
         assert state.teacher is not None and len(calls) == len(state.history) > 0
 
-    def test_unlabeled_only_switch(self):
+    def test_unlabeled_only_switch(self, monkeypatch):
         ds = small_dataset()
         labeled = ds.splits["train"][:1]
+        labeled_volumes = {vi for vi, v in enumerate(ds.volumes) if v.patient_id in labeled}
+        drawn = []  # the slice refs of every pair batch
+        real = semi_supervised.build_pair_batch
+        monkeypatch.setattr(
+            semi_supervised, "build_pair_batch",
+            lambda dataset, refs, policy, rng: drawn.extend(refs) or real(dataset, refs, policy, rng),
+        )
         cfg = SemiSupConfig(epochs=1, batch_size=4, lambda_sp=0.1, lambda_reg=0.0, sp_on_unlabeled_only=True)
         state = run_semisup(small_model(), ds, labeled, cfg, seed=0, policy=FAST_POLICY)
         assert state.epoch == 1
+        assert drawn and not any(vi in labeled_volumes for vi, _ in drawn)
+        drawn.clear()
+        run_semisup(small_model(), ds, labeled, replace(cfg, sp_on_unlabeled_only=False), seed=0, policy=FAST_POLICY)
+        assert any(vi in labeled_volumes for vi, _ in drawn)
 
     def test_unlabeled_batch_larger_than_stream_rejected(self):
         ds = small_dataset()  # 18 train slices

@@ -111,6 +111,7 @@ EPS_NORM = 1e-30
 _TAPE_STACK: list["GradTape"] = []
 _RAISE_FP = {"divide": "raise", "invalid": "raise", "over": "raise"}
 _raise_depth = 0  # open _raising_floats scopes; while any is open, _apply enters no errstate of its own
+_reuse: dict | None = None  # site -> (key, value) of the last eager evaluation; None outside _reusing_evaluations
 
 
 @contextlib.contextmanager
@@ -131,6 +132,50 @@ def _raising_floats():
             raise NonFiniteValue(f"NaN/Inf outside an op: {exc}") from exc
         finally:
             _raise_depth -= 1
+
+
+@contextlib.contextmanager
+def _reusing_evaluations():
+    """Let each eager evaluation in a ``with`` block reuse what the previous one computed from identical operands.
+
+    ``finite_diff_check``'s perturbation loop is the only caller. The store
+    is cleared on every exit, an exception's included.
+    """
+    global _reuse
+    _reuse = {}
+    try:
+        yield
+    finally:
+        _reuse = None
+
+
+def _reuse_store(inputs: Sequence["Tensor"]) -> dict | None:
+    """The open reuse store, or None outside its scope and for a node that the active tape records."""
+    if _reuse is None or (_TAPE_STACK and any(t.requires_grad for t in inputs)):
+        return None
+    return _reuse
+
+
+def _content_key(a: np.ndarray) -> tuple:
+    """A caller-owned array's key: shape, dtype and bytes, so a signed zero or an in-place write misses."""
+    return a.shape, a.dtype.str, a.tobytes()
+
+
+def _reused(site: str, inputs: Sequence["Tensor"], key: Callable[[], tuple], compute: Callable[[], object]):
+    """``compute()``, or what it returned last under an equal ``key()`` while a reuse store is open.
+
+    The store is filled only once ``compute`` has returned.
+    """
+    store = _reuse_store(inputs)
+    if store is None:
+        return compute()
+    k = key()
+    hit = store.get(site)
+    if hit is not None and hit[0] == k:
+        return hit[1]
+    value = compute()
+    store[site] = (k, value)
+    return value
 
 
 # An overflow in a BLAS worker thread never sets the calling thread's flag.
@@ -717,33 +762,55 @@ def dense_pass(
     cotangent is computed only where the ops would have computed it: for a
     tracked input, and for an intermediate that some tracked input reaches.
     The node's ``kinks`` are all its LeakyReLU pre-activations.
+
+    Inside ``finite_diff_check``'s perturbation loop an eager pass reuses
+    the leading LeakyReLU layers of the previous eager pass, in computation
+    order (hidden layers, then skip), up to the first layer whose weight or
+    bias is not the same array as before; the output layer is always
+    recomputed. The rows ``x`` must match by shape, dtype and bytes, the
+    slope and the layer counts must be equal, and weights and biases
+    are matched by identity: a Tensor's data is frozen and the store holds
+    a reference, so an id is never recycled. A reused layer holds the bits
+    that the same NumPy calls on the same operands give. A recorded pass,
+    and any pass outside that loop, neither reads nor fills the store.
     """
     act, factor = _leaky_rule(slope)
     layers = [*hidden, *([skip] if skip is not None else []), out]
     inputs = (x, *(t for layer in layers for t in layer))
     n = len(hidden)
+    steps = len(layers) - 1  # the LeakyReLU layers: hidden, then skip
     ins, zs = [], []  # each layer's input and each LeakyReLU's pre-activation, set by the forward
+    store = _reuse_store(inputs)
 
     def fwd(xd, *wb):
         ins.clear()
         zs.clear()
-
-        def affine(j, h):
+        hs = []  # each LeakyReLU layer's output; the skip layer's is the concatenation
+        kept = 0
+        if store is not None:
+            key = (_content_key(xd), slope, n, steps)
+            prev = store.get("dense_pass")
+            if prev is not None and prev[0] == key:
+                _, p_wb, p_zs, p_hs = prev
+                while kept < steps and p_wb[2 * kept] is wb[2 * kept] and p_wb[2 * kept + 1] is wb[2 * kept + 1]:
+                    kept += 1
+        for j in range(steps):
+            h = xd if j == 0 else hs[0] if j == n else hs[-1]
             ins.append(h)
-            return _product(h, wb[2 * j]) + wb[2 * j + 1]
-
-        h = xd
-        for j in range(n):
-            zs.append(affine(j, h))
-            h = act(zs[-1])
-            if j == 0:
-                first = h
-        if skip is not None:
-            zs.append(affine(n, first))
-            h = np.concatenate((h, act(zs[-1])), axis=1)
-        y = affine(len(layers) - 1, h)
+            if j < kept:
+                zs.append(p_zs[j])
+                hs.append(p_hs[j])
+                continue
+            zs.append(_product(h, wb[2 * j]) + wb[2 * j + 1])
+            a = act(zs[-1])
+            hs.append(np.concatenate((hs[-1], a), axis=1) if j == n else a)
+        h = hs[-1] if hs else xd
+        ins.append(h)
+        y = _product(h, wb[-2]) + wb[-1]
         if shape is not None:
             y.shape = (y.shape[0], *shape)  # in place, so the tensor can own it
+        if store is not None:
+            store["dense_pass"] = (key, wb, tuple(zs), tuple(hs))
         return y
 
     def bwd(datas, out_data):
@@ -803,15 +870,6 @@ def dense_pass(
 # composites
 # ---------------------------------------------------------------------------
 
-def _row_norms(data: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row, whose overflow raises ``NonFiniteValue`` instead of a warning or a raw error."""
-    try:
-        with np.errstate(**_RAISE_FP):
-            return np.linalg.norm(data, axis=1)
-    except FloatingPointError:
-        raise NonFiniteValue("norm overflowed: a row holds values too large to normalize") from None
-
-
 def l2_normalize_rows(m: Tensor | np.ndarray) -> Tensor:
     """Normalize each row of a 2-D matrix to unit norm, as one node.
 
@@ -820,18 +878,26 @@ def l2_normalize_rows(m: Tensor | np.ndarray) -> Tensor:
     in ``tests/conftest.py``. ``t`` is used three times there: the tape
     walk gives it the division's cotangent, then adds the product's two,
     one at a time, and so does this node.
+
+    The forward's norms, ``row_sums(x * x) ** 0.5``, have the bits of
+    ``np.linalg.norm(x, axis=1)`` (the same products, sums and ``sqrt``),
+    and they are what the checks read: a sum that overflows raises
+    ``NonFiniteValue`` and a norm at or below ``EPS_NORM`` raises
+    ``NormTooSmall``, both before anything is recorded.
     """
     t = _as_tensor(m)
     if t.ndim != 2:
         raise ShapeMismatch(f"l2_normalize_rows expects a matrix, got shape {t.shape}")
-    norms = _row_norms(t.data)
-    if np.any(norms <= EPS_NORM):
-        raise NormTooSmall(f"row norm {norms.min():.3e} <= {EPS_NORM:.0e}")
     saved = []
 
     def fwd(x):
-        ss = row_sums(x * x)
+        try:
+            ss = row_sums(x * x)
+        except FloatingPointError:
+            raise NonFiniteValue("norm overflowed: a row holds values too large to normalize") from None
         n = ss**0.5
+        if np.any(n <= EPS_NORM):
+            raise NormTooSmall(f"row norm {n.min():.3e} <= {EPS_NORM:.0e}")
         saved[:] = (ss, n)
         return x / n
 
@@ -862,9 +928,26 @@ def finite_diff_check(
     where central differences carry truncation error ~ step^2 * f'''/6 and
     roundoff ~ 1e-16 * |f| / step that would otherwise register as spurious
     relative error; proportional corruption of real gradients still fails.
+    ``floor`` and ``tolerance`` must be positive and finite: with a zero
+    floor an exactly zero coordinate gives 0/0, and a NaN maximum would
+    pass any gradient.
+
+    The perturbed evaluations are eager and run in one scope per parameter
+    (``_reusing_evaluations``) in which each evaluation reuses what the
+    previous one computed from identical operands, and nothing else: the
+    leading dense layers of ``dense_pass``, ``supervised_loss``'s validated
+    one-hot target and ``consistency_loss``'s teacher probabilities.
+    Parameter arrays are matched by identity, caller-owned arrays (pixel
+    rows, targets, teacher logits) by shape, dtype and bytes. A perturbed
+    parameter is a new array, so everything from its layer on is
+    recomputed, and every value is still produced by the same NumPy calls
+    on the same operands. The analytic pass runs taped, outside the scope.
     """
     if not (0.0 < step <= 1e-2):
         raise ValueError(f"step must be in (0, 1e-2], got {step}")
+    for name, value in (("tolerance", tolerance), ("floor", floor)):
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     with GradTape() as tape:
         out = f(*params)
     analytic = tape.gradient(out, params, warn_disconnected=False)
@@ -874,7 +957,7 @@ def finite_diff_check(
     for pi, p in enumerate(params):
         base = p.data
         numeric = np.zeros(base.size, dtype=np.float64)
-        with _raising_floats():
+        with _raising_floats(), _reusing_evaluations():
             for ci in range(base.size):
                 pert = base.reshape(-1).copy()
                 pert[ci] += step

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field, replace
 import numpy as np
 
-from .autodiff import GradTape, Tensor, _apply, _unbroadcast, row_maxes, row_sums
+from .autodiff import GradTape, Tensor, _apply, _content_key, _reused, _unbroadcast, row_maxes, row_sums
 from .contrastive import AugmentedBatch, PairStructure
 from .errors import InvalidConfig, NonFiniteValue, NormTooSmall, ShapeMismatch
 from .models import EmaTeacher, ParamModel, ema_update
@@ -75,16 +75,25 @@ def supervised_loss(logits, target) -> Tensor:
     (log(sum(exp(x - m))) + m))) / N`` on the (N, C) logit rows ``x``, with
     the row max ``m`` a constant: ``x`` takes the cotangent of its use in
     the log-probabilities, then that of its use under ``exp`` added to it.
+    Inside ``finite_diff_check``'s perturbation loop an eager call reuses
+    the previous one's validated one-hot when the target matches it by
+    shape, dtype and bytes and the logits have the same rows and classes.
     """
     x, (rows, classes) = _logit_rows(logits)
-    t = np.asarray(target, dtype=np.int64).reshape(-1)
-    if t.size != rows:
-        raise ShapeMismatch(f"target size {t.size} does not match {rows} pixels")
-    if t.min() < 0 or t.max() >= classes:
-        raise InvalidConfig(f"target labels must lie in [0, {classes})")
-    onehot = np.zeros((t.size, classes))
-    onehot[np.arange(t.size), t] = 1.0
-    scale = -1.0 / t.size
+    target = np.asarray(target)
+
+    def validated_onehot() -> Tensor:
+        t = np.asarray(target, dtype=np.int64).reshape(-1)
+        if t.size != rows:
+            raise ShapeMismatch(f"target size {t.size} does not match {rows} pixels")
+        if t.min() < 0 or t.max() >= classes:
+            raise InvalidConfig(f"target labels must lie in [0, {classes})")
+        onehot = np.zeros((t.size, classes))
+        onehot[np.arange(t.size), t] = 1.0
+        return Tensor(onehot, _fresh=True)
+
+    onehot = _reused("supervised_loss", (x,), lambda: (rows, classes, _content_key(target)), validated_onehot)
+    scale = -1.0 / rows
     saved = []
 
     def fwd(xd, oh):
@@ -106,7 +115,7 @@ def supervised_loss(logits, target) -> Tensor:
 
         return back
 
-    return _apply("supervised_loss", (x, Tensor(onehot, _fresh=True)), fwd, bwd)
+    return _apply("supervised_loss", (x, onehot), fwd, bwd)
 
 
 def consistency_loss(student_logits, teacher_logits) -> Tensor:
@@ -117,14 +126,22 @@ def consistency_loss(student_logits, teacher_logits) -> Tensor:
     2)``, with ``e = exp(x - m)`` on the student's (N, C) logit rows ``x``
     and ``p`` the teacher's probabilities: the difference, squared as a
     product with itself, takes its two cotangents added, and ``e`` takes
-    the division's cotangent, then the row sum's added to it.
+    the division's cotangent, then the row sum's added to it. Inside
+    ``finite_diff_check``'s perturbation loop an eager call reuses the
+    previous one's teacher-probability Tensor when the teacher logits match
+    by shape, dtype and bytes.
     """
     t_data = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(teacher_logits, dtype=np.float64)
     s, (rows, classes) = _logit_rows(student_logits)
     if s.shape != t_data.shape:
         raise ShapeMismatch(f"student {s.shape} vs teacher {t_data.shape}")
-    t_rows = t_data.reshape(rows, classes)
-    e_t = np.exp(t_rows - row_maxes(t_rows))
+
+    def teacher_probs() -> Tensor:
+        t_rows = t_data.reshape(rows, classes)
+        e_t = np.exp(t_rows - row_maxes(t_rows))
+        return Tensor(e_t / row_sums(e_t))
+
+    probs = _reused("consistency_loss", (s,), lambda: _content_key(t_data), teacher_probs)
     saved = []
 
     def fwd(xd, pt):
@@ -146,7 +163,7 @@ def consistency_loss(student_logits, teacher_logits) -> Tensor:
 
         return back
 
-    return _apply("consistency_loss", (s, Tensor(e_t / row_sums(e_t))), fwd, bwd)
+    return _apply("consistency_loss", (s, probs), fwd, bwd)
 
 
 # ---------------------------------------------------------------------------

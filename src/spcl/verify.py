@@ -171,6 +171,8 @@ def check_gradients(configs: int = 5, seed: int = 33, tolerance: float = 1e-4) -
     kink are redrawn: central differences are invalid across the kink, and
     the filter never looks at gradients, so a wrong backward rule still fails.
     """
+    if configs < 1:
+        raise ValueError(f"configs must be at least 1, got {configs}")
     t0 = time.time()
     rng = np.random.default_rng(seed)
     step = 1e-5

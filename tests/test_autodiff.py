@@ -236,7 +236,7 @@ def _one_layer_pass(x, w):
 
 # The one-node passes and losses, as FORWARD_FAILURES and BACKWARD_FAILURES
 # have the primitives. l2_normalize_rows has no forward case: its forward
-# cannot overflow once the norm check before it has passed
+# can overflow only in its norm, which raises its own message
 # (test_norm_overflow_raises_non_finite_value).
 NODE_FORWARD_FAILURES = {
     "dense_pass": lambda: _one_layer_pass(Tensor([[1e200]]), Tensor([[1e200]])),
@@ -520,6 +520,25 @@ class TestFiniteDiffCheck:
         p = Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError):
             finite_diff_check(lambda q: tsum(q * q), [p], step=0.5)
+
+    @pytest.mark.parametrize("name", ["tolerance", "floor"])
+    @pytest.mark.parametrize("value", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_tolerance_and_floor_preconditions(self, name, value):
+        p = Tensor([1.0], requires_grad=True)
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            finite_diff_check(lambda q: tsum(q * q), [p], **{name: value})
+
+    def test_wrong_gradient_beside_a_zero_coordinate_fails(self):
+        """With a zero floor this check's exactly zero coordinate gave 0/0, and the NaN maximum passed it."""
+        p = Tensor([0.0, 1.0], requires_grad=True)
+
+        def wrong(q):
+            # sum(d * d), whose gradient is 2d, with a backward of 3d
+            return ad._apply("bad_square", (q,), lambda d: np.sum(d * d), lambda datas, out: lambda g: (g * 3.0 * datas[0],))
+
+        assert not finite_diff_check(wrong, [p]).passed
+        with pytest.raises(ValueError, match="^floor must be positive and finite, got 0.0$"):
+            finite_diff_check(wrong, [p], floor=0.0)
 
     def test_composite_passes_at_1e4(self):
         rng = np.random.default_rng(6)

@@ -354,6 +354,45 @@ class TestVerification:
         assert not family.passed
         assert family.detail.endswith("failed: ['unsup_con@1', 'meta_con@1', 'sp_con_frozen_w@1']"), family.detail
 
+    def test_skewed_dense_pass_backward_fails_every_gradient_case(self, monkeypatch):
+        """Every case differentiates through a dense pass that the perturbed evaluations partly reuse."""
+        real_apply = spcl.autodiff._apply
+
+        def skewed_apply(op, inputs, fwd, bwd, kinks=()):
+            def skewed_bwd(datas, out):
+                back = bwd(datas, out)
+                return lambda g: back(g * 1.01)
+
+            return real_apply(op, inputs, fwd, skewed_bwd if op == "dense_pass" else bwd, kinks)
+
+        monkeypatch.setattr(spcl.autodiff, "_apply", skewed_apply)
+        family = check_gradients(configs=1)
+        assert not family.passed
+        assert family.detail.endswith(
+            "failed: ['unsup_con@1', 'meta_con@1', 'sp_con_frozen_w@1', 'cross_entropy@1', 'consistency@1']"
+        ), family.detail
+
+    @pytest.mark.parametrize("op, case", [("supervised_loss", "cross_entropy"), ("consistency_loss", "consistency")])
+    def test_skewed_segmentation_loss_backward_fails_its_case(self, monkeypatch, op, case):
+        """The loss nodes whose constants the perturbed evaluations reuse still face the oracle."""
+        real_apply = spcl.semi_supervised._apply
+
+        def skewed_apply(name, inputs, fwd, bwd):
+            def skewed_bwd(datas, out):
+                back = bwd(datas, out)
+                return lambda g: back(g * 1.01)
+
+            return real_apply(name, inputs, fwd, skewed_bwd if name == op else bwd)
+
+        monkeypatch.setattr(spcl.semi_supervised, "_apply", skewed_apply)
+        family = check_gradients(configs=1)
+        assert not family.passed
+        assert family.detail.endswith(f"failed: ['{case}@1']"), family.detail
+
+    def test_gradient_family_needs_a_configuration(self):
+        with pytest.raises(ValueError, match="configs must be at least 1, got 0"):
+            check_gradients(configs=0)
+
     def test_report_is_machine_readable(self):
         report = run_verification(fast=True)
         parsed = json.loads(report.to_json())

@@ -11,9 +11,14 @@ of that checkout. For each end-to-end metric it prints the parent's and the
 change's median, the change's median difference in percent, the pairs the
 change won (strictly better in the metric's ``better`` direction, as the
 parent's ``BENCHMARK.json`` declares it), and the parent's interquartile
-range. Last it prints the units each run finished, from perfbench's
-"over N units" line, and the failed operations. ``--save`` writes every
-run's metrics and unit count as JSON.
+range. Then, for each kind of step, it prints both sides' median of the
+1st-percentile step time from perfbench's "<kind> steps: n=... p1=..."
+lines, so a claim on ``step_p1_ms`` shows which losses or phases moved.
+Kinds are paired in the order perfbench prints them; a kind whose name
+differs between the sides (gradcheck names each loss by its source line)
+shows both names. Last it prints the units each run finished, from
+perfbench's "over N units" line, and the failed operations. ``--save``
+writes every run's metrics, per-kind p1 and unit count as JSON.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 UNITS = re.compile(r" over (\d+) units$", re.MULTILINE)
+KIND_P1 = re.compile(r"^  (.+) steps: n=\d+ p1=(\S+) ms", re.MULTILINE)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -43,6 +49,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "units": int(units.group(1)) if units else None,
+        "kind_p1": {kind: float(p1) for kind, p1 in KIND_P1.findall(proc.stdout)},
         "failed": result["failed"],
         "attempted": result["attempted"],
         "correct": result["correct"],
@@ -59,9 +66,28 @@ def summary(parent: list[dict], change: list[dict], better: dict[str, str]) -> l
         ma, mb = np.median(a), np.median(b)
         lines.append(f"{name:<14} {ma:>11.6g} {mb:>11.6g} {100 * (mb - ma) / ma:>+7.1f}% "
                      f"{won:>3}/{len(a):<3} {q3 - q1:>11.4g}")
+    lines += kind_summary(parent, change)
     for side, runs in (("parent", parent), ("change", change)):
         lines.append(f"{side} units finished: {' '.join(str(r['units']) for r in runs)}; failed operations: "
                      f"{sum(r['failed'] for r in runs)}/{sum(r['attempted'] for r in runs)}")
+    return lines
+
+
+def kind_summary(parent: list[dict], change: list[dict]) -> list[str]:
+    """Each kind of step's median p1 per side, with the pairs whose change ran it faster."""
+    kinds = {side: list(dict.fromkeys(k for r in runs for k in r["kind_p1"]))
+             for side, runs in (("parent", parent), ("change", change))}
+    lines = [f"{'kind of step (p1 ms)':<40} {'parent':>9} {'change':>9} {'diff':>8} {'won':>7}"]
+    for pk, ck in zip(kinds["parent"], kinds["change"]):
+        pairs = [(a["kind_p1"][pk], b["kind_p1"][ck]) for a, b in zip(parent, change)
+                 if pk in a["kind_p1"] and ck in b["kind_p1"]]
+        ma = np.median([a["kind_p1"][pk] for a in parent if pk in a["kind_p1"]])
+        mb = np.median([b["kind_p1"][ck] for b in change if ck in b["kind_p1"]])
+        name = pk if pk == ck else f"{pk} / {ck}"
+        won = sum(b < a for a, b in pairs)
+        lines.append(f"{name:<40} {ma:>9.4f} {mb:>9.4f} {100 * (mb - ma) / ma:>+7.1f}% {won:>3}/{len(pairs):<3}")
+    if len(kinds["parent"]) != len(kinds["change"]):
+        lines.append(f"kinds differ: parent {kinds['parent']}, change {kinds['change']}")
     return lines
 
 

@@ -5,7 +5,7 @@ with an EMA teacher, and the semi-supervised training objective.
 """
 
 from .autodiff import GradTape, Tensor, finite_diff_check
-from .contrastive import AugmentedBatch, PairStructure
+from .contrastive import PairStructure
 from .models import EmaTeacher, ModelConfig, ParamModel, ema_update
 from .self_paced import (
     SelfPacedConfig,

@@ -930,7 +930,8 @@ def finite_diff_check(
     relative error; proportional corruption of real gradients still fails.
     ``floor`` and ``tolerance`` must be positive and finite: with a zero
     floor an exactly zero coordinate gives 0/0, and a NaN maximum would
-    pass any gradient.
+    pass any gradient. ``params`` must be non-empty and every parameter
+    must have a coordinate, or the check would pass having checked nothing.
 
     The perturbed evaluations are eager and run in one scope per parameter
     (``_reusing_evaluations``) in which each evaluation reuses what the
@@ -948,6 +949,11 @@ def finite_diff_check(
     for name, value in (("tolerance", tolerance), ("floor", floor)):
         if not (0.0 < value < math.inf):
             raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not params:
+        raise ValueError("params must hold at least one parameter")
+    for pi, p in enumerate(params):
+        if p.data.size == 0:
+            raise ValueError(f"parameter {p.name or f'param[{pi}]'} has no coordinates to check")
     with GradTape() as tape:
         out = f(*params)
     analytic = tape.gradient(out, params, warn_disconnected=False)
@@ -970,7 +976,7 @@ def finite_diff_check(
         numeric = numeric.reshape(base.shape)
         a = analytic[pi]
         rel = np.abs(a - numeric) / np.maximum(np.abs(a) + np.abs(numeric), floor)
-        m = float(rel.max()) if rel.size else 0.0
+        m = float(rel.max())
         if m > max_rel:
             max_rel = m
             worst = (p.name or f"param[{pi}]", int(np.argmax(rel)))

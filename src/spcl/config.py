@@ -187,7 +187,9 @@ def _parse_override(text: str) -> tuple[list[str], object]:
 
 
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
-    """Apply dotted-path assignments (flags win over the file)."""
+    """Apply dotted-path assignments (flags win over the file), which need a JSON object to assign into."""
+    if overrides and not isinstance(data, dict):
+        raise InvalidConfig(f"the top level is not a JSON object, got {data!r}")
     for text in overrides:
         path, value = _parse_override(text)
         node = data

@@ -24,14 +24,15 @@ training.
 The positive sets depend on the pairing and the meta-labels, never on the
 embeddings, so a ``PairStructure`` checks ``(pair_of, meta_labels)`` once
 and holds read-only copies of them, the off-diagonal mask, and the
-``positive_masks`` / ``mask_coefficients`` stacks of all K labels.
-``AugmentedBatch(z, pair_of, meta_labels)`` builds
-its own structure and makes every check; ``AugmentedBatch.from_structure``
-checks only the embeddings. The losses read their masks, coefficients and
-off-diagonal from ``batch.structure``. Training builds one structure for
-each pair batch whose contrastive loss it takes (unsupervised pre-training
-one per run, rebuilt only if a batch's pairing differs: its per-image labels
-never change), and ``check_gradients`` one per configuration and label set.
+``positive_masks`` / ``mask_coefficients`` stacks of all K labels. Every
+loss takes the embeddings and a structure as two arguments;
+``pair_loss_values``, the one function that reads the embedding rows,
+checks them against the structure. The losses read their masks,
+coefficients and off-diagonal from the structure. Training builds one
+structure for each pair batch whose contrastive loss it takes
+(unsupervised pre-training one per run, rebuilt only if a batch's pairing
+differs: its per-image labels never change), and ``check_gradients`` one
+per configuration and label set.
 """
 
 from __future__ import annotations
@@ -45,17 +46,12 @@ from .autodiff import Tensor, _apply, _as_tensor, row_maxes, row_sums
 from .errors import InvalidConfig
 
 
-def _array(values, name: str) -> np.ndarray:
-    """``np.asarray(values)``; a ragged nesting, which NumPy cannot shape, is rejected naming ``name``."""
-    try:
-        return np.asarray(values)
-    except ValueError:
-        raise InvalidConfig(f"{name} must be a rectangular array, got a ragged sequence") from None
-
-
 def _integers(values, name: str) -> np.ndarray:
-    """``values`` as a new int64 array; any value that is not an integer is rejected, naming ``name``."""
-    arr = _array(values, name)
+    """``values`` as a new int64 array; a ragged nesting or a non-integer value is rejected, naming ``name``."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting, which NumPy cannot shape
+        raise InvalidConfig(f"{name} must be a rectangular array, got a ragged sequence") from None
     if arr.dtype.kind in "bi" or arr.dtype.kind == "u" and arr.dtype.itemsize < 8:
         return arr.astype(np.int64)
     if arr.dtype.kind not in "uf":
@@ -135,67 +131,6 @@ class PairStructure:
         return self.masks[rows], self.coefs[rows]
 
 
-def _shaped_embeddings(embeddings, pair_shape: tuple) -> Tensor:
-    """``embeddings`` as a Tensor of 2N >= 2 rows, one per ``pair_of`` entry."""
-    z = _as_tensor(embeddings)
-    if z.ndim != 2:
-        raise InvalidConfig(f"embeddings must be 2-D, got shape {z.shape}")
-    n2 = z.shape[0]
-    if n2 < 2 or n2 % 2:
-        raise InvalidConfig(f"batch must hold 2N >= 2 samples, got {n2}")
-    if pair_shape != (n2,):
-        raise InvalidConfig("pair_of length must match the number of samples")
-    return z
-
-
-@dataclass(frozen=True, init=False, eq=False)
-class AugmentedBatch:
-    """2N embedded samples: unit-row embeddings and the ``PairStructure`` of their pairing and labels.
-
-    embeddings: (2N, d) Tensor (or array, wrapped), rows unit-norm within 1e-10.
-    pair_of:    (2N,) integers, an involution with no fixed point.
-    meta_labels:(K, 2N) integers; the two views of an original share labels.
-    """
-
-    embeddings: Tensor
-    structure: PairStructure
-
-    def __init__(self, embeddings, pair_of, meta_labels):
-        pair = _array(pair_of, "pair_of")
-        self._fill(_shaped_embeddings(embeddings, pair.shape), PairStructure(pair, meta_labels))
-
-    @classmethod
-    def from_structure(cls, embeddings, structure: PairStructure) -> "AugmentedBatch":
-        """A batch on an already checked structure: only the embeddings' shape and norms are checked."""
-        batch = object.__new__(cls)
-        batch._fill(_shaped_embeddings(embeddings, structure.pair_of.shape), structure)
-        return batch
-
-    def _fill(self, z: Tensor, structure: PairStructure) -> None:
-        norms = np.sqrt(np.add.reduce(z.data * z.data, axis=1))  # np.linalg.norm's bits
-        if (np.abs(norms - 1.0) > 1e-10).any():
-            raise InvalidConfig(f"embedding rows must be unit norm, worst |1-||z||| = {np.abs(norms - 1.0).max():.2e}")
-        object.__setattr__(self, "embeddings", z)
-        object.__setattr__(self, "structure", structure)
-
-    @property
-    def pair_of(self) -> np.ndarray:
-        return self.structure.pair_of
-
-    @property
-    def meta_labels(self) -> np.ndarray:
-        return self.structure.meta_labels
-
-    @property
-    def num_samples(self) -> int:
-        """2N, the augmented-set size."""
-        return self.embeddings.shape[0]
-
-    @property
-    def num_meta_labels(self) -> int:
-        return self.structure.num_meta_labels
-
-
 def _check_tau(tau: float) -> float:
     tau = float(tau)
     if not 0.0 < tau < math.inf:
@@ -203,19 +138,22 @@ def _check_tau(tau: float) -> float:
     return tau
 
 
-def positive_masks(batch: AugmentedBatch | PairStructure, ks: tuple[int, ...]) -> np.ndarray:
+def positive_masks(structure: PairStructure, ks: tuple[int, ...]) -> np.ndarray:
     """Boolean (K, 2N, 2N) stack: row i of slice k is True exactly on P^{ks[k]}(i)."""
-    labels = batch.meta_labels[list(ks)]
+    labels = structure.meta_labels[list(ks)]
     masks = labels[:, :, None] == labels[:, None, :]
     # no "| {j(i)}" step: a PairStructure has rejected twins whose labels
     # differ, so the label match already holds every j(i)
-    idx = np.arange(batch.num_samples)
+    idx = np.arange(structure.num_samples)
     masks[:, idx, idx] = False
     return masks
 
 
-def pair_loss_values(batch: AugmentedBatch, tau: float) -> Tensor:
+def pair_loss_values(embeddings, structure: PairStructure, tau: float) -> Tensor:
     """All l_ij as a (2N, 2N) Tensor (diagonal entries are meaningless).
+
+    ``embeddings`` is a (2N, d) Tensor (or array, wrapped) with one row per
+    sample of ``structure``, each of unit norm within 1e-10.
 
     l_ij = logsumexp_{a != i}(z_i . z_a / tau) - z_i . z_j / tau, with the
     row max as a constant shift so no exponent exceeds zero. After the
@@ -223,8 +161,19 @@ def pair_loss_values(batch: AugmentedBatch, tau: float) -> Tensor:
     (1/tau)``, ``log(tsum(exp(s - max) * offdiag, axis=1, keepdims=True)) +
     max - s``: ``s`` takes the cotangent of ``- s``, then adds that under ``exp``.
     """
+    z = _as_tensor(embeddings)
+    if z.ndim != 2:
+        raise InvalidConfig(f"embeddings must be 2-D, got shape {z.shape}")
+    n2 = z.shape[0]
+    if n2 < 2 or n2 % 2:
+        raise InvalidConfig(f"batch must hold 2N >= 2 samples, got {n2}")
+    if n2 != structure.num_samples:
+        raise InvalidConfig("pair_of length must match the number of samples")
+    norms = np.sqrt(np.add.reduce(z.data * z.data, axis=1))  # np.linalg.norm's bits
+    if (np.abs(norms - 1.0) > 1e-10).any():
+        raise InvalidConfig(f"embedding rows must be unit norm, worst |1-||z||| = {np.abs(norms - 1.0).max():.2e}")
     inv_tau = np.asarray(1.0 / _check_tau(tau))
-    offdiag = batch.structure.offdiag
+    offdiag = structure.offdiag
     saved = []
 
     def fwd(gram):
@@ -239,7 +188,6 @@ def pair_loss_values(batch: AugmentedBatch, tau: float) -> Tensor:
         e, total = saved
         return ((-g + ((row_sums(g) / total) * offdiag) * e) * inv_tau,)
 
-    z = batch.embeddings
     return _apply("pair_loss_values", (z @ z.T,), fwd, lambda datas, out: back)
 
 

@@ -13,10 +13,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ExperimentConfig
-from .contrastive import AugmentedBatch
+from .contrastive import PairStructure
 from .errors import InvalidConfig
 from .models import ParamModel
 from .self_paced import combined_sp_loss, pace_schedule, weight_stats
+from .semi_supervised import _require_full_batch
 from .synth_data import build_pair_batch, generate_dataset
 
 PACE_EXPONENTS = (0.5, 1.0, 2.0)
@@ -47,9 +48,12 @@ def pace_report(
     model = ParamModel(config.model)
     rng = np.random.default_rng([config.seed, 777])
     refs = dataset.slice_refs("train")
+    # the pace endpoints are the loss bounds at batch_originals, so the batch must hold that many
+    _require_full_batch(len(refs), config.pretrain.batch_originals, "batch_originals")
     take = [refs[i] for i in rng.permutation(len(refs))[: config.pretrain.batch_originals]]
     pair = build_pair_batch(dataset, take, config.augment, rng)
-    batch = AugmentedBatch(model.embed_batch(pair.images), pair.pair_of, pair.meta_labels)
+    structure = PairStructure(pair.pair_of, pair.meta_labels)
+    z = model.embed_batch(pair.images)
 
     rows = []
     for regularizer in regularizers:
@@ -59,7 +63,7 @@ def pace_report(
             )
             for epoch in range(max_epoch + 1):
                 gamma = pace_schedule(cfg, epoch, max_epoch)
-                _, w = combined_sp_loss(batch, gamma, cfg)
+                _, w = combined_sp_loss(z, structure, gamma, cfg)
                 mean_w, min_w, max_w = weight_stats(w)
                 rows.append(
                     PaceRow(

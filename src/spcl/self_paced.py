@@ -20,16 +20,19 @@ held constant while the encoder takes its gradient step.
 
 ``combined_sp_loss`` is the one training objective, sum_k lambda_k times the
 loss of meta-label k: every pre-training mode, the semi-supervised
-regularizer, the pace report and ``spcl verify`` call it. It builds the
-pair-loss matrix, the closed-form weights and the regularizer once per batch
-for all meta-labels, and records the K-label sum as one tape node
+regularizer, the pace report and ``spcl verify`` call it. Like every loss
+here it takes the batch's embeddings and its ``PairStructure`` as two
+arguments, and the labels it uses from ``config.lambdas``; with
+``weighted=True`` it is ``sp_contrastive_loss``. It builds the pair-loss
+matrix, the closed-form weights and the regularizer once per batch for all
+meta-labels, and records the K-label sum as one tape node
 (``masked_mean_sum``). With ``weighted=False`` it is the plain meta-label
 contrastive loss, and with one class per original image the unsupervised
 one. Nothing that depends only on the pairing and the labels is built
 here: the positive masks, their ``1/|P^k(i)|`` coefficients and the
-off-diagonal mask come from the batch's ``PairStructure``, which training
-builds for each pair batch (once per run for unsupervised pre-training)
-and ``check_gradients`` once per configuration and label set.
+off-diagonal mask come from the structure, which training builds for each
+pair batch (once per run for unsupervised pre-training) and
+``check_gradients`` once per configuration and label set.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Tensor
-from .contrastive import AugmentedBatch, _check_tau, masked_mean_sum, pair_loss_values
+from .contrastive import PairStructure, _check_tau, masked_mean_sum, pair_loss_values
 from .errors import InvalidConfig
 from .schema import check_finite
 
@@ -171,68 +174,68 @@ def pace_schedule(config: SelfPacedConfig, cur_epoch: int, max_epoch: int) -> fl
     return float(config.gamma_start + (config.gamma_end - config.gamma_start) * frac)
 
 
+def _pair_losses(embeddings, structure: PairStructure, config: SelfPacedConfig) -> tuple[Tensor, tuple[int, ...]]:
+    """The batch's ``pair_loss_values`` and the meta-labels k with lambda_k != 0, in order."""
+    if len(config.lambdas) > structure.num_meta_labels:
+        raise InvalidConfig(
+            f"{len(config.lambdas)} lambdas but batch has {structure.num_meta_labels} meta-labels"
+        )
+    ks = tuple(k for k, lam in enumerate(config.lambdas) if lam != 0.0)
+    return pair_loss_values(embeddings, structure, config.tau), ks
+
+
 def sp_contrastive_loss(
-    batch: AugmentedBatch,
-    ks: tuple[int, ...],
+    embeddings,
+    structure: PairStructure,
     gamma: float,
     config: SelfPacedConfig,
-    values: Tensor | None = None,
 ) -> tuple[Tensor, np.ndarray]:
-    """Self-paced contrastive loss over meta-labels ``ks`` at pace gamma, and its weights.
+    """Self-paced contrastive loss sum_k lambda_k * sp_loss_k at pace gamma, and its pooled weights.
 
-    Computes l_ij, solves the inner weight problem exactly in closed form,
-    and gives each label k the loss (1/2N) sum_i (1/|P^k(i)|) sum_j
-    [w_ij l_ij + R_gamma(w_ij)], with lambda_k from ``config.lambdas``; the
-    sum is one ``masked_mean_sum`` node. The second value concatenates, over
-    ``ks`` in order, the in-mask weights w_ij flattened row-major over
-    ``positive_masks(batch, ks)``; the masks and their coefficients come
-    from ``batch.structure``. The weights (and the regularizer term) are
-    constants for gradient purposes: only w_ij * grad(l_ij) reaches the
-    encoder. ``values`` may pass in ``pair_loss_values(batch, config.tau)``
-    already built for this batch.
+    Computes l_ij once, solves the inner weight problem exactly in closed
+    form, and gives each meta-label k with lambda_k != 0 (lambda_k from
+    ``config.lambdas``) the loss (1/2N) sum_i (1/|P^k(i)|) sum_j [w_ij l_ij
+    + R_gamma(w_ij)]; the sum is one ``masked_mean_sum`` node. The second
+    value concatenates, over the used k in order, the in-mask weights w_ij
+    flattened row-major over ``positive_masks(structure, (k,))``; the masks
+    and their coefficients come from ``structure``. The weights (and the
+    regularizer term) are constants for gradient purposes: only w_ij *
+    grad(l_ij) reaches the encoder.
     """
+    values, ks = _pair_losses(embeddings, structure, config)
     gamma = _check_gamma(gamma)
-    ks = tuple(ks)
-    for k in ks:
-        if not (0 <= k < batch.num_meta_labels):
-            raise InvalidConfig(f"meta-label index {k} out of range [0, {batch.num_meta_labels})")
-    if values is None:
-        values = pair_loss_values(batch, config.tau)
     w = optimal_weight(values.data, gamma, config.regularizer)
     # the weights are one matrix for every label; inside a mask the masked
     # weights equal it, so R of it, masked, is the per-label R, masked
-    masks, coefs = batch.structure.select(ks)
+    masks, coefs = structure.select(ks)
     r = coefs * np.where(masks, regularizer_value(w, gamma, config.regularizer), 0.0)
-    offsets = [float(np.sum(r_k) / batch.num_samples) for r_k in r]
+    offsets = [float(np.sum(r_k) / structure.num_samples) for r_k in r]
     w = np.where(masks, w, 0.0)
     loss = masked_mean_sum(values, coefs * w, [config.lambdas[k] for k in ks], offsets)
     return loss, w[masks]
 
 
 def combined_sp_loss(
-    batch: AugmentedBatch,
+    embeddings,
+    structure: PairStructure,
     gamma: float,
     config: SelfPacedConfig,
     weighted: bool = True,
 ) -> tuple[Tensor, np.ndarray]:
     """The training objective sum_k lambda_k * sp_loss_k, and its pooled weights.
 
-    Builds the pair-loss matrix once and reuses it for every meta-label;
-    the sum is one tape node. With ``weighted=False`` every pair weighs 1
-    and the regularizer vanishes, which is the plain meta-label contrastive
-    loss. Meta-labels with lambda_k == 0 are skipped entirely (their label
-    vectors are never touched). The second value concatenates, over the
-    used k in order, the in-mask weights w_ij.
+    With ``weighted=True`` it is ``sp_contrastive_loss``. With
+    ``weighted=False`` every pair weighs 1 and the regularizer vanishes,
+    which is the plain meta-label contrastive loss. Either way the
+    pair-loss matrix is built once for every meta-label and the sum is one
+    tape node. Meta-labels with lambda_k == 0 are skipped entirely (their
+    masks are never read). The second value concatenates, over the used k
+    in order, the in-mask weights w_ij.
     """
-    if len(config.lambdas) > batch.num_meta_labels:
-        raise InvalidConfig(
-            f"{len(config.lambdas)} lambdas but batch has {batch.num_meta_labels} meta-labels"
-        )
-    values = pair_loss_values(batch, config.tau)
-    ks = tuple(k for k, lam in enumerate(config.lambdas) if lam != 0.0)
     if weighted:
-        return sp_contrastive_loss(batch, ks, gamma, config, values=values)
-    masks, coefs = batch.structure.select(ks)
+        return sp_contrastive_loss(embeddings, structure, gamma, config)
+    values, ks = _pair_losses(embeddings, structure, config)
+    masks, coefs = structure.select(ks)
     loss = masked_mean_sum(values, coefs, [config.lambdas[k] for k in ks])
     return loss, np.ones(int(masks.sum()))
 

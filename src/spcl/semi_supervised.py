@@ -13,15 +13,15 @@ Semi-supervised training optimizes
     total = sup + lambda_reg * consistency + lambda_sp * sp_contrastive
 
 Both take their contrastive term, and the pair-weight statistics they log,
-from ``self_paced.combined_sp_loss``: one call per batch, in every
-pre-training mode and with or without self-paced weighting. Each pair
-batch whose contrastive term is taken gets its ``PairStructure`` (pairing,
-meta-labels, positive masks and coefficients, checked once); unsupervised
-pre-training keeps one per-image structure for the whole run, rebuilt only
-if a batch's pairing differs from it. With both lambdas zero
-semi-supervised training degenerates to plain supervised training (and is
-the supervised baseline, bit for bit: the unlabeled stream is never
-touched).
+from ``self_paced.combined_sp_loss``: one call per batch on the batch's
+embeddings and its ``PairStructure``, in every pre-training mode and with
+or without self-paced weighting. Each pair batch whose contrastive term is
+taken gets its structure (pairing, meta-labels, positive masks and
+coefficients, checked once); unsupervised pre-training keeps one per-image
+structure for the whole run, rebuilt only if a batch's pairing differs
+from it. With both lambdas zero semi-supervised training degenerates to
+plain supervised training (and is the supervised baseline, bit for bit:
+the unlabeled stream is never touched).
 
 All stochastic draws flow through per-epoch seeded generators, so two runs
 with the same config and seed produce identical loss histories.
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import GradTape, Tensor, _apply, _content_key, _reused, _unbroadcast, row_maxes, row_sums
-from .contrastive import AugmentedBatch, PairStructure
+from .contrastive import PairStructure
 from .errors import InvalidConfig, NonFiniteValue, NormTooSmall, ShapeMismatch
 from .models import EmaTeacher, ParamModel, ema_update
 from .optim import RAdam
@@ -326,8 +326,7 @@ def _fit(
 
 def _sp_term(model: ParamModel, images, structure: PairStructure, gamma: float, cfg: SelfPacedConfig, weighted: bool):
     """Embed a pair batch's images; return its self-paced contrastive loss and pair-weight stats."""
-    aug = AugmentedBatch.from_structure(model.embed_batch(images), structure)
-    loss, w = combined_sp_loss(aug, gamma, cfg, weighted=weighted)
+    loss, w = combined_sp_loss(model.embed_batch(images), structure, gamma, cfg, weighted=weighted)
     return loss, weight_stats(w)
 
 

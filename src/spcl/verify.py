@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import GradTape, Tensor, finite_diff_check, l2_normalize_rows, min_kink_distance
-from .contrastive import AugmentedBatch, PairStructure, masked_mean_sum, pair_loss_values
+from .contrastive import PairStructure, masked_mean_sum, pair_loss_values
 from .models import ModelConfig, ParamModel
 from .self_paced import (
     HARD,
@@ -78,8 +78,9 @@ def _unit_rows(rng, n, d):
 
 
 def _random_batch(rng, n, d=8, classes=3):
+    """Unit-row embeddings of 2N samples and the structure of their interleaved pairing and one label."""
     labels = np.repeat(rng.integers(0, classes, size=n), 2)[None, :]
-    return AugmentedBatch(_unit_rows(rng, 2 * n, d), interleaved_pairs(2 * n), labels)
+    return _unit_rows(rng, 2 * n, d), PairStructure(interleaved_pairs(2 * n), labels)
 
 
 def _dense(mask, weights):
@@ -89,9 +90,9 @@ def _dense(mask, weights):
     return w
 
 
-def _unweighted_loss(batch: AugmentedBatch, config: SelfPacedConfig) -> Tensor:
+def _unweighted_loss(z, structure: PairStructure, config: SelfPacedConfig) -> Tensor:
     """The plain meta-label contrastive loss: the training objective with every pair weight 1."""
-    return combined_sp_loss(batch, 1.0, config, weighted=False)[0]
+    return combined_sp_loss(z, structure, 1.0, config, weighted=False)[0]
 
 
 def check_closed_form_weights(weight_fn=optimal_weight, trials: int = 1000, seed: int = 0) -> FamilyResult:
@@ -130,23 +131,22 @@ def check_loss_bounds(trials: int = 300, seed: int = 1) -> FamilyResult:
         n = int(rng.choice([2, 4, 8, 16]))
         tau = float(rng.choice([0.07, 0.1, 0.5, 1.0]))
         lo, hi = loss_bounds(n, tau)
-        vals = pair_loss_values(_random_batch(rng, n), tau).data
+        vals = pair_loss_values(*_random_batch(rng, n), tau).data
         off = ~np.eye(2 * n, dtype=bool)
         if vals[off].min() < lo - 1e-12 or vals[off].max() > hi + 1e-12:
             violations += 1
     worst_gap = 0.0
     for n, tau in [(2, 0.07), (4, 0.5), (8, 1.0), (16, 0.1)]:
         lo, hi = loss_bounds(n, tau)
+        structure = PairStructure(interleaved_pairs(2 * n), np.zeros((1, 2 * n), dtype=int))
         u = np.zeros(4)
         u[0] = 1.0
         z = np.tile(-u, (2 * n, 1))
         z[0] = z[1] = u
-        batch = AugmentedBatch(z, interleaved_pairs(2 * n), np.zeros((1, 2 * n), dtype=int))
-        worst_gap = max(worst_gap, abs(pair_loss_values(batch, tau).data[0, 1] - lo))
+        worst_gap = max(worst_gap, abs(pair_loss_values(z, structure, tau).data[0, 1] - lo))
         z = np.tile(u, (2 * n, 1))
         z[1] = -u
-        batch = AugmentedBatch(z, interleaved_pairs(2 * n), np.zeros((1, 2 * n), dtype=int))
-        worst_gap = max(worst_gap, abs(pair_loss_values(batch, tau).data[0, 1] - hi))
+        worst_gap = max(worst_gap, abs(pair_loss_values(z, structure, tau).data[0, 1] - hi))
     passed = violations == 0 and worst_gap <= 1e-6
     return FamilyResult(
         "loss_bounds",
@@ -228,21 +228,19 @@ def check_gradients(configs: int = 5, seed: int = 33, tolerance: float = 1e-4) -
 
         def frozen_sp(*ts):
             nonlocal sp_coefs
-            batch = AugmentedBatch.from_structure(rebuild_eh(ts).embed_batch(pair_imgs), meta)
+            z = rebuild_eh(ts).embed_batch(pair_imgs)
             if sp_coefs is None:
                 masks, coefs = meta.select((0,))
-                w = _dense(masks, sp_contrastive_loss(batch, (0,), gamma, sp_cfg)[1])
+                w = _dense(masks, sp_contrastive_loss(z, meta, gamma, sp_cfg)[1])
                 sp_coefs = coefs * w
-            return masked_mean_sum(pair_loss_values(batch, sp_cfg.tau), sp_coefs, [1.0])
+            return masked_mean_sum(pair_loss_values(z, meta, sp_cfg.tau), sp_coefs, [1.0])
 
         cases = {
             "unsup_con": lambda *ts: combined_sp_loss(
-                AugmentedBatch.from_structure(rebuild_eh(ts).embed_batch(pair_imgs), unsup), gamma, sp_cfg,
-                weighted=False,
+                rebuild_eh(ts).embed_batch(pair_imgs), unsup, gamma, sp_cfg, weighted=False
             )[0],
             "meta_con": lambda *ts: combined_sp_loss(
-                AugmentedBatch.from_structure(rebuild_eh(ts).embed_batch(pair_imgs), meta), gamma, sp_cfg,
-                weighted=False,
+                rebuild_eh(ts).embed_batch(pair_imgs), meta, gamma, sp_cfg, weighted=False
             )[0],
             "sp_con_frozen_w": frozen_sp,
             "cross_entropy": lambda *ts: supervised_loss(rebuild_full(ts).segment_batch(images), target),
@@ -271,33 +269,32 @@ def check_equivalences(seed: int = 3) -> FamilyResult:
     problems = []
     for _ in range(20):
         n = int(rng.integers(2, 8))
-        batch = _random_batch(rng, n)
-        per_image = AugmentedBatch(batch.embeddings, batch.pair_of, per_image_labels(n))
+        z, structure = _random_batch(rng, n)
+        per_image = PairStructure(structure.pair_of, per_image_labels(n))
         tau = float(rng.uniform(0.1, 1.0))
-        values = pair_loss_values(batch, tau).data
-        view_pairs = np.mean(values[np.arange(2 * n), batch.pair_of])
-        if abs(_unweighted_loss(per_image, SelfPacedConfig(tau=tau)).item() - view_pairs) > 1e-12:
+        values = pair_loss_values(z, structure, tau).data
+        view_pairs = np.mean(values[np.arange(2 * n), structure.pair_of])
+        if abs(_unweighted_loss(z, per_image, SelfPacedConfig(tau=tau)).item() - view_pairs) > 1e-12:
             problems.append("per-image-label loss is not the mean view-pair loss")
             break
     cfg = SelfPacedConfig(regularizer=HARD, tau=0.5)
     for _ in range(10):
         n = int(rng.integers(2, 6))
-        batch = _random_batch(rng, n)
+        z, structure = _random_batch(rng, n)
         _, hi = loss_bounds(n, 0.5)
         gamma = hi + 1.0
-        loss, weights = combined_sp_loss(batch, gamma, cfg)
-        if not np.all(weights == 1.0) or abs(loss.item() - (_unweighted_loss(batch, cfg).item() - gamma)) > 1e-10:
+        loss, weights = combined_sp_loss(z, structure, gamma, cfg)
+        if not np.all(weights == 1.0) or abs(
+            loss.item() - (_unweighted_loss(z, structure, cfg).item() - gamma)
+        ) > 1e-10:
             problems.append("hard-mode saturation mismatch")
             break
-    batch = _random_batch(rng, 4, classes=2)
-    scrambled = AugmentedBatch(
-        batch.embeddings,
-        batch.pair_of,
-        np.vstack([batch.meta_labels[0], np.roll(batch.meta_labels[0], 2)]),
-    )
-    both = AugmentedBatch(batch.embeddings, batch.pair_of, np.vstack([batch.meta_labels[0]] * 2))
+    z, structure = _random_batch(rng, 4, classes=2)
+    labels = structure.meta_labels[0]
+    scrambled = PairStructure(structure.pair_of, np.vstack([labels, np.roll(labels, 2)]))
+    both = PairStructure(structure.pair_of, np.vstack([labels] * 2))
     cfg2 = SelfPacedConfig(tau=0.5, lambdas=(1.0, 0.0), gamma_start=1.0, gamma_end=3.0)
-    if combined_sp_loss(scrambled, 2.0, cfg2)[0].item() != combined_sp_loss(both, 2.0, cfg2)[0].item():
+    if combined_sp_loss(z, scrambled, 2.0, cfg2)[0].item() != combined_sp_loss(z, both, 2.0, cfg2)[0].item():
         problems.append("lambda=0 label not dropped")
     return FamilyResult(
         "equivalences",
@@ -369,10 +366,9 @@ def check_normalization_and_tape(seed: int = 5) -> FamilyResult:
     # the training forward: an embedding pass fed into the contrastive objective
     model = ParamModel(_GRADCHECK_MODEL)
     images = rng.random((8, 4, 4))
-    labels = np.repeat(rng.integers(0, 3, size=4), 2)[None, :]
+    structure = PairStructure(interleaved_pairs(8), np.repeat(rng.integers(0, 3, size=4), 2)[None, :])
     with GradTape() as tape:
-        batch = AugmentedBatch(model.embed_batch(images), interleaved_pairs(8), labels)
-        out = combined_sp_loss(batch, 1.0, SelfPacedConfig(tau=0.5, lambdas=(1.0,)))[0]
+        out = combined_sp_loss(model.embed_batch(images), structure, 1.0, SelfPacedConfig(tau=0.5, lambdas=(1.0,)))[0]
     if tape.replay() != out.data:
         problems.append("tape replay not bit-identical")
     c = Tensor(3.0)
@@ -399,15 +395,16 @@ def check_permutation_invariance(seed: int = 6) -> FamilyResult:
     worst = 0.0
     for _ in range(30):
         n = int(rng.integers(2, 7))
-        batch = _random_batch(rng, n)
+        z, structure = _random_batch(rng, n)
         perm = rng.permutation(2 * n)
         inv = np.empty(2 * n, dtype=int)
         inv[perm] = np.arange(2 * n)
         cfg = SelfPacedConfig(tau=float(rng.uniform(0.1, 1.0)))
-        for labels in (batch.meta_labels, per_image_labels(n)):
-            a = AugmentedBatch(batch.embeddings, batch.pair_of, labels)
-            b = AugmentedBatch(batch.embeddings.data[perm], inv[batch.pair_of[perm]], labels[:, perm])
-            worst = max(worst, abs(_unweighted_loss(a, cfg).item() - _unweighted_loss(b, cfg).item()))
+        pair = structure.pair_of
+        for labels in (structure.meta_labels, per_image_labels(n)):
+            a = _unweighted_loss(z, PairStructure(pair, labels), cfg)
+            b = _unweighted_loss(z[perm], PairStructure(inv[pair[perm]], labels[:, perm]), cfg)
+            worst = max(worst, abs(a.item() - b.item()))
     return FamilyResult(
         "permutation_invariance",
         worst <= 1e-12,

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from spcl import autodiff as ad
-from spcl.autodiff import GradTape, Tensor, _apply, _unbroadcast, row_sums
-from spcl.contrastive import AugmentedBatch, mask_coefficients, pair_loss_values
+from spcl.autodiff import GradTape, Tensor, _apply, _as_tensor, _unbroadcast, row_sums
+from spcl.contrastive import PairStructure, mask_coefficients, pair_loss_values
 from spcl.optim import RAdam
 from spcl.self_paced import optimal_weight, pace_schedule, regularizer_value
 from spcl.semi_supervised import labeled_batches, supervised_loss
@@ -28,8 +28,8 @@ def random_batch(
     dim: int = 8,
     num_classes: int | list | None = None,
     num_labels: int = 1,
-) -> AugmentedBatch:
-    """Random unit-row batch; labels drawn per original image and copied to both views."""
+) -> tuple[np.ndarray, PairStructure]:
+    """Random unit-row embeddings and their structure: interleaved pairs, labels drawn per original for both views."""
     n2 = 2 * num_originals
     if num_classes is None:
         num_classes = [max(2, num_originals // 2)] * num_labels
@@ -39,11 +39,7 @@ def random_batch(
     for k, ck in enumerate(num_classes):
         per_original = rng.integers(0, ck, size=num_originals)
         labels[k] = np.repeat(per_original, 2)
-    return AugmentedBatch(
-        embeddings=unit_rows(rng, n2, dim),
-        pair_of=interleaved_pairs(n2),
-        meta_labels=labels,
-    )
+    return unit_rows(rng, n2, dim), PairStructure(interleaved_pairs(n2), labels)
 
 
 def exploding_matmul(a, b):
@@ -222,33 +218,34 @@ def op_consistency_loss(student: Tensor, teacher: np.ndarray) -> Tensor:
     return tmean(diff * diff)
 
 
-def op_pair_loss_values(batch: AugmentedBatch, tau: float) -> Tensor:
+def op_pair_loss_values(z, structure: PairStructure, tau: float) -> Tensor:
     """``pair_loss_values`` with everything after the Gram product as ops, the row max a constant shift."""
-    z = batch.embeddings
+    z = _as_tensor(z)
     scores = (z @ z.T) * (1.0 / tau)
     shift = detached_max(scores, axis=1, keepdims=True)
-    e = exp(sub(scores, shift)) * Tensor(1.0 - np.eye(batch.num_samples))
+    e = exp(sub(scores, shift)) * Tensor(1.0 - np.eye(structure.num_samples))
     return sub(log(tsum(e, axis=1, keepdims=True)) + shift, scores)
 
 
 # the contrastive objective one meta-label at a time, from ops: the oracle for
-# the one masked_mean_sum node that combined_sp_loss records
+# the one masked_mean_sum node that combined_sp_loss records. The masks are
+# built from the structure's pairing and labels; its mask stacks are not read.
 
-def op_positive_mask(batch: AugmentedBatch, k: int) -> np.ndarray:
+def op_positive_mask(structure: PairStructure, k: int) -> np.ndarray:
     """Boolean (2N, 2N) mask with row i True exactly on P^k(i), one label at a time."""
-    labels = batch.meta_labels[k]
+    labels = structure.meta_labels[k]
     mask = labels[:, None] == labels[None, :]
-    idx = np.arange(batch.num_samples)
-    mask[idx, batch.pair_of] = True
+    idx = np.arange(structure.num_samples)
+    mask[idx, structure.pair_of] = True
     mask[idx, idx] = False
     return mask
 
 
-def op_pair_mask(batch: AugmentedBatch) -> np.ndarray:
+def op_pair_mask(structure: PairStructure) -> np.ndarray:
     """Boolean (2N, 2N) mask selecting only each anchor's paired view."""
-    n2 = batch.num_samples
+    n2 = structure.num_samples
     mask = np.zeros((n2, n2), dtype=bool)
-    mask[np.arange(n2), batch.pair_of] = True
+    mask[np.arange(n2), structure.pair_of] = True
     return mask
 
 
@@ -262,21 +259,21 @@ def op_masked_mean(values, mask: np.ndarray, weights: np.ndarray | None = None):
     return float(np.sum(coef * values) / mask.shape[0])
 
 
-def op_unsup_loss(batch: AugmentedBatch, tau: float) -> Tensor:
+def op_unsup_loss(z, structure: PairStructure, tau: float) -> Tensor:
     """Average l over the view pairs only, from ops: (1/2N) sum_i l_{i, j(i)}."""
-    return op_masked_mean(pair_loss_values(batch, tau), op_pair_mask(batch))
+    return op_masked_mean(pair_loss_values(z, structure, tau), op_pair_mask(structure))
 
 
-def op_meta_loss(batch: AugmentedBatch, k: int, tau: float) -> Tensor:
+def op_meta_loss(z, structure: PairStructure, k: int, tau: float) -> Tensor:
     """Average l over each anchor's positive set for meta-label k, from ops."""
-    return op_masked_mean(pair_loss_values(batch, tau), op_positive_mask(batch, k))
+    return op_masked_mean(pair_loss_values(z, structure, tau), op_positive_mask(structure, k))
 
 
-def op_sp_loss(batch: AugmentedBatch, k: int, gamma: float, config, values: Tensor | None = None):
+def op_sp_loss(z, structure: PairStructure, k: int, gamma: float, config, values: Tensor | None = None):
     """Self-paced loss of meta-label k and its in-mask weights, with the w*l and R means as ops."""
     if values is None:
-        values = pair_loss_values(batch, config.tau)
-    mask = op_positive_mask(batch, k)
+        values = pair_loss_values(z, structure, config.tau)
+    mask = op_positive_mask(structure, k)
     w = np.where(mask, optimal_weight(values.data, gamma, config.regularizer), 0.0)
     r = np.where(mask, regularizer_value(w, gamma, config.regularizer), 0.0)
     return op_masked_mean(values, mask, w) + op_masked_mean(r, mask), w[mask]

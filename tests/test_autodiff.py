@@ -528,6 +528,16 @@ class TestFiniteDiffCheck:
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
             finite_diff_check(lambda q: tsum(q * q), [p], **{name: value})
 
+    def test_no_coordinates_to_check_is_rejected(self):
+        """Over zero coordinates the check used to report a pass having compared nothing."""
+        with pytest.raises(ValueError, match="^params must hold at least one parameter$"):
+            finite_diff_check(lambda: Tensor(1.0), [])
+        empty = Tensor(np.zeros((0, 3)), requires_grad=True, name="w")
+        with pytest.raises(ValueError, match="^parameter w has no coordinates to check$"):
+            finite_diff_check(lambda q: tsum(q * q), [empty])
+        with pytest.raises(ValueError, match=r"^parameter param\[1\] has no coordinates to check$"):
+            finite_diff_check(lambda a, b: tsum(a * a), [Tensor([1.0], requires_grad=True), Tensor(np.zeros(0))])
+
     def test_wrong_gradient_beside_a_zero_coordinate_fails(self):
         """With a zero floor this check's exactly zero coordinate gave 0/0, and the NaN maximum passed it."""
         p = Tensor([0.0, 1.0], requires_grad=True)

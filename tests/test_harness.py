@@ -293,6 +293,19 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             load_config("/nonexistent/config.json")
 
+    @pytest.mark.parametrize("top", ["[1, 2]", "5", '"text"', "null", "true"])
+    @pytest.mark.parametrize("override", ["seed=1", "data.seed=1"])
+    def test_override_into_a_top_level_that_is_not_an_object(self, tmp_path, top, override):
+        """--set on such a file raised TypeError or AttributeError instead of the error the file gives alone."""
+        path = tmp_path / "c.json"
+        path.write_text(top)
+        want = f"the top level is not a JSON object, got {json.loads(top)!r}"
+        with pytest.raises(InvalidConfig) as without:
+            load_config(str(path))
+        with pytest.raises(InvalidConfig) as overridden:
+            load_config(str(path), [override])
+        assert str(without.value) == str(overridden.value) == want
+
     def test_output_root_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
         cfg = ExperimentConfig(output_dir="runs")
@@ -488,6 +501,21 @@ class TestCliProcess:
             assert r.returncode == 2, r.stderr
             assert "Traceback" not in r.stderr
             assert not (workdir / "runs" / "pace").exists()
+
+    def test_pace_report_batch_above_the_train_slices_exits_2(self, workdir):
+        # it used to draw a smaller batch than its pace endpoints were computed for
+        overrides = ["--set", "pretrain.batch_originals=30"]
+        r = run_cli(["pace-report", "--config", "small.json", "--epochs", "1", *overrides], workdir)
+        assert r.returncode == 2, r.stderr
+        assert "config error: batch_originals=30 exceeds the" in r.stderr
+        assert "unlabeled training slices; no batch would be drawn" in r.stderr and "Traceback" not in r.stderr
+        assert not (workdir / "runs" / "pace").exists()
+
+    def test_override_into_a_list_config_exits_2(self, workdir):
+        (workdir / "list.json").write_text("[1, 2]")
+        r = run_cli(["pace-report", "--config", "list.json", "--set", "data.seed=1"], workdir)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.strip() == "config error: the top level is not a JSON object, got [1, 2]"
 
     def test_config_error_exit_code(self, workdir):
         for override in ("data.bogus=1", "ablation.eval_split=bogus"):

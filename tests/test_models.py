@@ -214,7 +214,7 @@ class TestDensePassOracle:
 class TestParameterAccounting:
     def test_all_params_alive_in_combined_loss(self, rng):
         """Generic batch: every parameter block gets some gradient signal."""
-        from spcl.contrastive import AugmentedBatch
+        from spcl.contrastive import PairStructure
         from spcl.self_paced import SelfPacedConfig, combined_sp_loss, loss_bounds
         from spcl.semi_supervised import supervised_loss
         from spcl.synth_data import interleaved_pairs
@@ -224,9 +224,8 @@ class TestParameterAccounting:
         target = rng.integers(0, 2, size=(4, 4, 4))
         cfg = SelfPacedConfig(tau=0.5, gamma_start=1.0, gamma_end=loss_bounds(2, 0.5)[1])
         with GradTape() as tape:
-            z = model.embed_batch(x)
-            batch = AugmentedBatch(z, interleaved_pairs(4), np.array([[0, 0, 1, 1]]))
-            sp, _ = combined_sp_loss(batch, cfg.gamma_end * 0.8, cfg)
+            structure = PairStructure(interleaved_pairs(4), np.array([[0, 0, 1, 1]]))
+            sp, _ = combined_sp_loss(model.embed_batch(x), structure, cfg.gamma_end * 0.8, cfg)
             loss = supervised_loss(model.segment_batch(x), target) + sp
         names = sorted(model.params)
         grads = tape.gradient(loss, [model.params[n] for n in names])

@@ -15,7 +15,7 @@ from conftest import (
     unit_rows,
 )
 from spcl.autodiff import GradTape, Tensor
-from spcl.contrastive import AugmentedBatch, PairStructure, mask_coefficients, positive_masks
+from spcl.contrastive import PairStructure, mask_coefficients, positive_masks
 from spcl.errors import InvalidConfig
 from spcl.self_paced import HARD, LINEAR, SelfPacedConfig, combined_sp_loss, loss_bounds
 
@@ -34,17 +34,17 @@ def pace(n2: int, tau: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def oracle_loss(batch: AugmentedBatch, gamma: float, cfg: SelfPacedConfig, weighted: bool):
-    """sum_k lambda_k L_k and the pooled weights, one label at a time from ops, with no PairStructure read."""
-    values = op_pair_loss_values(batch, cfg.tau)
+def oracle_loss(z, structure: PairStructure, gamma: float, cfg: SelfPacedConfig, weighted: bool):
+    """sum_k lambda_k L_k and the pooled weights, one label at a time from ops, reading only the pairing and labels."""
+    values = op_pair_loss_values(z, structure, cfg.tau)
     total, pooled = None, []
     for k, lam in enumerate(cfg.lambdas):
         if lam == 0.0:
             continue
         if weighted:
-            term, w = op_sp_loss(batch, k, gamma, cfg, values=values)
+            term, w = op_sp_loss(z, structure, k, gamma, cfg, values=values)
         else:
-            mask = op_positive_mask(batch, k)
+            mask = op_positive_mask(structure, k)
             term, w = op_masked_mean(values, mask), np.ones(int(mask.sum()))
         pooled.append(w)
         total = term * lam if total is None else total + term * lam
@@ -68,7 +68,7 @@ class TestSameBits:
     @pytest.mark.parametrize("n2", [2, 8, 16])
     @pytest.mark.parametrize("num_labels", [1, 3])
     @pytest.mark.parametrize("mode", ["hard", "linear", "unweighted"])
-    def test_structure_batch_equals_caller_batch_and_ops(self, rng, n2, num_labels, mode):
+    def test_shared_structure_equals_fresh_structure_and_ops(self, rng, n2, num_labels, mode):
         weighted = mode != "unweighted"
         cfg = SelfPacedConfig(regularizer=HARD if mode == "hard" else LINEAR, tau=0.5, lambdas=LAMBDAS[num_labels])
         gamma = pace(n2, cfg.tau)
@@ -76,24 +76,22 @@ class TestSameBits:
             z = unit_rows(rng, n2, 5)
             pair, labels = interleaved_pairs(n2), draw_labels(rng, num_labels, n2)
             structure = PairStructure(pair, labels)
-            built = evaluate(lambda e: combined_sp_loss(AugmentedBatch.from_structure(e, structure), gamma, cfg,
+            shared = evaluate(lambda e: combined_sp_loss(e, structure, gamma, cfg, weighted=weighted), z)
+            fresh = evaluate(lambda e: combined_sp_loss(e, PairStructure(pair, labels), gamma, cfg,
                                                         weighted=weighted), z)
-            caller = evaluate(lambda e: combined_sp_loss(AugmentedBatch(e, pair, labels), gamma, cfg,
-                                                         weighted=weighted), z)
-            ops = evaluate(lambda e: oracle_loss(AugmentedBatch(e, pair, labels), gamma, cfg, weighted), z)
-            assert_same(built, caller)
-            assert_same(built, ops)
+            ops = evaluate(lambda e: oracle_loss(e, PairStructure(pair, labels), gamma, cfg, weighted), z)
+            assert_same(shared, fresh)
+            assert_same(shared, ops)
 
-    def test_label_selections_on_one_structure_equal_fresh_batches(self, rng):
+    def test_label_selections_on_one_structure_equal_fresh_structures(self, rng):
         z, pair, labels = unit_rows(rng, 8, 4), interleaved_pairs(8), draw_labels(rng, 3, 8)
         structure = PairStructure(pair, labels)
-        batch = AugmentedBatch.from_structure(z, structure)
         for lambdas in [(1.0, 0.0, 0.1), (1.0, 0.1, 0.0), (1.0, 0.0, 0.1)]:
             cfg = SelfPacedConfig(tau=0.5, lambdas=lambdas).with_default_pace(4)
             gamma = 0.5 * (cfg.gamma_start + cfg.gamma_end)
             for weighted in (True, False):
-                loss, pooled = combined_sp_loss(batch, gamma, cfg, weighted=weighted)
-                fresh_loss, fresh_pooled = combined_sp_loss(AugmentedBatch(z, pair, labels), gamma, cfg,
+                loss, pooled = combined_sp_loss(z, structure, gamma, cfg, weighted=weighted)
+                fresh_loss, fresh_pooled = combined_sp_loss(z, PairStructure(pair, labels), gamma, cfg,
                                                             weighted=weighted)
                 assert same_bytes(loss.data, fresh_loss.data) and same_bytes(pooled, fresh_pooled), lambdas
         assert not same_bytes(structure.select((0, 2))[0], structure.select((0, 1))[0])
@@ -101,14 +99,13 @@ class TestSameBits:
     def test_stacks_are_the_single_implementation(self, rng):
         pair, labels = interleaved_pairs(8), draw_labels(rng, 3, 8)
         structure = PairStructure(pair, labels)
-        batch = AugmentedBatch(unit_rows(rng, 8, 4), pair, labels)
-        assert same_bytes(structure.masks, positive_masks(batch, (0, 1, 2)))
-        assert same_bytes(structure.coefs, mask_coefficients(positive_masks(batch, (0, 1, 2))))
+        assert same_bytes(structure.masks, positive_masks(structure, (0, 1, 2)))
+        assert same_bytes(structure.coefs, mask_coefficients(positive_masks(structure, (0, 1, 2))))
         assert same_bytes(structure.offdiag, 1.0 - np.eye(8))
         for ks in [(2,), (0, 2), (2, 0, 1)]:
             masks, coefs = structure.select(ks)
-            assert same_bytes(masks, positive_masks(batch, ks))
-            assert same_bytes(coefs, mask_coefficients(positive_masks(batch, ks)))
+            assert same_bytes(masks, positive_masks(structure, ks))
+            assert same_bytes(coefs, mask_coefficients(positive_masks(structure, ks)))
 
 
 class TestImmutable:
@@ -126,12 +123,10 @@ class TestImmutable:
         pair, labels = interleaved_pairs(8), draw_labels(rng, 3, 8)
         want = PairStructure(pair.copy(), labels.copy())
         structure = PairStructure(pair, labels)
-        batch = AugmentedBatch(unit_rows(rng, 8, 4), pair, labels)
         pair[:] = np.arange(8)
         labels[:] = 7
-        for got in (structure, batch.structure):
-            for name in ("pair_of", "meta_labels", "offdiag", "masks", "coefs"):
-                assert same_bytes(getattr(got, name), getattr(want, name)), name
+        for name in ("pair_of", "meta_labels", "offdiag", "masks", "coefs"):
+            assert same_bytes(getattr(structure, name), getattr(want, name)), name
 
     def test_integral_values_of_any_numeric_dtype_load(self, rng):
         pair, labels = interleaved_pairs(8), draw_labels(rng, 2, 8)
@@ -147,7 +142,7 @@ class TestImmutable:
             assert same_bytes(got, np.full((1, 8), int(edge), np.int64))
 
 
-# (pair_of, meta_labels, message) for 2N = 4; each is rejected by both constructors
+# (pair_of, meta_labels, message) for 2N = 4
 STRUCTURAL_FAULTS = [
     ([0, 1, 3, 2], [[0, 0, 1, 1]], "pair_of must be a fixed-point-free involution"),
     ([1, 2, 3, 0], [[0, 0, 0, 0]], "pair_of must be a fixed-point-free involution"),
@@ -174,13 +169,10 @@ STRUCTURAL_FAULTS = [
 
 class TestChecks:
     @pytest.mark.parametrize("pair_of, labels, message", STRUCTURAL_FAULTS)
-    def test_structural_fault_has_one_message_on_both_paths(self, rng, pair_of, labels, message):
-        with pytest.raises(InvalidConfig) as direct:
+    def test_structural_fault_message(self, pair_of, labels, message):
+        with pytest.raises(InvalidConfig) as exc:
             PairStructure(pair_of, labels)
-        with pytest.raises(InvalidConfig) as batch:
-            AugmentedBatch(unit_rows(rng, 4, 3), pair_of, labels)
-        assert str(direct.value) == str(batch.value)
-        assert str(direct.value).startswith(message)
+        assert str(exc.value).startswith(message)
 
     def test_pair_count_is_checked_without_embeddings(self):
         with pytest.raises(InvalidConfig, match=r"^batch must hold 2N >= 2 samples, got 3$"):
@@ -188,30 +180,6 @@ class TestChecks:
         with pytest.raises(InvalidConfig, match=r"^pair_of must be 1-D"):
             PairStructure([[1, 0]], [[0, 0]])
 
-    @pytest.mark.parametrize(
-        "embeddings, message",
-        [
-            (lambda rng: unit_rows(rng, 6, 3), "pair_of length must match the number of samples"),
-            (lambda rng: unit_rows(rng, 10, 3), "pair_of length must match the number of samples"),
-            (lambda rng: unit_rows(rng, 7, 3), "batch must hold 2N >= 2 samples, got 7"),
-            (lambda rng: unit_rows(rng, 8, 3)[:, 0], "embeddings must be 2-D, got shape (8,)"),
-            (lambda rng: unit_rows(rng, 8, 3) * (1.0 + 1e-9), "embedding rows must be unit norm"),
-        ],
-    )
-    def test_embedding_fault_has_one_message_on_both_paths(self, rng, embeddings, message):
-        z = embeddings(rng)
-        pair, labels = interleaved_pairs(8), np.zeros((1, 8), dtype=int)
-        with pytest.raises(InvalidConfig) as on_structure:
-            AugmentedBatch.from_structure(z, PairStructure(pair, labels))
-        with pytest.raises(InvalidConfig) as caller:
-            AugmentedBatch(z, pair, labels)
-        assert str(on_structure.value) == str(caller.value)
-        assert str(on_structure.value).startswith(message)
-
-    def test_batch_reads_its_structure(self, rng):
-        z, pair, labels = unit_rows(rng, 8, 3), interleaved_pairs(8), draw_labels(rng, 3, 8)
-        structure = PairStructure(pair, labels)
-        batch = AugmentedBatch.from_structure(z, structure)
-        assert batch.structure is structure and batch.pair_of is structure.pair_of
-        assert batch.meta_labels is structure.meta_labels
-        assert (batch.num_samples, batch.num_meta_labels) == (8, 3)
+    def test_sample_and_label_counts(self, rng):
+        structure = PairStructure(interleaved_pairs(8), draw_labels(rng, 3, 8))
+        assert (structure.num_samples, structure.num_meta_labels) == (8, 3)

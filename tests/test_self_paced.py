@@ -15,7 +15,7 @@ from conftest import (
     random_batch,
 )
 from spcl.autodiff import GradTape, Tensor, l2_normalize_rows
-from spcl.contrastive import AugmentedBatch, mask_coefficients, masked_mean_sum, pair_loss_values, positive_masks
+from spcl.contrastive import PairStructure, mask_coefficients, masked_mean_sum, pair_loss_values, positive_masks
 from spcl.errors import InvalidConfig
 from spcl.self_paced import (
     HARD,
@@ -33,19 +33,19 @@ from spcl.synth_data import per_image_labels
 GRID = np.linspace(0.0, 1.0, 10001)  # step 1e-4
 
 
-def dense_weights(batch: AugmentedBatch, k: int, weights: np.ndarray) -> np.ndarray:
+def dense_weights(structure: PairStructure, k: int, weights: np.ndarray) -> np.ndarray:
     """sp_contrastive_loss's in-mask weights for the one label k scattered back to a (2N, 2N) matrix."""
-    w = np.zeros((batch.num_samples, batch.num_samples))
-    w[positive_masks(batch, (k,))[0]] = weights
+    w = np.zeros((structure.num_samples, structure.num_samples))
+    w[positive_masks(structure, (k,))[0]] = weights
     return w
 
 
-def weighted_loss_terms(batch, k, weights, gamma, config) -> tuple[float, float]:
+def weighted_loss_terms(z, structure, k, weights, gamma, config) -> tuple[float, float]:
     """(w*l part, regularizer part) of the self-paced scalar, rebuilt from its weights."""
-    mask = op_positive_mask(batch, k)
-    w = dense_weights(batch, k, weights)
+    mask = op_positive_mask(structure, k)
+    w = dense_weights(structure, k, weights)
     r = np.where(mask, regularizer_value(w, gamma, config.regularizer), 0.0)
-    return op_masked_mean(pair_loss_values(batch, config.tau).data, mask, w), op_masked_mean(r, mask)
+    return op_masked_mean(pair_loss_values(z, structure, config.tau).data, mask, w), op_masked_mean(r, mask)
 
 
 def grid_argmin(l: float, gamma: float, regularizer: str) -> float:
@@ -154,8 +154,7 @@ class TestLossBounds:
             n = int(rng.choice([2, 4, 8]))
             tau = float(rng.choice([0.07, 0.1, 0.5, 1.0]))
             lo, hi = loss_bounds(n, tau)
-            batch = random_batch(rng, n)
-            vals = pair_loss_values(batch, tau).data
+            vals = pair_loss_values(*random_batch(rng, n), tau).data
             off = ~np.eye(2 * n, dtype=bool)
             assert vals[off].min() >= lo - 1e-12
             assert vals[off].max() <= hi + 1e-12
@@ -163,6 +162,7 @@ class TestLossBounds:
     def test_bounds_attained_by_adversarial_batches(self):
         for n, tau in [(2, 1.0), (4, 0.5), (8, 0.1)]:
             lo, hi = loss_bounds(n, tau)
+            structure = PairStructure(interleaved_pairs(2 * n), np.zeros((1, 2 * n), dtype=int))
             d = 4
             u = np.zeros(d)
             u[0] = 1.0
@@ -170,13 +170,11 @@ class TestLossBounds:
             z = np.tile(-u, (2 * n, 1))
             z[0] = u
             z[1] = u
-            batch = AugmentedBatch(z, interleaved_pairs(2 * n), np.zeros((1, 2 * n), dtype=int))
-            assert pair_loss_values(batch, tau).data[0, 1] == pytest.approx(lo, abs=1e-9)
+            assert pair_loss_values(z, structure, tau).data[0, 1] == pytest.approx(lo, abs=1e-9)
             # twin antipodal, everyone else on the anchor -> upper bound
             z = np.tile(u, (2 * n, 1))
             z[1] = -u
-            batch = AugmentedBatch(z, interleaved_pairs(2 * n), np.zeros((1, 2 * n), dtype=int))
-            assert pair_loss_values(batch, tau).data[0, 1] == pytest.approx(hi, abs=1e-9)
+            assert pair_loss_values(z, structure, tau).data[0, 1] == pytest.approx(hi, abs=1e-9)
 
 
 class TestPaceSchedule:
@@ -217,23 +215,23 @@ class TestPaceSchedule:
 
 class TestSelfPacedLoss:
     def test_gamma_above_max_reproduces_meta_loss(self, rng):
-        batch = random_batch(rng, 4, num_classes=[2])
+        z, structure = random_batch(rng, 4, num_classes=[2])
         cfg = SelfPacedConfig(regularizer=HARD, tau=0.5)
         _, hi = loss_bounds(4, 0.5)
-        loss, weights = sp_contrastive_loss(batch, (0,), hi + 1.0, cfg)
+        loss, weights = sp_contrastive_loss(z, structure, hi + 1.0, cfg)
         assert np.all(weights == 1.0)
-        wl, reg = weighted_loss_terms(batch, 0, weights, hi + 1.0, cfg)
-        meta = combined_sp_loss(batch, hi + 1.0, cfg, weighted=False)[0]
+        wl, reg = weighted_loss_terms(z, structure, 0, weights, hi + 1.0, cfg)
+        meta = combined_sp_loss(z, structure, hi + 1.0, cfg, weighted=False)[0]
         assert wl == pytest.approx(meta.item(), abs=1e-10)
         assert loss.item() == pytest.approx(wl + reg, abs=1e-12)
 
     def test_gamma_below_min_zeroes_everything(self, rng):
-        batch = random_batch(rng, 4, num_classes=[2])
+        z, structure = random_batch(rng, 4, num_classes=[2])
         cfg = SelfPacedConfig(regularizer=HARD, tau=0.5)
         lo, _ = loss_bounds(4, 0.5)
-        loss, weights = sp_contrastive_loss(batch, (0,), lo * 0.5, cfg)
+        loss, weights = sp_contrastive_loss(z, structure, lo * 0.5, cfg)
         assert np.all(weights == 0.0)
-        wl, reg = weighted_loss_terms(batch, 0, weights, lo * 0.5, cfg)
+        wl, reg = weighted_loss_terms(z, structure, 0, weights, lo * 0.5, cfg)
         assert wl == 0.0 and reg == 0.0
         assert loss.item() == 0.0
 
@@ -243,8 +241,8 @@ class TestSelfPacedLoss:
         lo, _ = loss_bounds(4, 0.5)
         with GradTape() as tape:
             z = l2_normalize_rows(raw)
-            batch = AugmentedBatch(z, interleaved_pairs(8), np.repeat(rng.integers(0, 2, 4), 2)[None, :])
-            loss, _ = sp_contrastive_loss(batch, (0,), lo * 0.5, cfg)
+            structure = PairStructure(interleaved_pairs(8), np.repeat(rng.integers(0, 2, 4), 2)[None, :])
+            loss, _ = sp_contrastive_loss(z, structure, lo * 0.5, cfg)
         (g,) = tape.gradient(loss, [raw])
         assert np.all(g == 0.0)
 
@@ -254,17 +252,16 @@ class TestSelfPacedLoss:
         labels = np.repeat(rng.integers(0, 2, 3), 2)[None, :]
         cfg = SelfPacedConfig(regularizer=LINEAR, tau=0.5)
         gamma = sum(loss_bounds(3, 0.5)) / 2.0
+        structure = PairStructure(interleaved_pairs(6), labels)
 
-        def batch_of(arr):
-            z = l2_normalize_rows(arr if isinstance(arr, Tensor) else Tensor(arr))
-            return AugmentedBatch(z, interleaved_pairs(6), labels)
+        def embed(arr):
+            return l2_normalize_rows(arr if isinstance(arr, Tensor) else Tensor(arr))
 
-        batch0 = batch_of(raw0)
-        _, weights = sp_contrastive_loss(batch0, (0,), gamma, cfg)
-        coefs = mask_coefficients(positive_masks(batch0, (0,))) * dense_weights(batch0, 0, weights)
+        _, weights = sp_contrastive_loss(embed(raw0), structure, gamma, cfg)
+        coefs = mask_coefficients(positive_masks(structure, (0,))) * dense_weights(structure, 0, weights)
 
         def frozen_loss(arr):
-            return masked_mean_sum(pair_loss_values(batch_of(arr), cfg.tau), coefs, [1.0])
+            return masked_mean_sum(pair_loss_values(embed(arr), structure, cfg.tau), coefs, [1.0])
 
         raw = Tensor(raw0, requires_grad=True)
         with GradTape() as tape:
@@ -289,7 +286,7 @@ class TestSelfPacedLoss:
 
     def test_mean_weight_dynamics_fast_vs_slow_pace(self, rng):
         """At mid-training the p=1/2 schedule keeps more pairs than p=2."""
-        batch = random_batch(rng, 8, num_classes=[3])
+        z, structure = random_batch(rng, 8, num_classes=[3])
         base = SelfPacedConfig(regularizer=LINEAR, tau=0.5).with_default_pace(8)
         means = {}
         for p in (0.5, 2.0):
@@ -298,73 +295,68 @@ class TestSelfPacedLoss:
                 gamma_start=base.gamma_start, gamma_end=base.gamma_end,
             )
             gamma = pace_schedule(cfg, 50, 100)
-            _, weights = sp_contrastive_loss(batch, (0,), gamma, cfg)
+            _, weights = sp_contrastive_loss(z, structure, gamma, cfg)
             means[p] = weights.mean()
         assert means[0.5] > means[2.0]
 
 
 class TestCombinedLoss:
     def test_single_label_identity(self, rng):
-        batch = random_batch(rng, 4, num_classes=[2])
+        z, structure = random_batch(rng, 4, num_classes=[2])
         cfg = SelfPacedConfig(tau=0.5, lambdas=(1.0,)).with_default_pace(4)
         gamma = 0.5 * (cfg.gamma_start + cfg.gamma_end)
-        single, _ = op_sp_loss(batch, 0, gamma, cfg)
-        assert combined_sp_loss(batch, gamma, cfg)[0].item() == single.item()
+        single, _ = op_sp_loss(z, structure, 0, gamma, cfg)
+        assert combined_sp_loss(z, structure, gamma, cfg)[0].item() == single.item()
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf])
     def test_non_finite_gamma_rejected(self, rng, gamma):
-        batch = random_batch(rng, 4, num_classes=[2])
+        z, structure = random_batch(rng, 4, num_classes=[2])
         for regularizer in (HARD, LINEAR):
             cfg = SelfPacedConfig(regularizer=regularizer, tau=0.5)
             with pytest.raises(InvalidConfig, match="gamma must be positive and finite"):
-                combined_sp_loss(batch, gamma, cfg)
+                combined_sp_loss(z, structure, gamma, cfg)
 
     def test_zero_lambda_drops_label(self, rng):
-        batch = random_batch(rng, 4, num_classes=[2, 3, 2], num_labels=3)
-        other = AugmentedBatch(
-            batch.embeddings,
-            batch.pair_of,
-            np.vstack([batch.meta_labels[0], np.roll(batch.meta_labels[1], 2), batch.meta_labels[2] * 0]),
-        )
+        z, structure = random_batch(rng, 4, num_classes=[2, 3, 2], num_labels=3)
+        labels = structure.meta_labels
+        other = PairStructure(structure.pair_of, np.vstack([labels[0], np.roll(labels[1], 2), labels[2] * 0]))
         cfg = SelfPacedConfig(tau=0.5, lambdas=(1.0, 0.0, 0.0)).with_default_pace(4)
         gamma = cfg.gamma_end * 0.7
-        assert combined_sp_loss(batch, gamma, cfg)[0].item() == combined_sp_loss(other, gamma, cfg)[0].item()
+        assert combined_sp_loss(z, structure, gamma, cfg)[0].item() == combined_sp_loss(z, other, gamma, cfg)[0].item()
 
     def test_split_lambdas_on_identical_labels(self, rng):
-        batch1 = random_batch(rng, 4, num_classes=[2])
-        dup = AugmentedBatch(
-            batch1.embeddings, batch1.pair_of, np.vstack([batch1.meta_labels[0]] * 2)
-        )
+        z, structure = random_batch(rng, 4, num_classes=[2])
+        dup = PairStructure(structure.pair_of, np.vstack([structure.meta_labels[0]] * 2))
         gamma = 2.0
         cfg_single = SelfPacedConfig(tau=0.5, lambdas=(1.0,), gamma_start=1.0, gamma_end=3.0)
         cfg_split = SelfPacedConfig(tau=0.5, lambdas=(0.5, 0.5), gamma_start=1.0, gamma_end=3.0)
-        a = combined_sp_loss(batch1, gamma, cfg_single)[0].item()
-        b = combined_sp_loss(dup, gamma, cfg_split)[0].item()
+        a = combined_sp_loss(z, structure, gamma, cfg_single)[0].item()
+        b = combined_sp_loss(z, dup, gamma, cfg_split)[0].item()
         assert b == pytest.approx(a, abs=1e-12)
 
     @pytest.mark.parametrize("regularizer", [HARD, LINEAR])
     def test_pooled_weights_and_loss_match_per_label_terms(self, rng, regularizer):
-        batch = random_batch(rng, 5, num_classes=[2, 3, 2], num_labels=3)
+        z, structure = random_batch(rng, 5, num_classes=[2, 3, 2], num_labels=3)
         cfg = SelfPacedConfig(regularizer=regularizer, tau=0.5, lambdas=(1.0, 0.0, 0.25)).with_default_pace(5)
         gamma = 0.5 * (cfg.gamma_start + cfg.gamma_end)
-        loss, pooled = combined_sp_loss(batch, gamma, cfg)
-        terms = [op_sp_loss(batch, k, gamma, cfg) for k in (0, 2)]
+        loss, pooled = combined_sp_loss(z, structure, gamma, cfg)
+        terms = [op_sp_loss(z, structure, k, gamma, cfg) for k in (0, 2)]
         np.testing.assert_array_equal(pooled, np.concatenate([w for _, w in terms]))
         assert loss.item() == (terms[0][0] * 1.0 + terms[1][0] * 0.25).item()
 
     def test_unweighted_is_meta_loss_bitwise(self, rng):
-        batch = random_batch(rng, 5, num_classes=[2, 3, 2], num_labels=3)
+        z, structure = random_batch(rng, 5, num_classes=[2, 3, 2], num_labels=3)
         cfg = SelfPacedConfig(tau=0.5, lambdas=(1.0, 0.0, 0.25))
-        loss, pooled = combined_sp_loss(batch, 1.0, cfg, weighted=False)
-        meta = [op_meta_loss(batch, k, 0.5) for k in (0, 2)]
+        loss, pooled = combined_sp_loss(z, structure, 1.0, cfg, weighted=False)
+        meta = [op_meta_loss(z, structure, k, 0.5) for k in (0, 2)]
         assert loss.item() == (meta[0] * 1.0 + meta[1] * 0.25).item()
-        assert pooled.size == sum(int(op_positive_mask(batch, k).sum()) for k in (0, 2)) and np.all(pooled == 1.0)
+        assert pooled.size == sum(int(op_positive_mask(structure, k).sum()) for k in (0, 2)) and np.all(pooled == 1.0)
 
     def test_unweighted_per_image_labels_is_unsup_loss_bitwise(self, rng):
-        batch = random_batch(rng, 5)
-        per_image = AugmentedBatch(batch.embeddings, batch.pair_of, per_image_labels(5))
-        loss, pooled = combined_sp_loss(per_image, 1.0, SelfPacedConfig(tau=0.5), weighted=False)
-        assert loss.item() == op_unsup_loss(batch, 0.5).item()
+        z, structure = random_batch(rng, 5)
+        per_image = PairStructure(structure.pair_of, per_image_labels(5))
+        loss, pooled = combined_sp_loss(z, per_image, 1.0, SelfPacedConfig(tau=0.5), weighted=False)
+        assert loss.item() == op_unsup_loss(z, structure, 0.5).item()
         np.testing.assert_array_equal(pooled, np.ones(10))
 
     @pytest.mark.parametrize(
@@ -380,28 +372,28 @@ class TestCombinedLoss:
         gamma = 0.5 * (cfg.gamma_start + cfg.gamma_end)
 
         def taped(objective):
+            structure = PairStructure(interleaved_pairs(12), labels)
             with GradTape() as tape:
-                batch = AugmentedBatch(l2_normalize_rows(raw), interleaved_pairs(12), labels)
-                loss = objective(batch) * 0.1
+                loss = objective(l2_normalize_rows(raw), structure) * 0.1
             return loss.data, tape.gradient(loss, [raw])[0], tape
 
-        def per_label(batch):
-            values = pair_loss_values(batch, cfg.tau)
+        def per_label(z, structure):
+            values = pair_loss_values(z, structure, cfg.tau)
             total = None
             for k, lam in enumerate(lambdas):
                 if lam == 0.0:
                     continue
                 if weighted:
-                    term = op_sp_loss(batch, k, gamma, cfg, values=values)[0]
+                    term = op_sp_loss(z, structure, k, gamma, cfg, values=values)[0]
                 else:
-                    term = op_masked_mean(values, op_positive_mask(batch, k))
+                    term = op_masked_mean(values, op_positive_mask(structure, k))
                 total = term * lam if total is None else total + term * lam
             return total
 
         for _ in range(12):
             raw = Tensor(rng.standard_normal((12, 6)), requires_grad=True)
             labels = np.repeat(rng.integers(0, 3, size=(3, 6)), 2, axis=1)
-            value, grad, tape = taped(lambda b: combined_sp_loss(b, gamma, cfg, weighted=weighted)[0])
+            value, grad, tape = taped(lambda z, st: combined_sp_loss(z, st, gamma, cfg, weighted=weighted)[0])
             want_value, want_grad, _ = taped(per_label)
             assert value.tobytes() == want_value.tobytes()
             assert grad.tobytes() == want_grad.tobytes()

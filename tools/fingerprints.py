@@ -8,9 +8,12 @@ For each perfbench workload it runs one unit at seed 5 and prints the first
 8 hex digits of the sha1 of that unit's fingerprint (every Dice and loss
 history, or every gradient-check error, as ``repr``). For each of the seeds
 33, 5, 41 and 97 it prints the sha1 of the ``check_gradients(configs=5)``
-detail string. Last it runs the acceptance suite's directional experiment
-and prints its medians and per-seed Dice in full precision. The whole run
-takes a few minutes.
+detail string. It prints the sha1 of the ``repr`` of the rows of
+``pace_report(ExperimentConfig(), max_epoch=20)``, and for each family of
+``run_verification(fast=True)`` its name, pass flag and the sha1 of its
+detail (its time is left out). Last it runs the acceptance suite's
+directional experiment and prints its medians and per-seed Dice in full
+precision. The whole run takes a few minutes.
 
 perfbench is imported as it is and nothing in it is changed; spcl is
 imported from this checkout's ``src``.
@@ -64,6 +67,18 @@ def directional(spcl) -> str:
     return "\n".join(lines)
 
 
+def pace_rows(spcl) -> str:
+    import spcl.pace_report
+
+    rows = spcl.pace_report.pace_report(spcl.config.ExperimentConfig(), max_epoch=20)
+    return f"pace_report rows {len(rows)} {sha1(repr(rows))}"
+
+
+def verification(spcl) -> str:
+    families = spcl.verify.run_verification(fast=True).families
+    return "\n".join(f"verify {f.name} {'pass' if f.passed else 'FAIL'} {sha1(f.detail)}" for f in families)
+
+
 def main() -> int:
     spcl = perfbench.load_spcl()
     for name in perfbench.WORKLOADS:
@@ -71,6 +86,8 @@ def main() -> int:
     for seed in GRADCHECK_SEEDS:
         detail = spcl.verify.check_gradients(configs=5, seed=seed).detail
         print(f"check_gradients seed {seed} {sha1(detail)}", flush=True)
+    print(pace_rows(spcl), flush=True)
+    print(verification(spcl), flush=True)
     print(directional(spcl), flush=True)
     return 0
 
